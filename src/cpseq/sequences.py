@@ -23,10 +23,10 @@ Shipped families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .su2 import IDENTITY2, fidelity, rotation
 
@@ -205,6 +205,58 @@ def corpse(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1, 2
     )
 
 
+def _scrofulous_excess(theta: float) -> float:
+    """Root u = theta_1 - pi/2 of the SCROFULOUS angle equation.
+
+    With t = pi/2 + u and q = sin(theta/4)^2, the equation
+    sin(t)/t = (2/pi) cos(theta/2) becomes
+
+        g(u) = u (1 - 2q) - pi (q - sin(u/2)^2) = 0,
+
+    since g(u) = -(pi t / 2) (sin(t)/t - (2/pi) cos(theta/2)).  The root is
+    the same and so is the sign change on the bracket (0, argmin sinc - pi/2),
+    but u keeps full relative precision when theta is small (u ~ pi theta^2
+    / 16), where t itself would round it away.  Solved by Newton steps,
+    safeguarded by bisection on the bracket.
+    """
+    q = math.sin(theta / 4) ** 2
+
+    def g(u: float) -> float:
+        return u * (1 - 2 * q) - math.pi * (q - math.sin(u / 2) ** 2)
+
+    lo, hi = 0.0, _SINC_ARGMIN - math.pi / 2
+    if g(hi) < 0:
+        rhs = (2 / math.pi) * math.cos(theta / 2)
+        raise SynthesisError(
+            f"SCROFULOUS angle equation sin(t)/t = {rhs:.6f} has no root for "
+            f"theta = {theta:.6f}; the family only covers rotations up to about 3.83 rad"
+        )
+    # small-theta estimate (exact to first order in q), else mid-bracket
+    u = math.pi * q / (1 - 2 * q) if q < 0.25 else hi / 2
+    for _ in range(200):
+        gu = g(u)
+        if gu == 0:
+            return u
+        if gu < 0:
+            lo = u
+        else:
+            hi = u
+        slope = (1 - 2 * q) + (math.pi / 2) * math.sin(u)
+        nxt = u - gu / slope if slope else lo
+        if not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+        if abs(nxt - u) <= 2e-16 * abs(nxt) or nxt in (lo, hi):
+            return nxt
+        u = nxt
+    return u
+
+
+def _scrofulous_middle_phase(u: float, phi_1: float) -> float:
+    """phi_2 = phi_1 - arccos(-pi / (2 theta_1)), written for theta_1 = pi/2 + u
+    so that it stays well conditioned as u -> 0."""
+    return phi_1 - math.pi + 2 * math.asin(math.sqrt(u / (math.pi + 2 * u)))
+
+
 def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
     """Solve the SCROFULOUS constraints for (theta_1, phi_1, phi_2).
 
@@ -215,34 +267,30 @@ def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
 
         sin(theta_1) / theta_1 = (2/pi) * cos(theta/2),
 
-    solved by bracketed bisection on (0, argmin sinc), after which
+    solved for u = theta_1 - pi/2 (see :func:`_scrofulous_excess`), after which
 
         phi_1 = phi + arccos(-pi cos(theta_1) / (2 theta_1 sin(theta/2)))
         phi_2 = phi_1 - arccos(-pi / (2 theta_1)).
 
     The arccos branch for phi_1 picks the root with phi_1 - phi in (0, pi);
     the mirror solution (phi -> 2 phi - phi_i) is equally valid.  A damped
-    Gauss-Newton pass then polishes (theta_1, phi_1) to product residual
+    Gauss-Newton pass then polishes (u, phi_1) to product residual
     below 1e-12.
     """
-    rhs = (2 / np.pi) * np.cos(theta / 2)
-    try:
-        th1 = brentq(lambda t: np.sinc(t / np.pi) - rhs, 1e-9, _SINC_ARGMIN, xtol=1e-14)
-    except ValueError as exc:
-        raise SynthesisError(
-            f"SCROFULOUS angle equation sin(t)/t = {rhs:.6f} has no root for "
-            f"theta = {theta:.6f}; the family only covers rotations up to about 3.83 rad"
-        ) from exc
+    u = _scrofulous_excess(theta)
+    th1 = math.pi / 2 + u
     sin_half = np.sin(theta / 2)
-    ph1 = phi + np.arccos(np.clip(-np.pi * np.cos(th1) / (2 * th1 * sin_half), -1.0, 1.0))
+    # -cos(theta_1) = sin(u)
+    ph1 = phi + np.arccos(np.clip(np.pi * math.sin(u) / (2 * th1 * sin_half), -1.0, 1.0))
 
     target = _xy_target(theta, phi)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        t1, p1 = x
-        if t1 < np.pi / 2 or t1 > TWO_PI:
+        du, p1 = x
+        if du < 0 or du > 3 * np.pi / 2:
             return np.full(3, 2.0)
-        p2 = p1 - np.arccos(np.clip(-np.pi / (2 * t1), -1.0, 1.0))
+        t1 = np.pi / 2 + du
+        p2 = _scrofulous_middle_phase(du, p1)
         U = rotation([t1 * np.cos(p1), t1 * np.sin(p1), 0.0])
         U = rotation([np.pi * np.cos(p2), np.pi * np.sin(p2), 0.0]) @ U
         U = rotation([t1 * np.cos(p1), t1 * np.sin(p1), 0.0]) @ U
@@ -255,7 +303,7 @@ def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
             return np.full(3, 2.0)
         return beta
 
-    x = np.array([th1, ph1])
+    x = np.array([u, ph1])
     r = residual(x)
     for _ in range(100):
         if np.linalg.norm(r) <= 1e-12:
@@ -282,9 +330,8 @@ def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
             f"SCROFULOUS refinement stalled at residual {np.linalg.norm(r):.3e} "
             f"for theta = {theta:.6f}, phi = {phi:.6f}"
         )
-    th1, ph1 = x
-    ph2 = ph1 - np.arccos(np.clip(-np.pi / (2 * th1), -1.0, 1.0))
-    return float(th1), float(ph1), float(ph2)
+    u, ph1 = (float(v) for v in x)
+    return np.pi / 2 + u, ph1, _scrofulous_middle_phase(u, ph1)
 
 
 def scrofulous(theta: float, phi: float = 0.0) -> PulseSequence:
@@ -458,18 +505,58 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
     return doc
 
 
+def _angle(obj, key: str, where: str) -> float:
+    """``obj[key]`` of a wire document as a finite float; ValueError otherwise."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    try:
+        x = math.nan if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(
+            f"malformed sequence document: {where} {key} must be a finite number, got {value!r}"
+        )
+    return x
+
+
 def sequence_from_dict(doc: dict) -> PulseSequence:
-    """Rebuild a sequence from its wire form; inverse of sequence_to_dict."""
+    """Rebuild a sequence from its wire form; inverse of sequence_to_dict.
+
+    Raises ValueError for any document that is not a well-formed sequence:
+    a top level that is not an object, an unknown family, a missing or
+    empty pulse list, a winding that is not three integers, an angle that is
+    not a finite number, or angles too large for the product to be evaluated.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"malformed sequence document: expected a JSON object, got {type(doc).__name__}"
+        )
     family = doc.get("family", "custom")
     if family not in FAMILIES:
         raise ValueError(f"unknown sequence family {family!r}")
-    try:
-        pulses = tuple(Pulse(float(p["theta"]), float(p["phi"])) for p in doc["pulses"])
-        target_spec = doc["target"]
-        theta = float(target_spec["theta"])
-        phi = float(target_spec["phi"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed sequence document: missing {exc}") from exc
-    winding = tuple(int(n) for n in doc["winding"]) if "winding" in doc else None
-    return PulseSequence(family, pulses, _xy_target(theta, phi),
-                         theta=theta, phi=phi, winding=winding)
+    raw_pulses = doc.get("pulses")
+    if not isinstance(raw_pulses, list) or not raw_pulses:
+        raise ValueError(
+            f'malformed sequence document: "pulses" must be a non-empty list, got {raw_pulses!r}'
+        )
+    pulses = tuple(Pulse(_angle(p, "theta", f"pulse {i}"), _angle(p, "phi", f"pulse {i}"))
+                   for i, p in enumerate(raw_pulses))
+    target_spec = doc.get("target")
+    theta = _angle(target_spec, "theta", "target")
+    phi = _angle(target_spec, "phi", "target")
+    winding = doc.get("winding")
+    if winding is not None:
+        if (not isinstance(winding, list) or len(winding) != 3
+                or not all(isinstance(n, int) and not isinstance(n, bool) for n in winding)):
+            raise ValueError(
+                f"malformed sequence document: winding must be three integers, got {winding!r}"
+            )
+        winding = tuple(winding)
+    # angles above ~1e154 overflow |m|^2 and leave NaN entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = PulseSequence(family, pulses, _xy_target(theta, phi),
+                            theta=theta, phi=phi, winding=winding)
+        evaluable = np.isfinite(seq.target).all() and np.isfinite(seq.propagator()).all()
+    if not evaluable:
+        raise ValueError("malformed sequence document: angles too large to evaluate the product")
+    return seq

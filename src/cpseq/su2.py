@@ -15,8 +15,10 @@ shared mutable state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
-from scipy.linalg import schur
 
 __all__ = [
     "IDENTITY2",
@@ -140,6 +142,15 @@ def fidelity(U: np.ndarray, V: np.ndarray) -> float:
     return float(min(f, 1.0))
 
 
+def _wrap(phase: float) -> float:
+    """Reduce an angle within 2*pi of (-pi, pi] into (-pi, pi]."""
+    if phase > math.pi:
+        return phase - 2 * math.pi
+    if phase <= -math.pi:
+        return phase + 2 * math.pi
+    return phase
+
+
 def eig_unitary(U: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenphases and orthonormal eigenvectors of a unitary U.
 
@@ -147,15 +158,36 @@ def eig_unitary(U: np.ndarray) -> list[tuple[float, np.ndarray]]:
     ascending phase. A degenerate U = exp(i gamma) I returns the
     computational basis (declared convention).
 
-    Uses a complex Schur decomposition, which keeps the eigenvector pair
-    orthonormal even near degeneracy.
+    Closed form: U = exp(i gamma) (cos(a) I - i x . sigma) with
+    gamma = arg(det U) / 2 and |x| = sin(a), a in [0, pi].  The eigenphases
+    are gamma -/+ a and the eigenvectors are those of x . sigma for the
+    eigenvalues +/-|x|.  The pair is written in whichever of its two closed
+    forms has the larger norm, which keeps it orthonormal to rounding even
+    near degeneracy.
     """
-    U = np.asarray(U, dtype=complex)
-    T, Z = schur(U, output="complex")
-    lam = np.diag(T)
-    if abs(lam[0] - lam[1]) < 1e-12:
-        phase = float(np.angle(np.trace(U) / 2))
+    (u00, u01), (u10, u11) = np.asarray(U, dtype=complex).tolist()
+    gamma = cmath.phase(u00 * u11 - u01 * u10) / 2
+    w = cmath.exp(-1j * gamma)
+    a, b, c, d = u00 * w, u01 * w, u10 * w, u11 * w
+    x1 = -(b + c).imag / 2
+    x2 = (c - b).real / 2
+    x3 = (d - a).imag / 2
+    s = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    # |lambda_0 - lambda_1| = 2 |x|
+    if 2 * s < 1e-12:
+        phase = cmath.phase((u00 + u11) / 2)
         return [(phase, np.array([1, 0], dtype=complex)), (phase, np.array([0, 1], dtype=complex))]
-    pairs = [(float(np.angle(lam[k])), Z[:, k].copy()) for k in range(2)]
+    half = math.atan2(s, (a + d).real / 2)
+    r = s + abs(x3)
+    z = complex(x1, x2)
+    norm = math.sqrt(2 * s * r)
+    if x3 >= 0:
+        v_plus, v_minus = (r, z), (z.conjugate(), -r)
+    else:
+        v_plus, v_minus = (z.conjugate(), r), (r, -z)
+    pairs = [
+        (_wrap(gamma - half), np.array(v_plus, dtype=complex) / norm),
+        (_wrap(gamma + half), np.array(v_minus, dtype=complex) / norm),
+    ]
     pairs.sort(key=lambda p: p[0])
     return pairs

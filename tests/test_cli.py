@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,55 @@ def test_verify_bad_schema_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def _refused_with_json(result) -> dict:
+    assert result.exit_code == 2
+    return json.loads(result.stderr)["error"]
+
+
+@pytest.mark.parametrize("command", ["verify", "phase", "landscape", "scaling"])
+def test_empty_pulse_list_exits_2_with_json(runner, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"family": "bb1", "target": {"theta": 1.0, "phi": 0.0},
+                                "pulses": []}))
+    err = _refused_with_json(invoke(runner, [command, "--input", str(path)]))
+    assert "pulses" in err["message"]
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '"corpse"',
+    '{"family": "corpse", "target": {"theta": 1, "phi": 0}, "winding": [1], '
+    '"pulses": [{"theta": 1, "phi": 0}]}',
+    '{"family": "corpse", "target": {"theta": 1, "phi": 0}, "winding": [1, 2, 1, 0], '
+    '"pulses": [{"theta": 1, "phi": 0}]}',
+    '{"family": "custom", "target": {"theta": NaN, "phi": 0}, "pulses": [{"theta": 1, "phi": 0}]}',
+    '{"family": "custom", "target": {"theta": 1, "phi": Infinity}, "pulses": [{"theta": 1, "phi": 0}]}',
+    '{"family": "custom", "target": {"theta": 1e308, "phi": 0}, "pulses": [{"theta": 1, "phi": 0}]}',
+], ids=["top-level-array", "top-level-string", "winding-of-1", "winding-of-4", "theta-nan",
+        "phi-infinity", "theta-overflows"])
+def test_verify_malformed_document_exits_2_with_json(runner, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    err = _refused_with_json(invoke(runner, ["verify", "--input", str(path)]))
+    assert err["type"] == "ValueError"
+
+
+def test_verify_fails_when_pulses_miss_declared_target(runner, tmp_path):
+    # pulses synthesized for pi/2, document claims pi: every channel cancels,
+    # but the product is the wrong gate
+    path = tmp_path / "seq.json"
+    invoke(runner, ["synth", "--family", "cis-cccp", "--theta", "pi/2", "--output", str(path)])
+    doc = json.loads(path.read_text())
+    doc["target"]["theta"] = np.pi
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["verify", "--input", str(path)])
+    assert result.exit_code == 3
+    report = json.loads(result.output)
+    assert report["channels"]["pulse_length"]["robust"]
+    assert report["channels"]["off_resonance"]["robust"]
+    assert report["product_fidelity"] < 0.8 and not report["passed"]
+
+
 # -------------------------------------------------------------- landscape
 
 def test_landscape_csv_row_count(runner):
@@ -213,6 +266,14 @@ def test_scaling_plain_slope_two(runner):
     assert len(doc["points"]) == 5
 
 
+def test_scaling_unresolved_ladder_exits_2_with_json(runner):
+    # BB1 at small theta is so robust on the eps axis that no ladder point
+    # rises above the precision floor
+    result = invoke(runner, ["scaling", "--family", "bb1", "--theta", "0.1", "--axis", "eps"])
+    err = _refused_with_json(result)
+    assert err["type"] == "ValueError" and "ladder points" in err["message"]
+
+
 def test_scaling_corpse_detuning_axis(runner):
     result = invoke(runner, ["scaling", "--family", "corpse", "--theta", "pi",
                              "--axis", "eps-prime"])
@@ -239,3 +300,11 @@ def test_reduce_single(runner):
 def test_reduce_empty_exits_2(runner):
     result = CliRunner().invoke(main, ["reduce", "--phases", ""])
     assert result.exit_code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "import sys, cpseq.cli; print('scipy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -146,6 +146,34 @@ def test_scrofulous_domain_validation():
         scrofulous(2 * np.pi, 0.0)
 
 
+# sin(x)/x has its first positive minimum where tan x = x, and there equals
+# cos x; the angle equation sin(t)/t = (2/pi) cos(theta/2) has a root on
+# (0, x_min) only below the theta at which the two sides meet.
+SINC_ARGMIN = 4.4934094579090641
+SCROFULOUS_EDGE = 2 * np.arccos(np.pi / 2 * np.cos(SINC_ARGMIN))
+
+
+def test_scrofulous_across_domain_down_to_small_angles():
+    rng = np.random.default_rng(21)
+    for theta in np.geomspace(1e-6, 3.83, 41):
+        phi = rng.uniform(0, 2 * np.pi)
+        seq = scrofulous(theta, phi)
+        th1, ph1, ph2 = seq.pulses[0].theta, seq.pulses[0].phi, seq.pulses[1].phi
+        assert abs(np.sin(th1) / th1 - 2 / np.pi * np.cos(theta / 2)) < 1e-13
+        assert abs(th1 * np.cos(ph1 - ph2) + np.pi / 2) < 1e-10
+        assert fidelity(seq.propagator(), seq.target) > 1 - 1e-12
+        assert first_order_error(seq, ErrorChannel.pulse_length(1.0)).pulse_length_norm < 1e-10
+
+
+def test_scrofulous_refuses_just_above_domain_edge():
+    assert 3.83 < SCROFULOUS_EDGE < 3.84
+    seq = scrofulous(SCROFULOUS_EDGE - 1e-6, 0.3)
+    assert fidelity(seq.propagator(), seq.target) > 1 - 1e-12
+    for theta in (SCROFULOUS_EDGE + 1e-9, SCROFULOUS_EDGE + 1e-6, 3.85):
+        with pytest.raises(SynthesisError, match="has no root"):
+            scrofulous(theta, 0.3)
+
+
 # --------------------------------------------------------------- cis-cccp
 
 def test_cis_cccp_shape_and_product():
@@ -320,6 +348,46 @@ def test_sequence_from_dict_rejects_unknown_family():
 def test_sequence_from_dict_rejects_missing_fields():
     with pytest.raises(ValueError):
         sequence_from_dict({"family": "custom", "pulses": [{"theta": 1.0, "phi": 0.0}]})
+
+
+def _wire(**changes):
+    doc = {"family": "corpse", "target": {"theta": 1.0, "phi": 0.0}, "winding": [1, 2, 1],
+           "pulses": [{"theta": 1.0, "phi": 0.0}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "corpse",
+    None,
+    _wire(pulses=[]),
+    _wire(pulses={"theta": 1.0, "phi": 0.0}),
+    _wire(pulses=[5]),
+    _wire(pulses=[{"theta": "1.0", "phi": 0.0}]),
+    _wire(winding=[1]),
+    _wire(winding=[1, 2]),
+    _wire(winding=[1, 2, 1, 0]),
+    _wire(winding=[1, 2.5, 1]),
+    _wire(winding="1,2,1"),
+    _wire(target={"theta": float("nan"), "phi": 0.0}),
+    _wire(target={"theta": 1.0, "phi": float("inf")}),
+    _wire(target={"theta": float("-inf"), "phi": 0.0}),
+    _wire(target=[1.0, 0.0]),
+    _wire(target={"theta": 1e308, "phi": 0.0}),
+    _wire(pulses=[{"theta": 1e300, "phi": 0.0}]),
+])
+def test_sequence_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        sequence_from_dict(doc)
+
+
+def test_sequence_from_dict_accepts_missing_or_null_winding():
+    assert sequence_from_dict(_wire(winding=None)).winding is None
+    doc = _wire()
+    del doc["winding"]
+    assert sequence_from_dict(doc).winding is None
+    assert sequence_from_dict(_wire()).winding == (1, 2, 1)
 
 
 def test_synthesize_dispatch():

@@ -143,3 +143,43 @@ def test_eig_unitary_random_eigenrelation():
         U = random_su2(rng)
         for g, v in eig_unitary(U):
             assert np.linalg.norm(U @ v - np.exp(1j * g) * v) < 1e-12
+
+
+def test_eig_unitary_property_random_u2_down_to_near_degeneracy():
+    # random U(2): global phase times a rotation whose angle is log-uniform
+    # down to 1e-11, taken near I and near -I
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for k in range(4000):
+        axis = rng.normal(size=3)
+        angle = 10 ** rng.uniform(-11, np.log10(np.pi))
+        if k % 2:
+            angle = 2 * np.pi - angle
+        U = np.exp(1j * rng.uniform(-np.pi, np.pi)) * rotation(angle * axis / np.linalg.norm(axis))
+        (g0, v0), (g1, v1) = eig_unitary(U)
+        assert -np.pi < g0 <= g1 <= np.pi
+        worst = max(worst,
+                    np.linalg.norm(U @ v0 - np.exp(1j * g0) * v0),
+                    np.linalg.norm(U @ v1 - np.exp(1j * g1) * v1),
+                    abs(np.vdot(v0, v1)),
+                    abs(np.linalg.norm(v0) - 1),
+                    abs(np.linalg.norm(v1) - 1))
+    assert worst < 1e-12
+
+
+def test_eig_unitary_phases_match_eigvals():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        U = np.exp(1j * rng.uniform(-np.pi, np.pi)) * random_su2(rng)
+        phases = [g for g, _ in eig_unitary(U)]
+        lam = np.linalg.eigvals(U)
+        for g in phases:
+            assert np.min(np.abs(lam - np.exp(1j * g))) < 1e-12
+
+
+def test_eig_unitary_degenerate_keeps_global_phase():
+    pairs = eig_unitary(np.exp(0.7j) * IDENTITY2)
+    assert abs(pairs[0][0] - 0.7) < 1e-15 and abs(pairs[1][0] - 0.7) < 1e-15
+    pairs = eig_unitary(-IDENTITY2)
+    assert pairs[0][0] == pairs[1][0] == np.pi
+    assert np.allclose(pairs[0][1], [1, 0]) and np.allclose(pairs[1][1], [0, 1])
