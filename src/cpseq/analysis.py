@@ -17,7 +17,8 @@ import numpy as np
 
 from .error_model import ErrorChannel, perturbed_propagator
 from .sequences import PulseSequence
-from .su2 import IDENTITY2, eig_unitary, fidelity, rotation_generator
+from .su2 import (eig_unitary, fidelity, fidelity_to, frames, product, quaternion,
+                  rotation_generator, to_matrix)
 
 __all__ = [
     "LandscapeGrid",
@@ -32,7 +33,9 @@ __all__ = [
     "phase_decomposition",
 ]
 
-AXES = ("eps", "eps-prime", "diagonal")
+# (eps, eps_prime) per unit strength along each scaling axis
+_DIRECTIONS = {"eps": (1.0, 0.0), "eps-prime": (0.0, 1.0), "diagonal": (1.0, 1.0)}
+AXES = tuple(_DIRECTIONS)
 
 DEFAULT_SCALING_LADDER = (1e-3, 2e-3, 4e-3, 8e-3, 1e-2)
 
@@ -84,37 +87,17 @@ def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> fl
     return fidelity(seq.target, U)
 
 
-def _fidelity_block(seq: PulseSequence, eps: np.ndarray, eps_prime: np.ndarray) -> np.ndarray:
-    """Vectorised fidelity over the Cartesian product of two strength axes."""
-    E = eps[:, None]
-    P = eps_prime[None, :]
-    shape = (len(eps), len(eps_prime))
-    a = np.ones(shape, dtype=complex)
-    b = np.zeros(shape, dtype=complex)
-    c = np.zeros(shape, dtype=complex)
-    d = np.ones(shape, dtype=complex)
-    for pulse in seq.pulses:
-        m = pulse.vector
-        angle = pulse.theta
-        if angle == 0.0:
-            continue
-        mx = m[0] * (1.0 + E)
-        my = m[1] * (1.0 + E)
-        mz = angle * P + np.zeros_like(E)
-        norm = np.sqrt(mx**2 + my**2 + mz**2)
-        half = norm / 2
-        ch = np.cos(half)
-        sh = np.sin(half)
-        safe = np.where(norm == 0.0, 1.0, norm)
-        nx, ny, nz = mx / safe, my / safe, mz / safe
-        ra = ch - 1j * sh * nz
-        rb = -1j * sh * (nx - 1j * ny)
-        rc = -1j * sh * (nx + 1j * ny)
-        rd = ch + 1j * sh * nz
-        a, b, c, d = ra * a + rb * c, ra * b + rb * d, rc * a + rd * c, rc * b + rd * d
-    Td = seq.target.conj().T
-    tr = Td[0, 0] * a + Td[0, 1] * c + Td[1, 0] * b + Td[1, 1] * d
-    return np.minimum(np.abs(tr) / 2, 1.0)
+def _fidelities(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
+    """Exact fidelities under combined errors, elementwise over the broadcast
+    strength arrays.  Composed pulse by pulse, so memory stays a few arrays of
+    the broadcast shape; any block of cells is bitwise what a larger grid gives."""
+    def factors():
+        for pulse, (mx, my, _) in zip(seq.pulses, seq.vectors()):
+            m = np.broadcast_arrays(mx * (1.0 + eps), my * (1.0 + eps), pulse.theta * eps_prime)
+            yield quaternion(np.moveaxis(np.array(m), 0, -1))
+
+    F = fidelity_to(seq.target, product(factors()))
+    return F if seq.pulses else np.full(np.broadcast(eps, eps_prime).shape, F)
 
 
 def landscape(seq: PulseSequence,
@@ -135,12 +118,12 @@ def landscape(seq: PulseSequence,
     eps_prime = np.linspace(eps_prime_range[0], eps_prime_range[1], resolution)
     workers = threads if threads >= 1 else min(os.cpu_count() or 1, 4)
     if workers == 1 or resolution < 2 * workers:
-        F = _fidelity_block(seq, eps, eps_prime)
+        F = _fidelities(seq, eps[:, None], eps_prime[None, :])
     else:
         bounds = np.linspace(0, len(eps), workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(
-                lambda k: _fidelity_block(seq, eps[bounds[k]:bounds[k + 1]], eps_prime),
+                lambda k: _fidelities(seq, eps[bounds[k]:bounds[k + 1], None], eps_prime[None, :]),
                 range(workers),
             ))
         F = np.vstack(blocks)
@@ -163,16 +146,6 @@ def robust_area(grid: LandscapeGrid, threshold: float) -> float:
     return float(np.mean(grid.fidelity >= threshold))
 
 
-def _strengths_for(axis: str, s: float) -> tuple[float, float]:
-    if axis == "eps":
-        return s, 0.0
-    if axis == "eps-prime":
-        return 0.0, s
-    if axis == "diagonal":
-        return s, s
-    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-
-
 def infidelity_scaling(seq: PulseSequence, axis: str,
                        strengths=DEFAULT_SCALING_LADDER) -> ScalingFit:
     """Least-squares slope of log(1 - F) against log(strength).
@@ -187,9 +160,10 @@ def infidelity_scaling(seq: PulseSequence, axis: str,
         raise ValueError("need at least 5 ladder points")
     if strengths.min() < 1e-3 - 1e-15 or strengths.max() > 1e-2 + 1e-15:
         raise ValueError("ladder strengths must lie within [1e-3, 1e-2]")
-    infid = np.array([
-        1.0 - fidelity_under_error(seq, *_strengths_for(axis, s)) for s in strengths
-    ])
+    if axis not in _DIRECTIONS:
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    eps, eps_prime = np.outer(_DIRECTIONS[axis], strengths)
+    infid = 1.0 - _fidelities(seq, eps, eps_prime)
     keep = infid > 1e-14
     dropped = tuple(float(s) for s in strengths[~keep])
     if dropped:
@@ -228,15 +202,13 @@ def phase_decomposition(seq: PulseSequence) -> PhaseReport:
     pairs = eig_unitary(U)
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
+    vectors = seq.vectors()
+    V = to_matrix(frames(quaternion(vectors)))  # V_{i-1}: the frame before pulse i
+    W = rotation_generator(vectors)
     total, dynamical, states = [], [], []
     for gamma, psi0 in pairs:
-        acc = 0.0
-        V = IDENTITY2.copy()
-        for pulse in seq.pulses:
-            psi = V @ psi0
-            W = rotation_generator(pulse.vector)
-            acc -= float(np.real(psi.conj() @ W @ psi))
-            V = pulse.unitary() @ V
+        psi = V @ psi0  # the state as each pulse begins
+        acc = -float(np.einsum("ni,nij,nj->", psi.conj(), W, psi).real)
         total.append(_wrap(gamma))
         dynamical.append(_wrap(acc))
         states.append(psi0)

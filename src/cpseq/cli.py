@@ -10,6 +10,7 @@ identical invocations produce identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -42,23 +43,21 @@ _PI_FORM = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle in radians, accepting pi fractions."""
+    """Parse an angle in radians, accepting pi fractions; BadParameter unless finite."""
     text = text.strip()
     match = _PI_FORM.match(text)
-    if match:
-        coef_text = match.group("coef")
-        if coef_text in ("", "+"):
-            coef = 1.0
-        elif coef_text == "-":
-            coef = -1.0
-        else:
-            coef = float(coef_text)
-        den = float(match.group("den")) if match.group("den") else 1.0
-        return coef * np.pi / den
     try:
-        return float(text)
-    except ValueError:
+        if match:
+            coef = match.group("coef")
+            coef = float(coef + "1" if coef in ("", "+", "-") else coef)
+            angle = coef * np.pi / float(match.group("den") or 1)
+        else:
+            angle = float(text)
+    except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"cannot parse angle {text!r}")
+    if not math.isfinite(angle):
+        raise click.BadParameter(f"angle must be finite, got {text!r}")
+    return angle
 
 
 class AngleParam(click.ParamType):
@@ -106,6 +105,8 @@ class RangeParam(click.ParamType):
             lo, hi = (float(p) for p in value.split(","))
         except ValueError:
             self.fail(f"range must be 'lo,hi', got {value!r}", param, ctx)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            self.fail(f"range bounds must be finite, got {value!r}", param, ctx)
         if not lo < hi:
             self.fail(f"range must be increasing, got {value!r}", param, ctx)
         return lo, hi
@@ -128,7 +129,9 @@ def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequen
     if family != "alway-jones" and theta is None:
         raise click.UsageError(f"--theta is required for family {family!r}")
     try:
-        return sequences.synthesize(family, theta if theta is not None else np.pi, phi, winding)
+        # angles too large to evaluate leave a NaN product, which synthesis refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sequences.synthesize(family, theta if theta is not None else np.pi, phi, winding)
     except (sequences.SynthesisError, sequences.WindingError, ValueError) as exc:
         _fail(type(exc).__name__, str(exc))
 

@@ -31,11 +31,13 @@ disagree).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .sequences import PulseSequence
-from .su2 import IDENTITY2, SIGMA_Z, PAULIS, rotation, rotation_generator
+from .su2 import (SIGMA_Z, compose, frames, product, quaternion, rotation, rotation_generator,
+                  rotation_matrix, to_matrix)
 
 __all__ = [
     "ErrorChannel",
@@ -168,23 +170,22 @@ class MomentIntegrals:
         return np.einsum("mmr->r", self.second_moment)
 
 
-def _as_vectors(seq) -> list[np.ndarray]:
-    if isinstance(seq, PulseSequence):
-        vs = seq.vectors()
-    else:
-        vs = [np.asarray(m, dtype=float) for m in seq]
-    if not vs:
+def _as_vectors(seq) -> np.ndarray:
+    """Rotation vectors of a sequence or of a list of vectors, as an (n, 3) array."""
+    vs = seq.vectors() if isinstance(seq, PulseSequence) else np.asarray(list(seq), dtype=float)
+    if len(vs) == 0:
         raise ValueError("pulse sequence must be nonempty")
     return vs
 
 
 def perturbed_vector(m, channel: ErrorChannel) -> np.ndarray:
-    """Rotation vector m + dm under the channel's deformation."""
+    """Rotation vector m + dm under the channel's deformation; m may be (..., 3)."""
     m = np.asarray(m, dtype=float)
     if channel.kind == GENERAL_LINEAR:
-        return m + channel.f_const + channel.f_linear @ m
+        return m + channel.f_const + m @ channel.f_linear.T
     dm = channel.epsilon * m
-    dm = dm + channel.epsilon_prime * np.linalg.norm(m) * np.array([0.0, 0.0, 1.0])
+    dm = dm + (channel.epsilon_prime * np.linalg.norm(m, axis=-1, keepdims=True)
+               * np.array([0.0, 0.0, 1.0]))
     return m + dm
 
 
@@ -192,6 +193,15 @@ def pulse_error(m, channel: ErrorChannel) -> np.ndarray:
     """Per-pulse error generator dW = dm . sigma / 2."""
     m = np.asarray(m, dtype=float)
     return rotation_generator(perturbed_vector(m, channel) - m)
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per size."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> np.ndarray:
@@ -207,14 +217,15 @@ def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> n
         raise ValueError("need at least 2 quadrature nodes")
     m = np.asarray(m, dtype=float)
     G = np.asarray(generator, dtype=complex)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    out = np.zeros((2, 2), dtype=complex)
-    for xi, wi in zip(x, w):
-        E = rotation(-xi * m)  # exp(+i x W)
-        out += wi * (E @ G @ E.conj().T)
-    return out
+    x, w = _gauss_legendre(nodes)
+    E = rotation(-x[:, None] * m)  # exp(+i x W) at every node
+    return np.einsum("k,kij,jl,kml->im", w, E, G, E.conj())
+
+
+def _commutes(m, dW) -> bool:
+    """Whether a per-pulse error generator commutes with its own pulse."""
+    W = rotation_generator(m)
+    return np.linalg.norm(W @ dW - dW @ W, ord="fro") <= _COMMUTE_TOL
 
 
 def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
@@ -228,8 +239,7 @@ def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if channel.kind == GENERAL_LINEAR:
         dW = pulse_error(m, channel)
-        W = rotation_generator(m)
-        if np.linalg.norm(W @ dW - dW @ W, ord="fro") <= _COMMUTE_TOL:
+        if _commutes(m, dW):
             return dW
         return interaction_error_quadrature(m, dW, nodes)
     if abs(m[2]) > 0.0:
@@ -241,13 +251,10 @@ def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
     return out
 
 
-def _accumulate(vectors: list[np.ndarray], channel: ErrorChannel) -> np.ndarray:
-    total = np.zeros((2, 2), dtype=complex)
-    V = IDENTITY2.copy()
-    for m in vectors:
-        total += V.conj().T @ interaction_error(m, channel) @ V
-        V = rotation(m) @ V
-    return total
+def _accumulate(vectors: np.ndarray, terms) -> np.ndarray:
+    """Toggling-frame sum sum_i V_{i-1}^dag terms[i] V_{i-1}, V_i = R(m_i) ... R(m_1)."""
+    V = to_matrix(frames(quaternion(vectors)))
+    return np.einsum("nji,njk,nkl->il", V.conj(), np.asarray(terms), V)
 
 
 def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL) -> FirstOrderReport:
@@ -259,10 +266,10 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
     accumulated directly).
     """
     vectors = _as_vectors(seq)
-    c_len = _accumulate(vectors, ErrorChannel.pulse_length(1.0))
-    c_det = _accumulate(vectors, ErrorChannel.off_resonance(1.0))
+    c_len, c_det = (_accumulate(vectors, [interaction_error(m, ch) for m in vectors])
+                    for ch in (ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0)))
     if channel.kind == GENERAL_LINEAR:
-        gen = _accumulate(vectors, channel)
+        gen = _accumulate(vectors, [interaction_error(m, channel) for m in vectors])
     else:
         gen = channel.epsilon * c_len + channel.epsilon_prime * c_det
     n_len = float(np.linalg.norm(c_len, ord="fro"))
@@ -292,19 +299,14 @@ def commuting_first_order_error(seq, channel) -> np.ndarray:
     if not isinstance(channel, ErrorChannel):
         channel = ErrorChannel.pulse_length(float(channel))
     vectors = _as_vectors(seq)
-    total = np.zeros((2, 2), dtype=complex)
-    V = IDENTITY2.copy()
-    for i, m in enumerate(vectors):
-        dW = pulse_error(m, channel)
-        W = rotation_generator(m)
-        if np.linalg.norm(W @ dW - dW @ W, ord="fro") > _COMMUTE_TOL:
+    terms = [pulse_error(m, channel) for m in vectors]
+    for i, (m, dW) in enumerate(zip(vectors, terms)):
+        if not _commutes(m, dW):
             raise ValueError(
                 f"error generator does not commute with pulse {i}; "
                 "use first_order_error for non-commuting channels"
             )
-        total += V.conj().T @ dW @ V
-        V = rotation(m) @ V
-    return total
+    return _accumulate(vectors, terms)
 
 
 def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
@@ -322,11 +324,13 @@ def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
     vectors = _as_vectors(seq)
     if len(vectors) != 3:
         raise ValueError(f"product error split needs exactly 3 pulses, got {len(vectors)}")
-    R1, R2, R3 = (rotation(m) for m in vectors)
-    W1, W2, W3 = (rotation_generator(m) for m in vectors)
+    qs = quaternion(vectors)
+    R1, R2, R3 = to_matrix(qs)
+    R21, R32 = to_matrix(compose(qs[1:], qs[:-1]))
+    W1, W2, W3 = rotation_generator(vectors)
     s1, s2, s3 = (np.sin(np.linalg.norm(m) / 2) for m in vectors)
-    length_part = W3 @ R2 @ R1 + R2 @ W2 @ R1 + R2 @ R1 @ W1
-    detuning_part = s3 * SIGMA_Z @ R2 @ R1 + s2 * R3 @ SIGMA_Z @ R1 + s1 * R3 @ R2 @ SIGMA_Z
+    length_part = W3 @ R21 + R2 @ W2 @ R1 + R21 @ W1
+    detuning_part = s3 * SIGMA_Z @ R21 + s2 * R3 @ SIGMA_Z @ R1 + s1 * R32 @ SIGMA_Z
     return length_part, detuning_part
 
 
@@ -344,30 +348,19 @@ def error_moment_integrals(seq, subdivisions: int = 256) -> MomentIntegrals:
     if subdivisions < 1:
         raise ValueError("subdivisions must be positive")
     vectors = _as_vectors(seq)
-    total_angle = sum(np.linalg.norm(m) for m in vectors)
-    first = np.zeros((3, 3))
-    second = np.zeros((3, 3, 3))
+    angles = np.linalg.norm(vectors, axis=-1)
+    total_angle = angles.sum()
     if total_angle == 0.0:
-        return MomentIntegrals(first_moment=np.eye(3), second_moment=second)
-    x, w = np.polynomial.legendre.leggauss(subdivisions)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    taus = [s / 2 for s in PAULIS]
-    V = IDENTITY2.copy()
-    for m in vectors:
-        angle = np.linalg.norm(m)
-        if angle == 0.0:
-            continue
-        dt = angle / total_angle
-        for xi, wi in zip(x, w):
-            U = rotation(xi * m) @ V
-            for mu in range(3):
-                tt = U.conj().T @ taus[mu] @ U
-                coeff = np.array([2 * np.trace(tt @ t).real for t in taus])
-                first[mu] += wi * dt * coeff
-                # dt * lambda_nu = m_nu, so the linear moment needs no dt.
-                second[mu] += wi * np.outer(m, coeff)
-        V = rotation(m) @ V
+        return MomentIntegrals(first_moment=np.eye(3), second_moment=np.zeros((3, 3, 3)))
+    x, w = _gauss_legendre(subdivisions)
+    # U(t) at node k of pulse i is R(x_k m_i) V_{i-1}, and U^dag tau_mu U =
+    # sum_rho O[mu, rho] tau_rho for its Bloch rotation O; zero-angle
+    # pulses carry zero weight.
+    within = quaternion(x[:, None, None] * vectors)
+    O = rotation_matrix(compose(within, frames(quaternion(vectors))))
+    first = np.einsum("k,n,knmr->mr", w, angles / total_angle, O)
+    # dt * lambda_nu = m_nu, so the linear moment needs no dt.
+    second = np.einsum("k,nv,knmr->mvr", w, vectors, O)
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 
@@ -392,10 +385,7 @@ def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
     """Exact (non-perturbative) propagator of the deformed sequence:
     the ordered product of R(m_i + dm_i).  Ground truth for all fidelity
     and oracle computations."""
-    U = IDENTITY2.copy()
-    for m in _as_vectors(seq):
-        U = rotation(perturbed_vector(m, channel)) @ U
-    return U
+    return to_matrix(product(quaternion(perturbed_vector(_as_vectors(seq), channel))))
 
 
 def finite_difference_generator(seq, channel: ErrorChannel, step: float = 1e-5) -> np.ndarray:
@@ -407,8 +397,8 @@ def finite_difference_generator(seq, channel: ErrorChannel, step: float = 1e-5) 
     """
     if not 0 < step <= 1e-3:
         raise ValueError("step must lie in (0, 1e-3]")
-    U0 = perturbed_propagator(seq, channel.scaled(0.0))
-    Up = perturbed_propagator(seq, channel.scaled(step))
-    Um = perturbed_propagator(seq, channel.scaled(-step))
+    vectors = _as_vectors(seq)
+    scaled = [perturbed_vector(vectors, channel.scaled(s)) for s in (0.0, step, -step)]
+    U0, Up, Um = to_matrix(product(quaternion(np.stack(scaled, axis=1))))
     G = 1j * U0.conj().T @ (Up - Um) / (2 * step)
     return (G + G.conj().T) / 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su2 import IDENTITY2, fidelity, rotation
+from .su2 import fidelity, product, quaternion, rotation, to_matrix
 
 __all__ = [
     "SynthesisError",
@@ -122,16 +122,15 @@ class PulseSequence:
     def __len__(self) -> int:
         return len(self.pulses)
 
-    def vectors(self) -> list[np.ndarray]:
-        """Rotation vectors of all pulses, in application order."""
-        return [p.vector for p in self.pulses]
+    def vectors(self) -> np.ndarray:
+        """Rotation vectors of all pulses, in application order, as an (n, 3) array."""
+        theta = np.array([p.theta for p in self.pulses])
+        phi = np.array([p.phi for p in self.pulses])
+        return np.stack([theta * np.cos(phi), theta * np.sin(phi), np.zeros_like(theta)], axis=-1)
 
     def propagator(self) -> np.ndarray:
         """Ideal (error-free) product of all pulses."""
-        U = IDENTITY2.copy()
-        for p in self.pulses:
-            U = p.unitary() @ U
-        return U
+        return to_matrix(product(quaternion(self.vectors())))
 
 
 def _xy_target(theta: float, phi: float) -> np.ndarray:
@@ -140,7 +139,7 @@ def _xy_target(theta: float, phi: float) -> np.ndarray:
 
 def _check_product(seq: PulseSequence, tol: float = 1e-12) -> PulseSequence:
     f = fidelity(seq.propagator(), seq.target)
-    if f < 1 - tol:
+    if not f >= 1 - tol:  # also refuses a NaN product
         raise SynthesisError(
             f"{seq.family} synthesis produced a product with fidelity {f!r} to its target"
         )
@@ -251,12 +250,6 @@ def _scrofulous_excess(theta: float) -> float:
     return u
 
 
-def _scrofulous_middle_phase(u: float, phi_1: float) -> float:
-    """phi_2 = phi_1 - arccos(-pi / (2 theta_1)), written for theta_1 = pi/2 + u
-    so that it stays well conditioned as u -> 0."""
-    return phi_1 - math.pi + 2 * math.asin(math.sqrt(u / (math.pi + 2 * u)))
-
-
 def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
     """Solve the SCROFULOUS constraints for (theta_1, phi_1, phi_2).
 
@@ -273,65 +266,16 @@ def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
         phi_2 = phi_1 - arccos(-pi / (2 theta_1)).
 
     The arccos branch for phi_1 picks the root with phi_1 - phi in (0, pi);
-    the mirror solution (phi -> 2 phi - phi_i) is equally valid.  A damped
-    Gauss-Newton pass then polishes (u, phi_1) to product residual
-    below 1e-12.
+    the mirror solution (phi -> 2 phi - phi_i) is equally valid.
     """
     u = _scrofulous_excess(theta)
     th1 = math.pi / 2 + u
-    sin_half = np.sin(theta / 2)
     # -cos(theta_1) = sin(u)
-    ph1 = phi + np.arccos(np.clip(np.pi * math.sin(u) / (2 * th1 * sin_half), -1.0, 1.0))
-
-    target = _xy_target(theta, phi)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        du, p1 = x
-        if du < 0 or du > 3 * np.pi / 2:
-            return np.full(3, 2.0)
-        t1 = np.pi / 2 + du
-        p2 = _scrofulous_middle_phase(du, p1)
-        U = rotation([t1 * np.cos(p1), t1 * np.sin(p1), 0.0])
-        U = rotation([np.pi * np.cos(p2), np.pi * np.sin(p2), 0.0]) @ U
-        U = rotation([t1 * np.cos(p1), t1 * np.sin(p1), 0.0]) @ U
-        A = target.conj().T @ U
-        # A = alpha I - i beta . sigma; at the solution beta = 0, alpha = +1.
-        beta = np.array([-(A[0, 1].imag + A[1, 0].imag),
-                         (A[1, 0] - A[0, 1]).real,
-                         A[1, 1].imag - A[0, 0].imag]) / 2
-        if A.trace().real < 0:
-            return np.full(3, 2.0)
-        return beta
-
-    x = np.array([u, ph1])
-    r = residual(x)
-    for _ in range(100):
-        if np.linalg.norm(r) <= 1e-12:
-            break
-        jac = np.empty((3, 2))
-        h = 1e-7
-        for k in range(2):
-            dx = np.zeros(2)
-            dx[k] = h
-            jac[:, k] = (residual(x + dx) - residual(x - dx)) / (2 * h)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam = 1.0
-        while lam > 1e-6:
-            x_new = x + lam * step
-            r_new = residual(x_new)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                x, r = x_new, r_new
-                break
-            lam /= 2
-        else:
-            break
-    if np.linalg.norm(r) > 1e-12:
-        raise SynthesisError(
-            f"SCROFULOUS refinement stalled at residual {np.linalg.norm(r):.3e} "
-            f"for theta = {theta:.6f}, phi = {phi:.6f}"
-        )
-    u, ph1 = (float(v) for v in x)
-    return np.pi / 2 + u, ph1, _scrofulous_middle_phase(u, ph1)
+    cos_offset = np.pi * math.sin(u) / (2 * th1 * np.sin(theta / 2))
+    ph1 = float(phi + np.arccos(np.clip(cos_offset, -1.0, 1.0)))
+    # phi_1 - arccos(-pi / (2 theta_1)), well conditioned as u -> 0
+    ph2 = ph1 - math.pi + 2 * math.asin(math.sqrt(u / (math.pi + 2 * u)))
+    return th1, ph1, ph2
 
 
 def scrofulous(theta: float, phi: float = 0.0) -> PulseSequence:
@@ -460,16 +404,18 @@ def reduce_pi_pulse_product(phases) -> np.ndarray:
     Theta = sum_j (phi_2j - phi_2j-1 + pi) over consecutive pairs; an odd
     count multiplies to another pi pulse in the plane, at azimuth
     phi_last - Theta(preceding pairs).  Both identities are exact, not just
-    up to global phase.
+    up to global phase.  Raises ValueError when the result overflows.
     """
     phases = [float(p) for p in phases]
     if not phases:
         raise ValueError("need at least one pulse azimuth")
     pairs = (len(phases) // 2) if len(phases) % 2 == 0 else ((len(phases) - 1) // 2)
     big_theta = sum(phases[2 * j + 1] - phases[2 * j] + np.pi for j in range(pairs))
+    azimuth = phases[-1] - big_theta
+    if not math.isfinite(2 * big_theta if len(phases) % 2 == 0 else azimuth):
+        raise ValueError("pulse azimuths too large: the reduced rotation is not finite")
     if len(phases) % 2 == 0:
         return np.array([0.0, 0.0, 2 * big_theta])
-    azimuth = phases[-1] - big_theta
     return np.array([np.pi * np.cos(azimuth), np.pi * np.sin(azimuth), 0.0])
 
 

@@ -9,6 +9,11 @@ Conventions used throughout the package:
   Tr(tau_mu tau_nu) = delta_mu_nu / 2;
 - gate overlap is the phase-blind fidelity F = |Tr(U^dag V)| / 2.
 
+Rotations are real unit quaternions q = (w, x, y, z) on the last axis,
+U = w I - i (x, y, z) . sigma, with any leading batch axes.  Only
+:func:`quaternion` evaluates a rotation and only :func:`_hamilton`
+multiplies two; the rest of the package composes through them.
+
 All functions are pure and operate on plain ``numpy`` arrays; there is no
 shared mutable state, so concurrent use is safe.
 """
@@ -28,6 +33,13 @@ __all__ = [
     "PAULIS",
     "pauli_generator",
     "rotation",
+    "quaternion",
+    "compose",
+    "product",
+    "frames",
+    "to_matrix",
+    "rotation_matrix",
+    "fidelity_to",
     "rotation_generator",
     "generator_vector",
     "log_rotation",
@@ -42,8 +54,9 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_STACK = np.array(PAULIS)
 
-# Below this rotation angle the axis term is dropped: R(m) ~ I.
+# Below this rotation angle log_rotation reports no axis: R(m) ~ I.
 _SMALL_ANGLE = 1e-12
 
 
@@ -70,31 +83,106 @@ def is_hermitian_traceless(H: np.ndarray, tol: float = 1e-12) -> bool:
     return np.linalg.norm(H - H.conj().T, ord=2) <= tol and abs(np.trace(H)) <= tol
 
 
-def rotation(m) -> np.ndarray:
-    """SU(2) rotation R(m) = exp(-i m . sigma / 2).
+def _components(q) -> list:
+    """The planes of a quaternion or vector array, unpacked from its last axis."""
+    q = np.asarray(q, dtype=float)
+    return [q[..., k] for k in range(q.shape[-1])]
 
-    Evaluated in closed form: cos(|m|/2) I - i sin(|m|/2) (m/|m|) . sigma.
-    R(0) = I; the axis term is dropped for |m| below 1e-12.
-    """
-    m = np.asarray(m, dtype=float)
-    angle = float(np.linalg.norm(m))
-    if angle < _SMALL_ANGLE:
-        return IDENTITY2.copy()
-    n = m / angle
-    c = np.cos(angle / 2)
-    s = np.sin(angle / 2)
-    return np.array(
-        [
-            [c - 1j * s * n[2], -1j * s * (n[0] - 1j * n[1])],
-            [-1j * s * (n[0] + 1j * n[1]), c + 1j * s * n[2]],
-        ]
+
+def _assemble(*planes) -> np.ndarray:
+    """Array whose last axis runs over ``planes``, stored plane-major so that
+    batched products read and write contiguous planes."""
+    a = np.array(np.broadcast_arrays(*planes))
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def _hamilton(p, q):
+    """Hamilton product of (w, x, y, z) tuples of floats or arrays: the quaternion of P Q."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy + py * qw + pz * qx - px * qz,
+        pw * qz + pz * qw + px * qy - py * qx,
     )
 
 
+def _fold(qs):
+    """Running products 1, q_0, q_1 q_0, ... of the factors along the first axis.
+    An (n, 4) array is folded in Python floats, several times faster than numpy
+    calls on 4-vectors; anything else one batched factor at a time."""
+    acc = (1.0, 0.0, 0.0, 0.0)
+    yield acc
+    for q in qs.tolist() if isinstance(qs, np.ndarray) and qs.ndim == 2 else map(_components, qs):
+        acc = _hamilton(q, acc)
+        yield acc
+
+
+def quaternion(m) -> np.ndarray:
+    """Unit quaternions (cos(|m|/2), sin(|m|/2) m/|m|) of R(m) for vectors m (..., 3)."""
+    x, y, z = _components(m)
+    angle = np.sqrt(x * x + y * y + z * z)
+    half = angle / 2
+    scale = np.sin(half) / np.where(angle == 0.0, 1.0, angle)
+    return _assemble(np.cos(half), x * scale, y * scale, z * scale)
+
+
+def compose(p, q) -> np.ndarray:
+    """Quaternion of the product P Q (P applied after Q); batch axes broadcast."""
+    return _assemble(*_hamilton(_components(p), _components(q)))
+
+
+def product(qs) -> np.ndarray:
+    """Ordered product q_{n-1} ... q_0 of an (n, ..., 4) array or an iterable of
+    broadcast-compatible factors, in application order.  Only the running
+    product is held: a generator of batched factors needs the memory of a few."""
+    for acc in _fold(qs):
+        pass
+    return _assemble(*acc)
+
+
+def frames(qs) -> np.ndarray:
+    """Frames before each factor of an (n, 4) array: V_0 = 1, V_i = q_{i-1} ... q_0."""
+    return np.array(list(_fold(np.asarray(qs, dtype=float)))[:-1]).reshape(-1, 4)
+
+
+def to_matrix(q) -> np.ndarray:
+    """The 2x2 matrices w I - i (x, y, z) . sigma of quaternions q (..., 4)."""
+    w, x, y, z = _components(q)
+    return _assemble(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z).reshape(np.shape(w) + (2, 2))
+
+
+def rotation_matrix(q) -> np.ndarray:
+    """Bloch rotations O of quaternions q: U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho."""
+    w, x, y, z = _components(q)
+    return _assemble(
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ).reshape(np.shape(w) + (3, 3))
+
+
+def fidelity_to(target, q) -> np.ndarray:
+    """Fidelity |Tr(T^dag U)| / 2, clipped into [0, 1], of quaternions q against
+    the entries of a 2x2 target T, which need not lie in SU(2)."""
+    (a, b), (c, d) = np.conj(np.asarray(target, dtype=complex))
+    w, x, y, z = _components(q)
+    tr = (a + d) * w - 1j * (b + c) * x + (c - b) * y + 1j * (d - a) * z
+    return np.minimum(np.abs(tr) / 2, 1.0)
+
+
+def rotation(m) -> np.ndarray:
+    """SU(2) rotation R(m) = exp(-i m . sigma / 2) as 2x2 matrices, for vectors m (..., 3)."""
+    return to_matrix(quaternion(m))
+
+
 def rotation_generator(m) -> np.ndarray:
-    """Hermitian generator m . sigma / 2, so rotation(m) = expm(-i * generator)."""
-    m = np.asarray(m, dtype=float)
-    return (m[0] * SIGMA_X + m[1] * SIGMA_Y + m[2] * SIGMA_Z) / 2
+    """Hermitian generator m . sigma / 2, so rotation(m) = expm(-i * generator).
+
+    A batch of vectors (..., 3) gives a batch of generators (..., 2, 2).
+    """
+    return np.einsum("...a,aij->...ij", np.asarray(m, dtype=float), _PAULI_STACK) / 2
 
 
 def generator_vector(H: np.ndarray) -> np.ndarray:

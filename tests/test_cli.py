@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpseq.cli import main, parse_angle
 
@@ -36,9 +40,59 @@ def test_parse_angle(text, value):
     assert abs(parse_angle(text) - value) < 1e-15
 
 
+angle_texts = st.one_of(
+    st.text(),
+    st.from_regex(r"\A[+-]?[0-9]*\.?[0-9]*\s?\*?\s?pi\s?(/\s?[0-9]*\.?[0-9]*)?\Z"),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(angle_texts)
+def test_parse_angle_is_finite_or_bad_parameter(text):
+    try:
+        value = parse_angle(text)
+    except click.BadParameter:
+        return
+    assert isinstance(value, float) and math.isfinite(value)
+
+
 def test_negative_theta_is_a_usage_error(runner):
     result = runner.invoke(main, ["synth", "--family", "plain", "--theta", "-pi"])
     assert result.exit_code == 2
+
+
+# the last one is a pi fraction whose coefficient, 1e308, overflows times pi
+NON_FINITE = pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "1" + "0" * 308 + "pi"],
+                                     ids=["nan", "inf", "-inf", "1e999", "1e308pi"])
+
+
+@NON_FINITE
+def test_non_finite_theta_is_a_usage_error(runner, text):
+    result = runner.invoke(main, ["synth", "--family", "plain", f"--theta={text}"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--theta'" in result.stderr
+
+
+@NON_FINITE
+def test_non_finite_phi_is_a_usage_error(runner, text):
+    result = runner.invoke(main, ["synth", "--family", "plain", "--theta", "1", f"--phi={text}"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--phi'" in result.stderr
+
+
+@NON_FINITE
+def test_non_finite_phase_exits_2_with_json(runner, text):
+    err = _refused_with_json(runner.invoke(main, ["reduce", f"--phases=0.3,{text}"]))
+    assert err["type"] == "BadParameter" and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "phase"])
+def test_theta_too_large_to_evaluate_exits_2_with_json(runner, command):
+    # the product overflows to NaN, which synthesis must refuse
+    err = _refused_with_json(runner.invoke(main, [command, "--family", "plain", "--theta", "1e308"]))
+    assert err["type"] == "SynthesisError"
 
 
 # ------------------------------------------------------------------ synth
@@ -233,6 +287,18 @@ def test_landscape_json_format(runner):
     assert len(doc["eps"]) == 5 and len(doc["fidelity"]) == 5
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--eps-range", "-inf,inf"),
+    ("--eps-prime-range", "0,1e999"),
+    ("--eps-range", "nan,1"),
+])
+def test_landscape_non_finite_range_is_a_usage_error(runner, option, value):
+    result = runner.invoke(main, ["landscape", "--family", "plain", "--theta", "1", "--res", "3",
+                                  f"{option}={value}"])
+    assert result.exit_code == 2
+    assert "must be finite" in result.stderr
+
+
 def test_landscape_respects_thread_env(runner, tmp_path):
     args = ["landscape", "--family", "scrofulous", "--theta", "pi", "--res", "31"]
     base = invoke(runner, args, env={"PULSE_THREADS": "1"}).output
@@ -295,6 +361,11 @@ def test_reduce_single(runner):
     doc = json.loads(result.output)
     assert doc["kind"] == "pi-pulse"
     assert abs(doc["phi"] - np.pi / 4) < 1e-12
+
+
+def test_reduce_overflowing_product_exits_2_with_json(runner):
+    err = _refused_with_json(runner.invoke(main, ["reduce", "--phases", "1.7e308,-1.7e308"]))
+    assert err["type"] == "ValueError"
 
 
 def test_reduce_empty_exits_2(runner):

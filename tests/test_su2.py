@@ -3,11 +3,19 @@ import pytest
 
 from cpseq.su2 import (
     IDENTITY2,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    compose,
     eig_unitary,
     fidelity,
+    fidelity_to,
+    frames,
+    product,
+    quaternion,
+    rotation_matrix,
+    to_matrix,
     is_hermitian_traceless,
     log_rotation,
     pauli_generator,
@@ -17,6 +25,7 @@ from cpseq.su2 import (
 )
 
 from conftest import frob, random_su2
+import loop_reference as ref
 
 
 def test_pauli_generator_definition():
@@ -183,3 +192,70 @@ def test_eig_unitary_degenerate_keeps_global_phase():
     pairs = eig_unitary(-IDENTITY2)
     assert pairs[0][0] == pairs[1][0] == np.pi
     assert np.allclose(pairs[0][1], [1, 0]) and np.allclose(pairs[1][1], [0, 1])
+
+
+# ------------------------------------------------------- quaternion kernel
+
+def test_quaternion_of_zero_and_pi_pulse():
+    assert np.array_equal(quaternion([0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(quaternion([np.pi, 0.0, 0.0]), [0.0, 1.0, 0.0, 0.0], atol=1e-16)
+
+
+def test_rotation_of_a_batch_matches_the_loop():
+    rng = np.random.default_rng(13)
+    ms = rng.normal(scale=3.0, size=(4, 5, 3))
+    Us = rotation(ms)
+    assert Us.shape == (4, 5, 2, 2)
+    for index in np.ndindex(4, 5):
+        assert frob(Us[index], ref.rotation(ms[index])) < 1e-15
+
+
+def test_product_of_no_factors_is_identity():
+    assert np.array_equal(product(np.zeros((0, 4))), [1.0, 0.0, 0.0, 0.0])
+
+
+def test_product_accepts_a_generator_of_batched_factors():
+    rng = np.random.default_rng(14)
+    ms = rng.normal(size=(5, 3, 2, 3))
+    qs = quaternion(ms)
+    assert np.array_equal(product(q for q in qs), product(qs))
+
+
+def test_frames_are_the_products_before_each_factor():
+    rng = np.random.default_rng(15)
+    ms = rng.normal(size=(6, 3))
+    V = frames(quaternion(ms))
+    assert np.array_equal(V[0], [1.0, 0.0, 0.0, 0.0])
+    for i in range(1, 6):
+        assert frob(to_matrix(V[i]), ref.product(ms[:i])) < 1e-14
+
+
+def test_compose_broadcasts_batch_axes():
+    rng = np.random.default_rng(16)
+    p = quaternion(rng.normal(size=(3, 1, 3)))
+    q = quaternion(rng.normal(size=(4, 3)))
+    pq = compose(p, q)
+    assert pq.shape == (3, 4, 4)
+    assert frob(to_matrix(pq[2, 1]), to_matrix(p[2, 0]) @ to_matrix(q[1])) < 1e-14
+
+
+def test_rotation_matrix_is_the_adjoint_action():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        q = quaternion(rng.normal(size=3))
+        U, O = to_matrix(q), rotation_matrix(q)
+        for mu in range(3):
+            back = U.conj().T @ PAULIS[mu] @ U
+            assert frob(back, sum(O[mu, rho] * PAULIS[rho] for rho in range(3))) < 1e-14
+        assert frob(O @ O.T, np.eye(3)) < 1e-14 and abs(np.linalg.det(O) - 1) < 1e-14
+
+
+def test_fidelity_to_matches_matrix_fidelity_for_any_target():
+    rng = np.random.default_rng(18)
+    qs = quaternion(rng.normal(size=(7, 3)))
+    targets = [random_su2(rng), np.exp(0.3j) * random_su2(rng), rng.normal(size=(2, 2)) / 3]
+    for T in targets:
+        got = fidelity_to(T, qs)
+        assert got.shape == (7,)
+        for q, f in zip(qs, got):
+            assert abs(f - fidelity(T, to_matrix(q))) < 1e-15
