@@ -17,7 +17,7 @@ import numpy as np
 
 from .error_model import ErrorChannel, perturbed_propagator
 from .sequences import PulseSequence
-from .su2 import (eig_unitary, fidelity, fidelity_to, frames, product, quaternion,
+from .su2 import (axis_angle, eig_unitary, fidelity, fidelity_to, frames, product, quaternion,
                   rotation_generator, to_matrix)
 
 __all__ = [
@@ -38,6 +38,10 @@ _DIRECTIONS = {"eps": (1.0, 0.0), "eps-prime": (0.0, 1.0), "diagonal": (1.0, 1.0
 AXES = tuple(_DIRECTIONS)
 
 DEFAULT_SCALING_LADDER = (1e-3, 2e-3, 4e-3, 8e-3, 1e-2)
+
+# Landscape cells per row block: small enough that a block's planes stay in
+# cache while its pulses are composed.
+_BLOCK_CELLS = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +93,22 @@ def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> fl
 
 def _fidelities(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
     """Exact fidelities under combined errors, elementwise over the broadcast
-    strength arrays.  Composed pulse by pulse, so memory stays a few arrays of
-    the broadcast shape; any block of cells is bitwise what a larger grid gives."""
-    def factors():
-        for pulse, (mx, my, _) in zip(seq.pulses, seq.vectors()):
-            m = np.broadcast_arrays(mx * (1.0 + eps), my * (1.0 + eps), pulse.theta * eps_prime)
-            yield quaternion(np.moveaxis(np.array(m), 0, -1))
+    strength arrays.
 
-    F = fidelity_to(seq.target, product(factors()))
-    return F if seq.pulses else np.full(np.broadcast(eps, eps_prime).shape, F)
+    The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
+    a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
+    the same r for every pulse.  Memory is a few arrays of pulses x cells,
+    which :func:`landscape` bounds by evaluating row blocks; any block of
+    cells is bitwise what a larger grid gives."""
+    stretch = 1.0 + np.asarray(eps, dtype=float)
+    eps_prime = np.asarray(eps_prime, dtype=float)
+    r = np.sqrt(stretch * stretch + eps_prime * eps_prime)
+    per_pulse = (-1,) + (1,) * r.ndim
+    theta = np.array([p.theta for p in seq.pulses]).reshape(per_pulse)
+    phi = np.array([p.phi for p in seq.pulses]).reshape(per_pulse)
+    qs = axis_angle(theta * r, stretch * np.cos(phi), stretch * np.sin(phi), eps_prime, r)
+    F = fidelity_to(seq.target, product(qs))
+    return F if seq.pulses else np.full(r.shape, F)
 
 
 def landscape(seq: PulseSequence,
@@ -107,37 +118,56 @@ def landscape(seq: PulseSequence,
               threads: int = 0) -> LandscapeGrid:
     """Fidelity grid over the Cartesian product of the two strength ranges.
 
-    ``threads`` splits the eps axis into row blocks evaluated concurrently;
-    0 means automatic.  Results are bitwise identical for a fixed grid
-    regardless of the thread count, since every block is computed
-    independently and reassembled in order.
+    The eps axis is split into row blocks of at most about ``_BLOCK_CELLS``
+    cells, the same number for each thread; ``threads`` evaluates them
+    concurrently, 0 meaning automatic.  Every cell is computed elementwise,
+    so the result is bitwise the same for any thread count or block split.
+    Raises ValueError when a range is too large to evaluate and leaves a
+    non-finite cell.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     eps = np.linspace(eps_range[0], eps_range[1], resolution)
     eps_prime = np.linspace(eps_prime_range[0], eps_prime_range[1], resolution)
     workers = threads if threads >= 1 else min(os.cpu_count() or 1, 4)
+    # whole rounds of blocks per thread, so that no thread is left with one more
+    blocks = -(-resolution * resolution // _BLOCK_CELLS)
+    blocks = min(resolution, workers * -(-blocks // workers))
+    bounds = np.linspace(0, resolution, blocks + 1).astype(int)
+    F = np.empty((resolution, resolution))
+
+    def fill(k):
+        lo, hi = bounds[k], bounds[k + 1]
+        # errstate is per thread, so it is set where the cells are computed;
+        # overflowing cells come out non-finite and are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            F[lo:hi] = _fidelities(seq, eps[lo:hi, None], eps_prime[None, :])
+
     if workers == 1 or resolution < 2 * workers:
-        F = _fidelities(seq, eps[:, None], eps_prime[None, :])
+        for k in range(blocks):
+            fill(k)
     else:
-        bounds = np.linspace(0, len(eps), workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(
-                lambda k: _fidelities(seq, eps[bounds[k]:bounds[k + 1], None], eps_prime[None, :]),
-                range(workers),
-            ))
-        F = np.vstack(blocks)
+            list(pool.map(fill, range(blocks)))
+    if not np.isfinite(F).all():
+        raise ValueError("strength ranges too large to evaluate: the landscape has non-finite cells")
     return LandscapeGrid(eps_values=eps, eps_prime_values=eps_prime,
                          fidelity=F, family=seq.family)
 
 
 def landscape_csv(grid: LandscapeGrid) -> str:
     """CSV rendering: header eps,eps_prime,fidelity, one row per cell,
-    row-major over eps then eps_prime, 17 significant digits, LF endings."""
+    row-major over eps then eps_prime, 17 significant digits, LF endings.
+    Raises ValueError on a non-finite value, as :func:`ioutil.dumps` does."""
+    for values in (grid.eps_values, grid.eps_prime_values, grid.fidelity):
+        if not np.isfinite(values).all():
+            raise ValueError("cannot render a landscape with non-finite values")
+    # each eps' string goes into the row template once; a row is one % call
+    cells = [f"{p:.17g},%.17g" for p in grid.eps_prime_values.tolist()]
     lines = ["eps,eps_prime,fidelity"]
-    for i, e in enumerate(grid.eps_values):
-        for j, p in enumerate(grid.eps_prime_values):
-            lines.append(f"{e:.17g},{p:.17g},{grid.fidelity[i, j]:.17g}")
+    for e, row in zip(grid.eps_values.tolist(), grid.fidelity.tolist()):
+        e = f"{e:.17g},"
+        lines.append(e + (("\n" + e).join(cells) % tuple(row)))
     return "\n".join(lines) + "\n"
 
 

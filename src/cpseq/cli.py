@@ -253,15 +253,18 @@ def landscape(family, theta, phi, winding, eps_range, eps_prime_range, res, fmt,
         threads = int(os.environ.get("PULSE_THREADS", "0"))
     except ValueError:
         _fail("UsageError", "PULSE_THREADS must be an integer (0 = auto)")
-    grid = analysis.landscape(seq, eps_range, eps_prime_range, res, threads=threads)
+    try:
+        grid = analysis.landscape(seq, eps_range, eps_prime_range, res, threads=threads)
+    except ValueError as exc:
+        _fail(type(exc).__name__, str(exc))
     if fmt == "csv":
         _emit(analysis.landscape_csv(grid), output)
     else:
         doc = {
             "family": grid.family,
-            "eps": list(grid.eps_values),
-            "eps_prime": list(grid.eps_prime_values),
-            "fidelity": [list(row) for row in grid.fidelity],
+            "eps": grid.eps_values,
+            "eps_prime": grid.eps_prime_values,
+            "fidelity": grid.fidelity,
         }
         _emit(dumps(doc), output)
 

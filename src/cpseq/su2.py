@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 Rotations are real unit quaternions q = (w, x, y, z) on the last axis,
 U = w I - i (x, y, z) . sigma, with any leading batch axes.  Only
-:func:`quaternion` evaluates a rotation and only :func:`_hamilton`
+:func:`axis_angle` evaluates a rotation and only :func:`_hamilton`
 multiplies two; the rest of the package composes through them.
 
 All functions are pure and operate on plain ``numpy`` arrays; there is no
@@ -34,6 +34,7 @@ __all__ = [
     "pauli_generator",
     "rotation",
     "quaternion",
+    "axis_angle",
     "compose",
     "product",
     "frames",
@@ -123,8 +124,15 @@ def quaternion(m) -> np.ndarray:
     """Unit quaternions (cos(|m|/2), sin(|m|/2) m/|m|) of R(m) for vectors m (..., 3)."""
     x, y, z = _components(m)
     angle = np.sqrt(x * x + y * y + z * z)
+    return axis_angle(angle, x, y, z, angle)
+
+
+def axis_angle(angle, x, y, z, length) -> np.ndarray:
+    """Unit quaternions (cos(angle/2), sin(angle/2) (x, y, z)/length) of rotations
+    by ``angle`` about the axes (x, y, z) of norm ``length``; a zero axis must
+    come with a zero angle.  All five arguments broadcast."""
     half = angle / 2
-    scale = np.sin(half) / np.where(angle == 0.0, 1.0, angle)
+    scale = np.sin(half) / np.where(length == 0.0, 1.0, length)
     return _assemble(np.cos(half), x * scale, y * scale, z * scale)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpseq import analysis
 from cpseq.analysis import (
     fidelity_under_error,
     infidelity_scaling,
@@ -69,11 +70,20 @@ def test_landscape_matches_scalar_evaluation():
         assert abs(grid.fidelity[i, j] - want) < 1e-12
 
 
-def test_landscape_thread_count_does_not_change_bytes():
+# 257^2 cells make more than four blocks of analysis._BLOCK_CELLS
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("resolution", [41, 257])
+def test_landscape_thread_count_does_not_change_bytes(monkeypatch, resolution, threads):
     seq = scrofulous(np.pi, 0.0)
-    a = landscape(seq, resolution=41, threads=1)
-    b = landscape(seq, resolution=41, threads=3)
-    assert np.array_equal(a.fidelity, b.fidelity)
+    got = landscape(seq, resolution=resolution, threads=threads)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", resolution * resolution)
+    whole = landscape(seq, resolution=resolution, threads=1)  # one block
+    assert np.array_equal(got.fidelity, whole.fidelity)
+
+
+def test_landscape_refuses_ranges_too_large_to_evaluate():
+    with pytest.raises(ValueError, match="non-finite"):
+        landscape(plain(1.0, 0.0), eps_range=(-1e200, 1e200), resolution=3, threads=2)
 
 
 def test_landscape_resolution_validation():

@@ -299,6 +299,18 @@ def test_landscape_non_finite_range_is_a_usage_error(runner, option, value):
     assert "must be finite" in result.stderr
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_landscape_range_too_large_to_evaluate_exits_2_with_json(fmt):
+    # run as a process, so that any numpy warning would reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cpseq.cli", "landscape", "--family", "plain",
+                           "--theta", "1", "--res", "3", "--eps-range=-1e200,1e200", "--format", fmt],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
+
+
 def test_landscape_respects_thread_env(runner, tmp_path):
     args = ["landscape", "--family", "scrofulous", "--theta", "pi", "--res", "31"]
     base = invoke(runner, args, env={"PULSE_THREADS": "1"}).output

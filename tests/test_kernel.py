@@ -63,6 +63,17 @@ def test_landscape_cells_match_loop(family):
     assert max_abs(grid.fidelity, want) <= 1e-13
 
 
+def test_landscape_cells_at_zero_strength_vector_match_loop():
+    # eps = -1, eps' = 0 deforms every pulse to the identity
+    seq = synthesize("bb1", 1.3, 0.4)
+    vectors = ref.vectors_of(seq)
+    grid = landscape(seq, (-1.0, 1.0), (-0.5, 0.5), resolution=5, threads=1)
+    assert grid.fidelity[0, 2] == pytest.approx(np.cos(1.3 / 2), abs=1e-15)
+    want = [[ref.fidelity(seq.target, ref.product(ref.deform(vectors, e, p)))
+             for p in grid.eps_prime_values] for e in grid.eps_values]
+    assert max_abs(grid.fidelity, want) <= 1e-13
+
+
 def test_landscape_of_a_pulse_free_sequence_is_the_target_overlap():
     seq = PulseSequence("custom", (), ref.rotation([0.0, 0.0, 1.0]))
     grid = landscape(seq, resolution=5, threads=1)

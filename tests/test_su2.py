@@ -7,6 +7,7 @@ from cpseq.su2 import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    axis_angle,
     compose,
     eig_unitary,
     fidelity,
@@ -199,6 +200,19 @@ def test_eig_unitary_degenerate_keeps_global_phase():
 def test_quaternion_of_zero_and_pi_pulse():
     assert np.array_equal(quaternion([0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(quaternion([np.pi, 0.0, 0.0]), [0.0, 1.0, 0.0, 0.0], atol=1e-16)
+
+
+def test_axis_angle_broadcasts_and_matches_the_loop():
+    rng = np.random.default_rng(12)
+    angle = rng.uniform(-7.0, 7.0, size=(3, 1))
+    n = rng.normal(size=(4, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    length = rng.uniform(0.5, 2.0, size=4)
+    q = axis_angle(angle, *(length * n.T), length)
+    assert q.shape == (3, 4, 4)
+    for i, j in np.ndindex(3, 4):
+        assert frob(to_matrix(q[i, j]), ref.rotation(angle[i, 0] * n[j])) < 1e-15
+    assert np.array_equal(axis_angle(0.0, 0.0, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_rotation_of_a_batch_matches_the_loop():
