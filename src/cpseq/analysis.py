@@ -17,8 +17,8 @@ import numpy as np
 
 from .error_model import ErrorChannel, perturbed_propagator
 from .sequences import PulseSequence
-from .su2 import (axis_angle, eig_unitary, fidelity, fidelity_to, frames, product, quaternion,
-                  rotation_generator, to_matrix)
+from .su2 import (PAULIS, axis_angle, compose, eig_unitary, fidelity, fidelity_to, frames,
+                  product, quaternion, rotation_matrix)
 
 __all__ = [
     "LandscapeGrid",
@@ -91,9 +91,9 @@ def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> fl
     return fidelity(seq.target, U)
 
 
-def _fidelities(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
-    """Exact fidelities under combined errors, elementwise over the broadcast
-    strength arrays.
+def _products(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
+    """Quaternions of the products deformed by combined errors, elementwise
+    over the broadcast strength arrays.
 
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
@@ -106,9 +106,19 @@ def _fidelities(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
     per_pulse = (-1,) + (1,) * r.ndim
     theta = np.array([p.theta for p in seq.pulses]).reshape(per_pulse)
     phi = np.array([p.phi for p in seq.pulses]).reshape(per_pulse)
-    qs = axis_angle(theta * r, stretch * np.cos(phi), stretch * np.sin(phi), eps_prime, r)
-    F = fidelity_to(seq.target, product(qs))
-    return F if seq.pulses else np.full(r.shape, F)
+    q = product(axis_angle(theta * r, stretch * np.cos(phi), stretch * np.sin(phi), eps_prime, r))
+    return q if seq.pulses else np.broadcast_to(q, r.shape + (4,))
+
+
+def _infidelities(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
+    """1 - F under combined errors without cancellation.  With the target's
+    global phase stripped, T^dag U is a unit quaternion (w, v), and
+    1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
+    T = seq.target * np.exp(-0.5j * np.angle(np.linalg.det(seq.target)))
+    (a, b), (c, d) = T
+    t_dag = (((a + d) / 2).real, ((b + c) / 2).imag, ((b - c) / 2).real, ((a - d) / 2).imag)
+    w, x, y, z = np.moveaxis(compose(t_dag, _products(seq, eps, eps_prime)), -1, 0)
+    return (x * x + y * y + z * z) / (1 + np.abs(w))
 
 
 def landscape(seq: PulseSequence,
@@ -141,7 +151,7 @@ def landscape(seq: PulseSequence,
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            F[lo:hi] = _fidelities(seq, eps[lo:hi, None], eps_prime[None, :])
+            F[lo:hi] = fidelity_to(seq.target, _products(seq, eps[lo:hi, None], eps_prime[None, :]))
 
     if workers == 1 or resolution < 2 * workers:
         for k in range(blocks):
@@ -193,7 +203,7 @@ def infidelity_scaling(seq: PulseSequence, axis: str,
     if axis not in _DIRECTIONS:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     eps, eps_prime = np.outer(_DIRECTIONS[axis], strengths)
-    infid = 1.0 - _fidelities(seq, eps, eps_prime)
+    infid = _infidelities(seq, eps, eps_prime)
     keep = infid > 1e-14
     dropped = tuple(float(s) for s in strengths[~keep])
     if dropped:
@@ -225,20 +235,22 @@ def phase_decomposition(seq: PulseSequence) -> PhaseReport:
     The cyclic states are the eigenvectors of the ideal product; with a
     piecewise-constant drive the Hamiltonian expectation is constant within
     each pulse, so the dynamical phase is the sum of per-pulse expectations
-    of the pulse generators along the propagated state.  The geometric
-    phase is whatever remains of the total eigenphase.
+    of the pulse generators along the propagated state,
+    -1/2 sum_i m_i . O(V_{i-1}) s for the state's Bloch vector s, in the
+    frames the error model accumulates over.  The geometric phase is
+    whatever remains of the total eigenphase.
     """
     U = seq.propagator()
     pairs = eig_unitary(U)
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
     vectors = seq.vectors()
-    V = to_matrix(frames(quaternion(vectors)))  # V_{i-1}: the frame before pulse i
-    W = rotation_generator(vectors)
+    O = rotation_matrix(frames(quaternion(vectors)))  # O(V_{i-1}): the frame before pulse i
     total, dynamical, states = [], [], []
     for gamma, psi0 in pairs:
-        psi = V @ psi0  # the state as each pulse begins
-        acc = -float(np.einsum("ni,nij,nj->", psi.conj(), W, psi).real)
+        # <psi| V^dag W V |psi> = m . O(V) s / 2 for the state's Bloch vector s
+        s = np.einsum("i,aij,j->a", psi0.conj(), PAULIS, psi0).real
+        acc = -0.5 * float(np.einsum("ni,nij,j->", vectors, O, s))
         total.append(_wrap(gamma))
         dynamical.append(_wrap(acc))
         states.append(psi0)

@@ -128,6 +128,8 @@ def _emit(text: str, output: str | None):
 def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequences.PulseSequence:
     if family != "alway-jones" and theta is None:
         raise click.UsageError(f"--theta is required for family {family!r}")
+    if family == "alway-jones" and theta not in (None, np.pi):
+        _fail("UsageError", f"alway-jones only implements pi rotations; --theta must be pi, got {theta!r}")
     try:
         # angles too large to evaluate leave a NaN product, which synthesis refuses
         with np.errstate(over="ignore", invalid="ignore"):

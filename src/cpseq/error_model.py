@@ -19,19 +19,21 @@ and Gi is the per-pulse generator averaged in the toggling frame of its own
 pulse: Gi = integral_0^1 exp(i x W) dW exp(-i x W) dx.  The sequence is
 robust against the channel exactly when G = 0.
 
-For an xy-plane pulse the toggling-frame average has the closed form
+Every generator here is Hermitian and traceless: a real 3-vector g with
+G = g . sigma / 2, which a frame V conjugates into O(V)^T g, O the Bloch
+rotation of :func:`su2.rotation_matrix`.  Averaged over a pulse m = theta n,
+O is
 
-    Gi = eps * W + eps_prime * R(m)^dag sigma_z sin(|m| / 2),
+    A(m) = n n^T + (sin theta / theta) (I - n n^T) + ((1 - cos theta) / theta) [n]x,
 
-which this module cross-checks against direct Gauss-Legendre quadrature of
-the defining integral (the quadrature is the ground truth if the two ever
-disagree).
+A(0) = I, so Gi = A(m_i)^T dm_i . sigma / 2 exactly for any channel and any
+pulse, and pulse i adds A(m_i) O(V_{i-1}) to the moment integrals.  The
+quadrature :func:`interaction_error_quadrature` is kept only as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +68,10 @@ GENERAL_LINEAR = "general-linear"
 ROBUST_TOL = 1e-10
 
 _COMMUTE_TOL = 1e-12
+
+_E_Z = np.array([0.0, 0.0, 1.0])
+# _CROSS[l] = [e_l]x, the matrix of v -> e_l x v
+_CROSS = np.cross(np.eye(3)[None, :, :], np.eye(3)[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -178,30 +184,29 @@ def _as_vectors(seq) -> np.ndarray:
     return vs
 
 
+def _deformation(m, channel: ErrorChannel) -> np.ndarray:
+    """The channel's deformation dm of rotation vectors m (..., 3)."""
+    if channel.kind == GENERAL_LINEAR:
+        return channel.f_const + m @ channel.f_linear.T
+    return (channel.epsilon * m
+            + channel.epsilon_prime * np.linalg.norm(m, axis=-1, keepdims=True) * _E_Z)
+
+
 def perturbed_vector(m, channel: ErrorChannel) -> np.ndarray:
     """Rotation vector m + dm under the channel's deformation; m may be (..., 3)."""
     m = np.asarray(m, dtype=float)
-    if channel.kind == GENERAL_LINEAR:
-        return m + channel.f_const + m @ channel.f_linear.T
-    dm = channel.epsilon * m
-    dm = dm + (channel.epsilon_prime * np.linalg.norm(m, axis=-1, keepdims=True)
-               * np.array([0.0, 0.0, 1.0]))
-    return m + dm
+    return m + _deformation(m, channel)
 
 
 def pulse_error(m, channel: ErrorChannel) -> np.ndarray:
     """Per-pulse error generator dW = dm . sigma / 2."""
-    m = np.asarray(m, dtype=float)
-    return rotation_generator(perturbed_vector(m, channel) - m)
+    return rotation_generator(_deformation(np.asarray(m, dtype=float), channel))
 
 
-@lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], computed once per size."""
+    """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> np.ndarray:
@@ -222,56 +227,51 @@ def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> n
     return np.einsum("k,kij,jl,kml->im", w, E, G, E.conj())
 
 
-def _commutes(m, dW) -> bool:
-    """Whether a per-pulse error generator commutes with its own pulse."""
-    W = rotation_generator(m)
-    return np.linalg.norm(W @ dW - dW @ W, ord="fro") <= _COMMUTE_TOL
+def _frame_average(m) -> np.ndarray:
+    """A(m) = integral_0^1 O(R(x m)) dx for vectors m (..., 3): the Bloch
+    rotation of a pulse's toggling frame averaged over the pulse, in closed
+    form (see the module docstring), with the sinc limit A(0) = I."""
+    angle = np.linalg.norm(m, axis=-1)[..., None, None]
+    safe = np.where(angle == 0.0, 1.0, angle)
+    n = m / safe[..., 0]
+    nn = n[..., :, None] * n[..., None, :]
+    sinc = np.where(angle == 0.0, 1.0, np.sin(angle) / safe)
+    cross = np.tensordot(n, _CROSS, axes=1)  # [n]x
+    return nn + sinc * (np.eye(3) - nn) + (2 * np.sin(angle / 2) ** 2 / safe) * cross
 
 
 def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
-    """Toggling-frame averaged per-pulse error generator.
+    """Toggling-frame averaged per-pulse error generator A(m)^T dm . sigma / 2.
 
-    For the NMR channels on an xy-plane pulse this is the closed form
-    eps * W + eps_prime * R(m)^dag sigma_z sin(|m|/2); any other case falls
-    back to quadrature of the defining integral (or skips the average
-    entirely when the error commutes with its own pulse).
+    Exact for every channel and every pulse, z components included;
+    ``nodes`` is accepted for compatibility and does not change the result.
     """
     m = np.asarray(m, dtype=float)
-    if channel.kind == GENERAL_LINEAR:
-        dW = pulse_error(m, channel)
-        if _commutes(m, dW):
-            return dW
-        return interaction_error_quadrature(m, dW, nodes)
-    if abs(m[2]) > 0.0:
-        return interaction_error_quadrature(m, pulse_error(m, channel), nodes)
-    theta = np.linalg.norm(m)
-    out = channel.epsilon * rotation_generator(m)
-    if channel.epsilon_prime != 0.0:
-        out = out + channel.epsilon_prime * np.sin(theta / 2) * (rotation(m).conj().T @ SIGMA_Z)
-    return out
+    return rotation_generator(np.einsum("...j,...jk->...k", _deformation(m, channel),
+                                        _frame_average(m)))
 
 
-def _accumulate(vectors: np.ndarray, terms) -> np.ndarray:
-    """Toggling-frame sum sum_i V_{i-1}^dag terms[i] V_{i-1}, V_i = R(m_i) ... R(m_1)."""
-    V = to_matrix(frames(quaternion(vectors)))
-    return np.einsum("nji,njk,nkl->il", V.conj(), np.asarray(terms), V)
+def _accumulate(vectors: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """Generators sum_i O(V_{i-1})^T A(m_i)^T dm_i . sigma / 2 for deformations dm (..., n, 3)."""
+    return rotation_generator(np.einsum("...nj,njk->...k", dm, _shares(vectors)))
+
+
+def _shares(vectors: np.ndarray) -> np.ndarray:
+    """A(m_i) O(V_{i-1}) for every pulse, V_{i-1} the frame before pulse i."""
+    return _frame_average(vectors) @ rotation_matrix(frames(quaternion(vectors)))
 
 
 def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL) -> FirstOrderReport:
     """Accumulated first-order error generator and per-channel robustness.
 
-    The generator is linear in the strengths, so the report's coefficient
-    matrices are computed once at unit strength and the requested channel's
-    generator is assembled from them (general-linear channels are
-    accumulated directly).
+    The report's coefficient matrices are the generators of the unit-strength
+    pulse-length and off-resonance channels, accumulated together with the
+    requested channel's generator.
     """
     vectors = _as_vectors(seq)
-    c_len, c_det = (_accumulate(vectors, [interaction_error(m, ch) for m in vectors])
-                    for ch in (ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0)))
-    if channel.kind == GENERAL_LINEAR:
-        gen = _accumulate(vectors, [interaction_error(m, channel) for m in vectors])
-    else:
-        gen = channel.epsilon * c_len + channel.epsilon_prime * c_det
+    channels = (ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0), channel)
+    dm = np.stack([_deformation(vectors, ch) for ch in channels])
+    c_len, c_det, gen = _accumulate(vectors, dm)
     n_len = float(np.linalg.norm(c_len, ord="fro"))
     n_det = float(np.linalg.norm(c_det, ord="fro"))
     return FirstOrderReport(
@@ -289,24 +289,27 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
 def commuting_first_order_error(seq, channel) -> np.ndarray:
     """Accumulated error generator for a channel that commutes pulsewise.
 
-    When every per-pulse error generator commutes with its own pulse the
-    toggling-frame average is the identity and the accumulation collapses to
-    sum_i V_{i-1}^dag dW_i V_{i-1}.  ``channel`` may be a bare float, read
-    as a pulse-length strength (for which the commutation always holds).
+    When every per-pulse error generator commutes with its own pulse
+    (dm parallel to m) the toggling-frame average leaves it unchanged and
+    the accumulation is sum_i V_{i-1}^dag dW_i V_{i-1}.  ``channel`` may be a
+    bare float, read as a pulse-length strength (for which the commutation
+    always holds).
 
-    Raises ValueError if the channel does not commute on some pulse.
+    Raises ValueError if the channel does not commute on some pulse, that
+    is if the Frobenius norm |m x dm| / sqrt(2) of [W, dW] exceeds 1e-12.
     """
     if not isinstance(channel, ErrorChannel):
         channel = ErrorChannel.pulse_length(float(channel))
     vectors = _as_vectors(seq)
-    terms = [pulse_error(m, channel) for m in vectors]
-    for i, (m, dW) in enumerate(zip(vectors, terms)):
-        if not _commutes(m, dW):
-            raise ValueError(
-                f"error generator does not commute with pulse {i}; "
-                "use first_order_error for non-commuting channels"
-            )
-    return _accumulate(vectors, terms)
+    dm = _deformation(vectors, channel)
+    leaks = np.linalg.norm(np.cross(vectors, dm), axis=-1) / np.sqrt(2)
+    bad = np.flatnonzero(leaks > _COMMUTE_TOL)
+    if bad.size:
+        raise ValueError(
+            f"error generator does not commute with pulse {bad[0]}; "
+            "use first_order_error for non-commuting channels"
+        )
+    return _accumulate(vectors, dm)
 
 
 def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
@@ -339,8 +342,9 @@ def error_moment_integrals(seq, subdivisions: int = 256) -> MomentIntegrals:
 
     Each pulse occupies a time fraction proportional to its rotation angle
     (constant drive amplitude), with the drive vector lambda = m / dt held
-    constant on its interval.  Per-pulse integrals use Gauss-Legendre with
-    ``subdivisions`` nodes; 256 nodes leave quadrature error far below 1e-10.
+    constant on its interval.  Within pulse i the Bloch rotation of
+    U(t) = R(x m_i) V_{i-1} averages to A(m_i) O(V_{i-1}) exactly, so
+    ``subdivisions`` (which must be positive) does not change the result.
 
     A sequence of zero-angle pulses evolves trivially: the first moment is
     the identity and the second moment vanishes.
@@ -352,15 +356,10 @@ def error_moment_integrals(seq, subdivisions: int = 256) -> MomentIntegrals:
     total_angle = angles.sum()
     if total_angle == 0.0:
         return MomentIntegrals(first_moment=np.eye(3), second_moment=np.zeros((3, 3, 3)))
-    x, w = _gauss_legendre(subdivisions)
-    # U(t) at node k of pulse i is R(x_k m_i) V_{i-1}, and U^dag tau_mu U =
-    # sum_rho O[mu, rho] tau_rho for its Bloch rotation O; zero-angle
-    # pulses carry zero weight.
-    within = quaternion(x[:, None, None] * vectors)
-    O = rotation_matrix(compose(within, frames(quaternion(vectors))))
-    first = np.einsum("k,n,knmr->mr", w, angles / total_angle, O)
+    shares = _shares(vectors)
+    first = np.einsum("n,nmr->mr", angles / total_angle, shares)
     # dt * lambda_nu = m_nu, so the linear moment needs no dt.
-    second = np.einsum("k,nv,knmr->mvr", w, vectors, O)
+    second = np.einsum("nv,nmr->mvr", vectors, shares)
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 

@@ -311,6 +311,8 @@ def cis_cccp(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1,
     error is exactly the pulse-length error of its own target, which the
     outer SCROFULOUS structure then cancels.
     """
+    if not 0 < theta < TWO_PI:
+        raise ValueError(f"CORPSE-in-SCROFULOUS rotation angle must lie in (0, 2*pi), got {theta}")
     _validate_cccp_winding(winding)
     th1, ph1, ph2 = _scrofulous_params(theta, phi)
     pulses: list[Pulse] = []

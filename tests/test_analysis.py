@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from cpseq.analysis import (
     phase_decomposition,
     robust_area,
 )
-from cpseq.sequences import alway_jones, bb1, cis_cccp, corpse, plain, scrofulous
+from cpseq.sequences import alway_jones, bb1, cis_cccp, corpse, plain, scrofulous, synthesize
 from cpseq.su2 import fidelity
 
 from conftest import frob
@@ -171,6 +173,40 @@ def test_scaling_drops_points_below_precision_floor():
         fit = infidelity_scaling(cis_cccp(np.pi, np.pi / 2), "eps-prime")
     assert fit.dropped
     assert fit.slope >= 3.8
+
+
+def _exact_infidelity(mpmath, seq, eps: float):
+    """1 - F of the shipped double-precision pulses, lengthened by eps, against
+    the declared target, in 50-digit arithmetic."""
+    def rotation(theta, phi, stretch=0.0):
+        half = mpmath.mpf(theta) * (1 + mpmath.mpf(stretch)) / 2
+        c, s = mpmath.cos(half), mpmath.sin(half)
+        e = mpmath.expjpi(mpmath.mpf(phi) / mpmath.pi)
+        return mpmath.matrix([[c, -1j * s / e], [-1j * s * e, c]])
+
+    with mpmath.workdps(50):
+        U = mpmath.eye(2)
+        for p in seq.pulses:
+            U = rotation(p.theta, p.phi, eps) * U
+        M = rotation(seq.theta, seq.phi).H * U
+        return 1 - abs(M[0, 0] + M[1, 1]) / 2
+
+
+@pytest.mark.parametrize("family,theta,phi", [("alway-jones", np.pi, 0.3), ("bb1", 1.0, 0.0),
+                                              ("cis-cccp", 1.0, 0.0)])
+def test_scaling_infidelities_match_a_50_digit_product(family, theta, phi):
+    # T^dag U = (w, v) carries about one ulp of rounding in v, |v| = sqrt(1 - F),
+    # so 1 - F = |v|^2 / (1 + |w|) is good to about 2 eps sqrt(1 - F), where
+    # 1 - |w| by subtraction is good only to about eps
+    mpmath = pytest.importorskip("mpmath")
+    seq = synthesize(family, theta, phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = infidelity_scaling(seq, "eps")
+    eps = np.finfo(float).eps
+    for strength, infid in zip(fit.strengths, fit.infidelities):
+        exact = float(_exact_infidelity(mpmath, seq, strength))
+        assert abs(infid - exact) <= 1e-12 * exact + 8 * eps * np.sqrt(exact)
 
 
 def test_scaling_ladder_validation():

@@ -95,6 +95,20 @@ def test_theta_too_large_to_evaluate_exits_2_with_json(runner, command):
     assert err["type"] == "SynthesisError"
 
 
+@pytest.mark.parametrize("command", ["synth", "verify", "phase"])
+def test_cis_cccp_theta_zero_names_the_domain(runner, command):
+    err = _refused_with_json(runner.invoke(main, [command, "--family", "cis-cccp", "--theta", "0"]))
+    assert err["type"] == "ValueError" and "(0, 2*pi)" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "phase"])
+def test_alway_jones_refuses_theta_other_than_pi(runner, command):
+    err = _refused_with_json(runner.invoke(main, [command, "--family", "alway-jones", "--theta", "1"]))
+    assert err["type"] == "UsageError" and "must be pi" in err["message"]
+    bare = invoke(runner, [command, "--family", "alway-jones"]).output
+    assert invoke(runner, [command, "--family", "alway-jones", "--theta", "pi"]).output == bare
+
+
 # ------------------------------------------------------------------ synth
 
 def test_synth_cis_cccp_emits_nine_pulses(runner):

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from cpseq import error_model
+from cpseq.cli import main
 from cpseq.error_model import (
     ErrorChannel,
     commuting_first_order_error,
@@ -15,7 +20,8 @@ from cpseq.error_model import (
     product_error_split,
     pulse_error,
 )
-from cpseq.sequences import Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous
+from cpseq.sequences import (FAMILIES, Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous,
+                             synthesize)
 from cpseq.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, fidelity, is_hermitian_traceless, rotation
 
 from conftest import frob, random_xy_vector
@@ -131,12 +137,24 @@ def test_interaction_error_hermitian():
 
 
 def test_interaction_error_general_linear_off_axis_pulse():
-    # z-axis pulses exercise the quadrature fallback
-    m = np.array([0.0, 0.0, np.pi])
-    ch = ErrorChannel.general_linear(f_const=[0.5, 0, 0])
-    got = interaction_error(m, ch)
-    want = interaction_error_quadrature(m, pulse_error(m, ch), nodes=64)
-    assert frob(got, want) < 1e-13
+    # pulses with z components under general-linear channels, including the
+    # sinc limit |m| -> 0 and whole turns, where the closed form must neither
+    # warn nor leave a NaN
+    rng = np.random.default_rng(43)
+    cases = [(np.array([0.0, 0.0, np.pi]), ErrorChannel.general_linear(f_const=[0.5, 0, 0]))]
+    lengths = [0.0, 1e-300, 1e-9, 2 * np.pi - 1e-9, 2 * np.pi, 2 * np.pi + 1e-9, 4 * np.pi,
+               4 * np.pi + 1e-9]
+    for length in lengths + list(rng.uniform(0.1, 8.0, 200)):
+        direction = rng.normal(size=3)
+        ch = ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3)))
+        cases.append((length * direction / np.linalg.norm(direction), ch))
+    for m, ch in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interaction_error(m, ch)
+        assert np.isfinite(got).all()
+        want = interaction_error_quadrature(m, pulse_error(m, ch), nodes=64)
+        assert frob(got, want) < 1e-13
 
 
 # -------------------------------------------------------- accumulation
@@ -196,11 +214,44 @@ def test_commuting_matches_general_accumulation():
         fast = commuting_first_order_error(seq, eps)
         full = first_order_error(seq, ErrorChannel.pulse_length(eps)).generator
         assert frob(fast, full) < 1e-12
+    # f_linear = c I scales every pulse, z components included, so it commutes
+    for _ in range(20):
+        vectors = rng.normal(scale=2.0, size=(4, 3))
+        ch = ErrorChannel.general_linear(f_linear=rng.uniform(-0.3, 0.3) * np.eye(3))
+        fast = commuting_first_order_error(vectors, ch)
+        assert frob(fast, first_order_error(vectors, ch).generator) < 1e-12
 
 
 def test_commuting_rejects_non_commuting_channel():
     with pytest.raises(ValueError):
         commuting_first_order_error(plain(np.pi, 0.0), ErrorChannel.off_resonance(0.1))
+    # a z-axis pulse commutes with the off-resonance error; a tilted one does not
+    with pytest.raises(ValueError, match="pulse 1"):
+        commuting_first_order_error([[0, 0, 1.0], [0.3, -0.4, 1.2]], ErrorChannel.off_resonance(0.1))
+
+
+def test_no_library_path_runs_a_quadrature(monkeypatch):
+    def refuse(nodes):
+        raise AssertionError("Gauss-Legendre quadrature outside the oracle")
+
+    monkeypatch.setattr(error_model, "_gauss_legendre", refuse)
+    with pytest.raises(AssertionError):
+        interaction_error_quadrature([1.0, 0.0, 0.0], SIGMA_X / 2)
+    rng = np.random.default_rng(57)
+    channels = (ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1),
+                ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))))
+    tilted = rng.normal(scale=2.0, size=(3, 3))
+    runner = CliRunner()
+    for family in [f for f in FAMILIES if f != "custom"]:
+        seq = synthesize(family, 1.3, 0.4)
+        for vectors in (seq, tilted):
+            for ch in channels:
+                first_order_error(vectors, ch)
+            commuting_first_order_error(vectors, ErrorChannel.general_linear(f_linear=0.1 * np.eye(3)))
+            error_moment_integrals(vectors)
+        theta = [] if family == "alway-jones" else ["--theta", "1.3"]
+        result = runner.invoke(main, ["verify", "--family", family, *theta], catch_exceptions=False)
+        assert result.exit_code == 0
 
 
 # -------------------------------------------------- product error split

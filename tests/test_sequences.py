@@ -183,6 +183,13 @@ def test_cis_cccp_shape_and_product():
     assert frob(seq.target, rotation([0, np.pi, 0])) < 1e-15
 
 
+def test_cis_cccp_domain_validation():
+    # theta = 0 would divide by sin(0) in the SCROFULOUS angle solve
+    for theta in (0.0, -1.0, 2 * np.pi, 7.0):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 2\*pi\)"):
+            cis_cccp(theta, 0.0)
+
+
 def test_cis_cccp_rejects_bad_winding():
     with pytest.raises(WindingError):
         cis_cccp(np.pi, 0.0, (2, 1, 0))
