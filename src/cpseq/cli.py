@@ -22,20 +22,6 @@ from . import analysis, error_model, sequences
 from .ioutil import dumps
 from .su2 import fidelity
 
-_SYNTH_FAMILIES = [f for f in sequences.FAMILIES if f != "custom"]
-
-# Channels each family is designed to compensate, with the norm tolerance
-# its verification must meet (concatenated families accumulate more
-# round-off, hence the looser bound).
-_DECLARED_ROBUST = {
-    "corpse": ("off_resonance",),
-    "scrofulous": ("pulse_length",),
-    "bb1": ("pulse_length",),
-    "cis-cccp": ("pulse_length", "off_resonance"),
-    "alway-jones": ("pulse_length", "off_resonance"),
-}
-_VERIFY_TOL = {"cis-cccp": 1e-9, "alway-jones": 1e-9}
-
 _PI_FORM = re.compile(
     r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+\.?\d*))?$",
     re.IGNORECASE,
@@ -126,14 +112,15 @@ def _emit(text: str, output: str | None):
 
 
 def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequences.PulseSequence:
-    if family != "alway-jones" and theta is None:
-        raise click.UsageError(f"--theta is required for family {family!r}")
-    if family == "alway-jones" and theta not in (None, np.pi):
-        _fail("UsageError", f"alway-jones only implements pi rotations; --theta must be pi, got {theta!r}")
+    if theta is None:
+        lo, hi, _ = sequences._REGISTRY[family].domain
+        if lo != hi:
+            raise click.UsageError(f"--theta is required for family {family!r}")
+        theta = lo  # a one-point domain needs no --theta
     try:
         # angles too large to evaluate leave a NaN product, which synthesis refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            return sequences.synthesize(family, theta if theta is not None else np.pi, phi, winding)
+            return sequences.synthesize(family, theta, phi, winding)
     except (sequences.SynthesisError, sequences.WindingError, ValueError) as exc:
         _fail(type(exc).__name__, str(exc))
 
@@ -152,7 +139,7 @@ def _load_or_synth(input_path, family, theta, phi, winding) -> sequences.PulseSe
 
 
 _COMMON = [
-    click.option("--family", type=click.Choice(_SYNTH_FAMILIES), default=None,
+    click.option("--family", type=click.Choice(list(sequences._REGISTRY)), default=None,
                  help="Sequence family to synthesize."),
     click.option("--theta", type=NONNEG_ANGLE, default=None,
                  help="Target rotation angle (radians; pi forms accepted)."),
@@ -195,31 +182,22 @@ def synth(family, theta, phi, winding, output):
 def verify(family, theta, phi, winding, input_path, output):
     """Check first-order robustness claims; exit 3 when a declared channel fails."""
     seq = _load_or_synth(input_path, family, theta, phi, winding)
-    tol = _VERIFY_TOL.get(seq.family, 1e-10)
+    row = sequences._REGISTRY.get(seq.family)  # None for a "custom" document
+    tol, declared = (row.tolerance, row.declared) if row else (1e-10, ())
     report = error_model.first_order_error(seq, error_model.ErrorChannel.combined(0.0, 0.0),
                                            tolerance=tol)
-    fd_len = error_model.finite_difference_generator(seq, error_model.ErrorChannel.pulse_length(1.0))
-    fd_det = error_model.finite_difference_generator(seq, error_model.ErrorChannel.off_resonance(1.0))
-    gap_len = float(np.linalg.norm(report.pulse_length_coefficient - fd_len, ord="fro"))
-    gap_det = float(np.linalg.norm(report.off_resonance_coefficient - fd_det, ord="fro"))
-    declared = _DECLARED_ROBUST.get(seq.family, ())
-    channels = {
-        "pulse_length": {
-            "norm": report.pulse_length_norm,
-            "robust": report.robust_to_pulse_length,
-            "declared": "pulse_length" in declared,
-            "fd_gap": gap_len,
-        },
-        "off_resonance": {
-            "norm": report.off_resonance_norm,
-            "robust": report.robust_to_off_resonance,
-            "declared": "off_resonance" in declared,
-            "fd_gap": gap_det,
-        },
-    }
+    channels = {}
+    for name in ("pulse_length", "off_resonance"):
+        fd = error_model.finite_difference_generator(seq, getattr(error_model.ErrorChannel, name)(1.0))
+        channels[name] = {
+            "norm": getattr(report, f"{name}_norm"),
+            "robust": getattr(report, f"robust_to_{name}"),
+            "declared": name in declared,
+            "fd_gap": float(np.linalg.norm(getattr(report, f"{name}_coefficient") - fd, ord="fro")),
+        }
     product_fidelity = fidelity(seq.propagator(), seq.target)
     # A sequence must implement the target it declares before any channel
-    # claim means anything; every synthesizer guarantees 1 - 1e-11.
+    # claim means anything; synthesis guarantees 1 - 1e-12.
     passed = product_fidelity >= 1 - 1e-10 and all(
         ch["robust"] for ch in channels.values() if ch["declared"])
     doc = {

@@ -2,29 +2,19 @@
 
 A pulse sequence is an ordered list of hard (rectangular) pulses, each a
 rotation by theta_i about an axis (cos phi_i, sin phi_i, 0) in the xy-plane,
-applied left to right in time.  Every synthesizer declares a target gate and
-guarantees that the ideal product of its pulses reproduces that target.
-
-Shipped families:
-
-- ``plain``        one pulse, no error compensation;
-- ``corpse``       3 pulses, cancels the off-resonance error to first order;
-- ``scrofulous``   3 pulses, cancels the pulse-length error to first order;
-- ``cis_cccp``     9 pulses, a SCROFULOUS whose pulses are each replaced by a
-                   CORPSE; cancels both errors simultaneously;
-- ``bb1``          4 pulses (target plus an identity-valued compensation
-                   block), cancels the pulse-length error;
-- ``alway_jones``  8 pulses, cancels both errors but only implements pi
-                   rotations;
-- ``scrofulous_in_corpse``  the reverse concatenation (three SCROFULOUS
-                   blocks composing a CORPSE); ships as a negative control,
-                   it does NOT cancel the off-resonance error.
+applied left to right in time.  The shipped families are the rows of
+``_REGISTRY`` (each with a public function of the same name below); the
+README's family table lists them and a test holds it to the registry.
+:func:`synthesize` builds every family from its row and guarantees that the
+ideal product of the pulses reproduces the declared target.  Concatenated
+families are rows built by :func:`concatenate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,17 +44,6 @@ TWO_PI = 2 * np.pi
 # bracket used for the SCROFULOUS angle equation.
 _SINC_ARGMIN = 4.4934094579090641
 
-FAMILIES = (
-    "plain",
-    "corpse",
-    "scrofulous",
-    "cis-cccp",
-    "bb1",
-    "alway-jones",
-    "scrofulous-in-corpse",
-    "custom",
-)
-
 
 class SynthesisError(RuntimeError):
     """Raised when a numerical synthesis step fails to converge."""
@@ -87,7 +66,8 @@ class Pulse:
             raise ValueError("pulse angles must be finite")
         if self.theta < 0:
             raise ValueError(f"pulse angle must be nonnegative, got {self.theta}")
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        phi = float(self.phi) % TWO_PI  # a tiny negative azimuth rounds to 2*pi
+        object.__setattr__(self, "phi", phi if phi < TWO_PI else 0.0)
         object.__setattr__(self, "theta", float(self.theta))
 
     @property
@@ -137,21 +117,9 @@ def _xy_target(theta: float, phi: float) -> np.ndarray:
     return rotation([theta * np.cos(phi), theta * np.sin(phi), 0.0])
 
 
-def _check_product(seq: PulseSequence, tol: float = 1e-12) -> PulseSequence:
-    f = fidelity(seq.propagator(), seq.target)
-    if not f >= 1 - tol:  # also refuses a NaN product
-        raise SynthesisError(
-            f"{seq.family} synthesis produced a product with fidelity {f!r} to its target"
-        )
-    return seq
-
-
-def plain(theta: float, phi: float = 0.0) -> PulseSequence:
-    """Single uncompensated pulse implementing the rotation (theta, phi)."""
-    pulse = Pulse(theta, phi)
-    return _check_product(
-        PulseSequence("plain", (pulse,), _xy_target(theta, phi), theta=theta, phi=phi)
-    )
+# Each family's segments: (theta, phi, winding) -> raw [(theta_i, phi_i), ...].
+# Raw, because Pulse reduces phi mod 2*pi and a concatenation must feed the
+# inner family each outer segment's unreduced angles.
 
 
 def corpse_angles(theta: float, winding: tuple[int, int, int]) -> tuple[float, float, float]:
@@ -181,27 +149,27 @@ def corpse_angles(theta: float, winding: tuple[int, int, int]) -> tuple[float, f
     return angles
 
 
-def corpse(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1, 2, 1)) -> PulseSequence:
-    """CORPSE: three collinear pulses cancelling the off-resonance error.
-
-    The middle pulse is applied along the reversed axis (phi + pi).  Any
-    integer winding with all segment angles nonnegative is accepted; the
-    default (1, 2, 1) is the standard long CORPSE.  Windings with
-    n1 - n2 + n3 = 0 leave a residual first-order error exactly equal to the
-    pulse-length error of the target rotation itself, which is what the
-    concatenated sequence :func:`cis_cccp` relies on.
-
-    For odd n1 + n2 + n3 the product equals minus the target; the gate is the
-    same up to global phase.
-    """
-    if not 0 <= theta <= TWO_PI:
-        raise ValueError(f"CORPSE rotation angle must lie in [0, 2*pi], got {theta}")
+def _corpse_segments(theta, phi, winding):
     a1, a2, a3 = corpse_angles(theta, winding)
-    pulses = (Pulse(a1, phi), Pulse(a2, phi + np.pi), Pulse(a3, phi))
-    return _check_product(
-        PulseSequence("corpse", pulses, _xy_target(theta, phi), theta=theta, phi=phi,
-                      winding=tuple(winding))
-    )
+    return [(a1, phi), (a2, phi + np.pi), (a3, phi)]
+
+
+def _pure_length_residual(winding: tuple[int, int, int]):
+    """CORPSE's only first-order residual is the pulse-length error of its
+    own target exactly when n1 - n2 + n3 = 0; WindingError otherwise."""
+    n1, n2, n3 = winding
+    if n1 - n2 + n3 != 0:
+        raise WindingError(
+            f"concatenation requires winding numbers with n1 - n2 + n3 = 0, got {winding}; "
+            "otherwise the constituent residual is not a pure pulse-length error"
+        )
+
+
+def _corpse_rotations(theta, phi, winding):
+    """CORPSE's three rotations reduced mod 2*pi: (theta/2 - kappa, 2 kappa,
+    theta/2 - kappa), all about phi, so each stays within SCROFULOUS's reach."""
+    kappa = np.arcsin(np.sin(theta / 2) / 2)
+    return [(theta / 2 - kappa, phi), (2 * kappa, phi), (theta / 2 - kappa, phi)]
 
 
 def _scrofulous_excess(theta: float) -> float:
@@ -250,7 +218,7 @@ def _scrofulous_excess(theta: float) -> float:
     return u
 
 
-def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
+def _scrofulous_segments(theta, phi, winding):
     """Solve the SCROFULOUS constraints for (theta_1, phi_1, phi_2).
 
     The outer pulses share (theta_1, phi_1); the middle pulse is a pi pulse
@@ -270,12 +238,146 @@ def _scrofulous_params(theta: float, phi: float) -> tuple[float, float, float]:
     """
     u = _scrofulous_excess(theta)
     th1 = math.pi / 2 + u
-    # -cos(theta_1) = sin(u)
-    cos_offset = np.pi * math.sin(u) / (2 * th1 * np.sin(theta / 2))
+    # -cos(theta_1) = sin(u); the offset tends to 0 with u, also where
+    # sin(theta/2) underflows
+    cos_offset = np.pi * math.sin(u) / (2 * th1 * np.sin(theta / 2)) if u else 0.0
     ph1 = float(phi + np.arccos(np.clip(cos_offset, -1.0, 1.0)))
     # phi_1 - arccos(-pi / (2 theta_1)), well conditioned as u -> 0
     ph2 = ph1 - math.pi + 2 * math.asin(math.sqrt(u / (math.pi + 2 * u)))
-    return th1, ph1, ph2
+    return [(th1, ph1), (np.pi, ph2), (th1, ph1)]
+
+
+def _bb1_segments(theta, phi, winding):
+    c = np.arccos(-theta / (4 * np.pi))
+    return [(theta, phi), (np.pi, phi + c), (2 * np.pi, phi + 3 * c), (np.pi, phi + c)]
+
+
+def _alway_jones_segments(theta, phi, winding):
+    c = np.arccos(-0.25)
+    relative = ((np.pi, 0.0), (np.pi, c), (2 * np.pi, 3 * c), (np.pi, c),
+                (np.pi, np.pi - c), (np.pi, -c), (np.pi, np.pi + c), (np.pi, c))
+    return [(t, p + phi) for t, p in relative]
+
+
+# ---- the registry ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One registry row: everything the package states about a family."""
+
+    name: str
+    segments: Callable  # (theta, phi, winding) -> raw [(theta_i, phi_i), ...]
+    domain: tuple[float, float, str]  # (lo, hi, brackets): (0, 2*pi, "(]") is 0 < theta <= 2*pi
+    refusal: str  # what a theta outside the domain is told
+    winding: tuple[int, int, int] | None = None  # default; None refuses any winding
+    declared: tuple[str, ...] = ()  # channels cancelled to first order
+    tolerance: float = 1e-10  # verify's bound on the first-order norms
+    # raises WindingError unless the family's only first-order residual is
+    # the pulse-length error of its own target; None: no winding gives that
+    length_residual: Callable | None = None
+
+    def admits(self, theta: float) -> bool:
+        lo, hi, brackets = self.domain
+        return ((lo <= theta if brackets[0] == "[" else lo < theta)
+                and (theta <= hi if brackets[1] == "]" else theta < hi))
+
+
+def concatenate(outer: _Family, inner: _Family, **row) -> _Family:
+    """Registry row of ``inner`` nested in ``outer``.
+
+    Each outer segment (t, p) is replaced by the inner family's segments for
+    the rotation (t, p); the winding, if any, is the inner family's.  The
+    paper's rule sets the declared channels: when the inner sequence's only
+    first-order residual is the pulse-length error of its own target (CORPSE
+    with n1 - n2 + n3 = 0, which is then required) and the outer sequence
+    cancels pulse-length error, the concatenation cancels what either one
+    cancels.  Any other pairing cancels only what the inner sequence
+    cancels.  ``row`` gives the remaining fields (name, domain, refusal,
+    winding, tolerance).
+    """
+    both = inner.length_residual is not None and "pulse_length" in outer.declared
+
+    def segments(theta, phi, winding):
+        if both:
+            inner.length_residual(winding)
+        return [s for t, p in outer.segments(theta, phi, None) for s in inner.segments(t, p, winding)]
+
+    declared = tuple(dict.fromkeys(outer.declared + inner.declared)) if both else inner.declared
+    return _Family(segments=segments, declared=declared, **row)
+
+
+_CORPSE = _Family("corpse", _corpse_segments, (0.0, TWO_PI, "[]"),
+                  "CORPSE rotation angle must lie in [0, 2*pi]", winding=(1, 2, 1),
+                  declared=("off_resonance",), length_residual=_pure_length_residual)
+_SCROFULOUS = _Family("scrofulous", _scrofulous_segments, (0.0, TWO_PI, "()"),
+                      "SCROFULOUS rotation angle must lie in (0, 2*pi)", declared=("pulse_length",))
+_REGISTRY = {row.name: row for row in (
+    _Family("plain", lambda theta, phi, winding: [(theta, phi)], (0.0, math.inf, "[)"),
+            "plain rotation angle must lie in [0, inf)"),
+    _CORPSE,
+    _SCROFULOUS,
+    concatenate(_SCROFULOUS, _CORPSE, name="cis-cccp", domain=(0.0, TWO_PI, "()"),
+                refusal="CORPSE-in-SCROFULOUS rotation angle must lie in (0, 2*pi)",
+                winding=(1, 1, 0), tolerance=1e-9),
+    _Family("bb1", _bb1_segments, (0.0, TWO_PI, "(]"), "BB1 rotation angle must lie in (0, 2*pi]",
+            declared=("pulse_length",)),
+    _Family("alway-jones", _alway_jones_segments, (np.pi, np.pi, "[]"),
+            "alway-jones only implements pi rotations; theta must be pi",
+            declared=("pulse_length", "off_resonance"), tolerance=1e-9),
+    concatenate(_Family("corpse-rotations", _corpse_rotations, (0.0, TWO_PI, "[]"), ""), _SCROFULOUS,
+                name="scrofulous-in-corpse", domain=(0.0, TWO_PI, "()"),
+                refusal="rotation angle must lie in (0, 2*pi)"),
+)}
+
+FAMILIES = (*_REGISTRY, "custom")
+
+
+def synthesize(family: str, theta: float, phi: float = 0.0,
+               winding: tuple[int, int, int] | None = None) -> PulseSequence:
+    """Build a family's sequence from its registry row (names as in FAMILIES).
+
+    Raises ValueError for an unknown family, a theta outside the family's
+    domain, or a winding given to a family that takes none; without a
+    winding the family's default is used.  Raises SynthesisError unless the
+    pulses multiply to the target with fidelity at least 1 - 1e-12.
+    """
+    try:
+        row = _REGISTRY[family]
+    except KeyError:
+        raise ValueError(f"unknown sequence family {family!r}; expected one of {list(_REGISTRY)}")
+    if not row.admits(theta):
+        raise ValueError(f"{row.refusal}, got {theta}")
+    if row.winding is None and winding is not None:
+        raise ValueError(f"{family} takes no winding, got {winding}")
+    winding = None if row.winding is None else tuple(winding or row.winding)
+    pulses = tuple(Pulse(t, p) for t, p in row.segments(theta, phi, winding))
+    seq = PulseSequence(family, pulses, _xy_target(theta, phi), theta=theta, phi=phi, winding=winding)
+    f = fidelity(seq.propagator(), seq.target)
+    if not f >= 1 - 1e-12:  # also refuses a NaN product
+        raise SynthesisError(f"{family} synthesis produced a product with fidelity {f!r} to its target")
+    return seq
+
+
+def plain(theta: float, phi: float = 0.0) -> PulseSequence:
+    """Single uncompensated pulse implementing the rotation (theta, phi)."""
+    return synthesize("plain", theta, phi)
+
+
+def corpse(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1, 2, 1)) -> PulseSequence:
+    """CORPSE: three collinear pulses cancelling the off-resonance error.
+
+    The middle pulse is applied along the reversed axis (phi + pi).  Any
+    integer winding with all segment angles nonnegative is accepted; the
+    default (1, 2, 1) is the standard long CORPSE.  Windings with
+    n1 - n2 + n3 = 0 leave a residual first-order error exactly equal to the
+    pulse-length error of the target rotation itself, which is what the
+    concatenated sequence :func:`cis_cccp` relies on.
+
+    For odd n1 + n2 + n3 the product equals minus the target; the gate is the
+    same up to global phase.
+    """
+    return synthesize("corpse", theta, phi, winding)
 
 
 def scrofulous(theta: float, phi: float = 0.0) -> PulseSequence:
@@ -284,22 +386,7 @@ def scrofulous(theta: float, phi: float = 0.0) -> PulseSequence:
     Cancels the pulse-length error to first order.  Solvable for rotation
     angles up to about 3.83 rad; beyond that SynthesisError is raised.
     """
-    if not 0 < theta < TWO_PI:
-        raise ValueError(f"SCROFULOUS rotation angle must lie in (0, 2*pi), got {theta}")
-    th1, ph1, ph2 = _scrofulous_params(theta, phi)
-    pulses = (Pulse(th1, ph1), Pulse(np.pi, ph2), Pulse(th1, ph1))
-    return _check_product(
-        PulseSequence("scrofulous", pulses, _xy_target(theta, phi), theta=theta, phi=phi)
-    )
-
-
-def _validate_cccp_winding(winding: tuple[int, int, int]):
-    n1, n2, n3 = winding
-    if n1 - n2 + n3 != 0:
-        raise WindingError(
-            f"concatenation requires winding numbers with n1 - n2 + n3 = 0, got {winding}; "
-            "otherwise the constituent residual is not a pure pulse-length error"
-        )
+    return synthesize("scrofulous", theta, phi)
 
 
 def cis_cccp(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1, 1, 0)) -> PulseSequence:
@@ -311,19 +398,7 @@ def cis_cccp(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1,
     error is exactly the pulse-length error of its own target, which the
     outer SCROFULOUS structure then cancels.
     """
-    if not 0 < theta < TWO_PI:
-        raise ValueError(f"CORPSE-in-SCROFULOUS rotation angle must lie in (0, 2*pi), got {theta}")
-    _validate_cccp_winding(winding)
-    th1, ph1, ph2 = _scrofulous_params(theta, phi)
-    pulses: list[Pulse] = []
-    for t, p in ((th1, ph1), (np.pi, ph2), (th1, ph1)):
-        a1, a2, a3 = corpse_angles(t, winding)
-        pulses += [Pulse(a1, p), Pulse(a2, p + np.pi), Pulse(a3, p)]
-    return _check_product(
-        PulseSequence("cis-cccp", tuple(pulses), _xy_target(theta, phi), theta=theta, phi=phi,
-                      winding=tuple(winding)),
-        tol=1e-11,
-    )
+    return synthesize("cis-cccp", theta, phi, winding)
 
 
 def bb1(theta: float, phi: float = 0.0) -> PulseSequence:
@@ -333,18 +408,7 @@ def bb1(theta: float, phi: float = 0.0) -> PulseSequence:
     c = arccos(-theta / (4*pi)); it multiplies to exactly +I at zero error
     and cancels the pulse-length error of the target pulse to first order.
     """
-    if not 0 < theta <= TWO_PI:
-        raise ValueError(f"BB1 rotation angle must lie in (0, 2*pi], got {theta}")
-    c = np.arccos(-theta / (4 * np.pi))
-    pulses = (
-        Pulse(theta, phi),
-        Pulse(np.pi, phi + c),
-        Pulse(2 * np.pi, phi + 3 * c),
-        Pulse(np.pi, phi + c),
-    )
-    return _check_product(
-        PulseSequence("bb1", pulses, _xy_target(theta, phi), theta=theta, phi=phi)
-    )
+    return synthesize("bb1", theta, phi)
 
 
 def alway_jones(phi_axis: float = 0.0) -> PulseSequence:
@@ -355,22 +419,7 @@ def alway_jones(phi_axis: float = 0.0) -> PulseSequence:
     off-resonance error.  Both blocks multiply to +I at zero error.  The
     construction only exists for rotation angle pi; the axis is free.
     """
-    c = np.arccos(-0.25)
-    relative = (
-        (np.pi, 0.0),
-        (np.pi, c),
-        (2 * np.pi, 3 * c),
-        (np.pi, c),
-        (np.pi, np.pi - c),
-        (np.pi, -c),
-        (np.pi, np.pi + c),
-        (np.pi, c),
-    )
-    pulses = tuple(Pulse(t, p + phi_axis) for t, p in relative)
-    return _check_product(
-        PulseSequence("alway-jones", pulses, _xy_target(np.pi, phi_axis),
-                      theta=np.pi, phi=phi_axis)
-    )
+    return synthesize("alway-jones", np.pi, phi_axis)
 
 
 def scrofulous_in_corpse(theta: float, phi: float = 0.0) -> PulseSequence:
@@ -385,17 +434,7 @@ def scrofulous_in_corpse(theta: float, phi: float = 0.0) -> PulseSequence:
     anything the outer CORPSE structure can remove: the off-resonance
     channel stays first order.
     """
-    if not 0 < theta < TWO_PI:
-        raise ValueError(f"rotation angle must lie in (0, 2*pi), got {theta}")
-    kappa = np.arcsin(np.sin(theta / 2) / 2)
-    pulses: list[Pulse] = []
-    for t in (theta / 2 - kappa, 2 * kappa, theta / 2 - kappa):
-        th1, ph1, ph2 = _scrofulous_params(t, phi)
-        pulses += [Pulse(th1, ph1), Pulse(np.pi, ph2), Pulse(th1, ph1)]
-    return _check_product(
-        PulseSequence("scrofulous-in-corpse", tuple(pulses), _xy_target(theta, phi),
-                      theta=theta, phi=phi)
-    )
+    return synthesize("scrofulous-in-corpse", theta, phi)
 
 
 def reduce_pi_pulse_product(phases) -> np.ndarray:
@@ -419,27 +458,6 @@ def reduce_pi_pulse_product(phases) -> np.ndarray:
     if len(phases) % 2 == 0:
         return np.array([0.0, 0.0, 2 * big_theta])
     return np.array([np.pi * np.cos(azimuth), np.pi * np.sin(azimuth), 0.0])
-
-
-_SYNTH = {
-    "plain": lambda theta, phi, winding: plain(theta, phi),
-    "corpse": lambda theta, phi, winding: corpse(theta, phi, winding or (1, 2, 1)),
-    "scrofulous": lambda theta, phi, winding: scrofulous(theta, phi),
-    "cis-cccp": lambda theta, phi, winding: cis_cccp(theta, phi, winding or (1, 1, 0)),
-    "bb1": lambda theta, phi, winding: bb1(theta, phi),
-    "alway-jones": lambda theta, phi, winding: alway_jones(phi),
-    "scrofulous-in-corpse": lambda theta, phi, winding: scrofulous_in_corpse(theta, phi),
-}
-
-
-def synthesize(family: str, theta: float, phi: float = 0.0,
-               winding: tuple[int, int, int] | None = None) -> PulseSequence:
-    """Dispatch to a synthesizer by family name (as spelled in FAMILIES)."""
-    try:
-        maker = _SYNTH[family]
-    except KeyError:
-        raise ValueError(f"unknown sequence family {family!r}; expected one of {list(_SYNTH)}")
-    return maker(theta, phi, winding)
 
 
 def sequence_to_dict(seq: PulseSequence) -> dict:

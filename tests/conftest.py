@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from cpseq.sequences import _REGISTRY
+
 
 def frob(A, B=None) -> float:
     """Frobenius norm of A, or of A - B."""
@@ -23,3 +25,9 @@ def random_xy_vector(rng: np.random.Generator, lo: float = 0.05, hi: float = 2 *
     theta = rng.uniform(lo, hi)
     phi = rng.uniform(0, 2 * np.pi)
     return np.array([theta * np.cos(phi), theta * np.sin(phi), 0.0])
+
+
+def theta_for(family: str, theta: float) -> float:
+    """``theta``, or the one angle a family with a one-point domain makes."""
+    lo, hi, _ = _REGISTRY[family].domain
+    return theta if lo != hi else lo

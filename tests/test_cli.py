@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpseq.cli import main, parse_angle
+from cpseq.sequences import _REGISTRY, FAMILIES, sequence_to_dict, synthesize
+
+from conftest import theta_for
 
 
 @pytest.fixture()
@@ -104,9 +107,17 @@ def test_cis_cccp_theta_zero_names_the_domain(runner, command):
 @pytest.mark.parametrize("command", ["synth", "verify", "phase"])
 def test_alway_jones_refuses_theta_other_than_pi(runner, command):
     err = _refused_with_json(runner.invoke(main, [command, "--family", "alway-jones", "--theta", "1"]))
-    assert err["type"] == "UsageError" and "must be pi" in err["message"]
+    assert err["type"] == "ValueError" and "must be pi" in err["message"]
     bare = invoke(runner, [command, "--family", "alway-jones"]).output
     assert invoke(runner, [command, "--family", "alway-jones", "--theta", "pi"]).output == bare
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "phase"])
+@pytest.mark.parametrize("family", [f for f, row in _REGISTRY.items() if row.winding is None])
+def test_winding_is_refused_by_families_without_one(runner, command, family):
+    err = _refused_with_json(runner.invoke(main, [command, "--family", family, "--theta",
+                                                  repr(theta_for(family, 1.0)), "--winding", "1,2,1"]))
+    assert err["type"] == "ValueError" and "takes no winding" in err["message"]
 
 
 # ------------------------------------------------------------------ synth
@@ -264,6 +275,44 @@ def test_verify_fails_when_pulses_miss_declared_target(runner, tmp_path):
     assert report["channels"]["pulse_length"]["robust"]
     assert report["channels"]["off_resonance"]["robust"]
     assert report["product_fidelity"] < 0.8 and not report["passed"]
+
+
+angle_values = st.one_of(
+    st.floats(), st.integers(-10 ** 400, 10 ** 400), st.sampled_from([1e154, -1e200, 1e308]),
+    st.text(max_size=3), st.none(), st.booleans(), st.lists(st.floats(), max_size=2),
+)
+junk = st.one_of(angle_values, st.dictionaries(st.text(max_size=5), angle_values, max_size=3))
+pulse_docs = st.one_of(st.fixed_dictionaries({"theta": angle_values, "phi": angle_values}), junk)
+
+
+@st.composite
+def wire_documents(draw):
+    """A synthesized document with any of its fields replaced, or junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(junk, st.lists(junk, max_size=3)))
+    family = draw(st.sampled_from(list(_REGISTRY)))
+    theta = theta_for(family, draw(st.floats(0.1, 3.5)))
+    doc = sequence_to_dict(synthesize(family, theta, draw(st.floats(-7, 7))))
+    replace = {
+        "family": st.one_of(st.sampled_from(FAMILIES), junk),
+        "target": st.one_of(st.fixed_dictionaries({"theta": angle_values, "phi": angle_values}), junk),
+        "winding": st.one_of(st.lists(st.integers(-3, 3), max_size=4), junk),
+        "pulses": st.one_of(st.lists(pulse_docs, max_size=10), junk),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(replace)), unique=True)):
+        doc[key] = draw(replace[key])
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wire_documents())
+def test_fuzzed_wire_documents_exit_0_2_or_3(doc):
+    result = CliRunner().invoke(main, ["verify", "--input", "-"], input=json.dumps(doc))
+    assert result.exit_code in (0, 2, 3), result.output
+    if result.exit_code == 2:
+        assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
+    else:
+        assert isinstance(json.loads(result.output)["passed"], bool)
 
 
 # -------------------------------------------------------------- landscape

@@ -20,11 +20,11 @@ from cpseq.error_model import (
     product_error_split,
     pulse_error,
 )
-from cpseq.sequences import (FAMILIES, Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous,
+from cpseq.sequences import (_REGISTRY, Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous,
                              synthesize)
 from cpseq.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, fidelity, is_hermitian_traceless, rotation
 
-from conftest import frob, random_xy_vector
+from conftest import frob, random_xy_vector, theta_for
 
 
 def random_three_pulse(rng) -> PulseSequence:
@@ -242,8 +242,8 @@ def test_no_library_path_runs_a_quadrature(monkeypatch):
                 ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))))
     tilted = rng.normal(scale=2.0, size=(3, 3))
     runner = CliRunner()
-    for family in [f for f in FAMILIES if f != "custom"]:
-        seq = synthesize(family, 1.3, 0.4)
+    for family in _REGISTRY:
+        seq = synthesize(family, theta_for(family, 1.3), 0.4)
         for vectors in (seq, tilted):
             for ch in channels:
                 first_order_error(vectors, ch)

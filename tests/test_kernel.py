@@ -18,12 +18,12 @@ from cpseq.error_model import (
     interaction_error_quadrature,
     perturbed_propagator,
 )
-from cpseq.sequences import FAMILIES, PulseSequence, synthesize
+from cpseq.sequences import _REGISTRY, PulseSequence, synthesize
 from cpseq.su2 import compose, product, quaternion, to_matrix
 
-from conftest import random_xy_vector
+from conftest import random_xy_vector, theta_for
 
-SYNTH_FAMILIES = [f for f in FAMILIES if f != "custom"]
+SYNTH_FAMILIES = list(_REGISTRY)
 TARGETS = [(1.3, 0.4), (np.pi / 2, 2.9), (3.0, 5.5)]
 
 
@@ -34,7 +34,7 @@ def max_abs(a, b) -> float:
 @pytest.mark.parametrize("family", SYNTH_FAMILIES)
 def test_propagator_matches_loop(family):
     for theta, phi in TARGETS:
-        seq = synthesize(family, theta, phi)
+        seq = synthesize(family, theta_for(family, theta), phi)
         assert max_abs(seq.propagator(), ref.product(ref.vectors_of(seq))) <= 1e-14
 
 
@@ -42,7 +42,7 @@ def test_propagator_matches_loop(family):
 def test_perturbed_propagator_matches_loop(family):
     rng = np.random.default_rng(41)
     for theta, phi in TARGETS:
-        seq = synthesize(family, theta, phi)
+        seq = synthesize(family, theta_for(family, theta), phi)
         vectors = ref.vectors_of(seq)
         for eps, eps_prime in rng.uniform(-0.2, 0.2, size=(4, 2)):
             got = perturbed_propagator(seq, ErrorChannel.combined(eps, eps_prime))
@@ -55,7 +55,7 @@ def test_perturbed_propagator_matches_loop(family):
 
 @pytest.mark.parametrize("family", SYNTH_FAMILIES)
 def test_landscape_cells_match_loop(family):
-    seq = synthesize(family, 1.3, 0.4)
+    seq = synthesize(family, theta_for(family, 1.3), 0.4)
     vectors = ref.vectors_of(seq)
     grid = landscape(seq, (-0.3, 0.2), (-0.25, 0.3), resolution=13, threads=1)
     want = [[ref.fidelity(seq.target, ref.product(ref.deform(vectors, e, p)))
@@ -85,7 +85,7 @@ def test_landscape_of_a_pulse_free_sequence_is_the_target_overlap():
     ("corpse", 64), ("scrofulous", 64), ("bb1", 64), ("alway-jones", 64), ("cis-cccp", 256),
 ])
 def test_moments_match_node_loop(family, subdivisions):
-    seq = synthesize(family, 1.3, 0.4)
+    seq = synthesize(family, theta_for(family, 1.3), 0.4)
     got = error_moment_integrals(seq, subdivisions=subdivisions)
     first, second = ref.moments(ref.vectors_of(seq), subdivisions)
     assert max_abs(got.first_moment, first) <= 1e-12

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 import render_reference as ref
 from cpseq.analysis import LandscapeGrid, landscape, landscape_csv
 from cpseq.ioutil import dumps
-from cpseq.sequences import FAMILIES, synthesize
+from cpseq.sequences import _REGISTRY, synthesize
 
-SYNTH_FAMILIES = [f for f in FAMILIES if f != "custom"]
+SYNTH_FAMILIES = list(_REGISTRY)
 
 
 def assert_same_text(got: str, want: str):

@@ -35,6 +35,14 @@ def test_pulse_rejects_negative_angle():
         Pulse(-0.1, 0.0)
 
 
+def test_pulse_azimuth_stays_below_two_pi():
+    # -1e-300 % 2pi rounds to 2pi itself, which a wire round trip turned into 0
+    for phi in (-1e-300, -1e-17, -0.0):
+        assert Pulse(1.0, phi).phi == 0.0
+    seq = plain(1.0, -1e-300)
+    assert sequence_from_dict(sequence_to_dict(seq)).pulses == seq.pulses
+
+
 def test_pulse_wraps_azimuth():
     p = Pulse(np.pi, -np.pi / 3)
     assert abs(p.phi - 5 * np.pi / 3) < 1e-12
