@@ -1,60 +1,21 @@
-"""Composite pulse synthesis and first-order robustness analysis for SU(2) gates."""
+"""Composite pulse synthesis and first-order robustness analysis for SU(2) gates.
 
-from .su2 import (
-    IDENTITY2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    eig_unitary,
-    fidelity,
-    log_rotation,
-    pauli_generator,
-    rotation,
-    rotation_generator,
-)
-from .sequences import (
-    FAMILIES,
-    Pulse,
-    PulseSequence,
-    SynthesisError,
-    WindingError,
-    alway_jones,
-    bb1,
-    cis_cccp,
-    corpse,
-    plain,
-    reduce_pi_pulse_product,
-    scrofulous,
-    scrofulous_in_corpse,
-    sequence_from_dict,
-    sequence_to_dict,
-    synthesize,
-)
-from .error_model import (
-    ErrorChannel,
-    FirstOrderReport,
-    MomentIntegrals,
-    commuting_first_order_error,
-    error_moment_integrals,
-    finite_difference_generator,
-    first_order_error,
-    interaction_error,
-    interaction_error_quadrature,
-    irreducible_decompose,
-    perturbed_propagator,
-    product_error_split,
-    pulse_error,
-)
-from .analysis import (
-    LandscapeGrid,
-    PhaseReport,
-    ScalingFit,
-    fidelity_under_error,
-    infidelity_scaling,
-    landscape,
-    landscape_csv,
-    phase_decomposition,
-    robust_area,
-)
+The package exports the public names (``__all__``) of its modules.  Importing
+it does not import numpy: numpy is loaded where an array is handed out or a
+grid is computed, and by the matrix constants on first access.
+"""
+
+from . import su2
+from .su2 import eig_unitary, fidelity, log_rotation, pauli_generator, rotation, rotation_generator
+from .sequences import *  # noqa: F403
+from .error_model import *  # noqa: F403
+from .analysis import *  # noqa: F403
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """IDENTITY2 and SIGMA_X/Y/Z of :mod:`cpseq.su2`, built with numpy on first access (PEP 562)."""
+    if name in ("IDENTITY2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z"):
+        return getattr(su2, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,21 +4,25 @@ Fidelity is always the exact, non-perturbative overlap of the deformed
 product with the target: nothing here linearises in the error strengths, so
 these tools independently confirm what the first-order error generators
 predict.
+
+One sequence's ladder and phases are computed on Python floats; numpy is
+imported for grids and for the arrays the public functions return.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .error_model import ErrorChannel, perturbed_propagator
+from .error_model import ErrorChannel, _generators, perturbed_propagator
 from .sequences import PulseSequence
-from .su2 import (PAULIS, axis_angle, compose, eig_unitary, fidelity, fidelity_to, frames,
-                  product, quaternion, rotation_matrix)
+from .su2 import _assemble, _eig, _half_angle, _hamilton, _lib, _product, _wrap, fidelity, fidelity_to
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LandscapeGrid",
@@ -91,34 +95,41 @@ def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> fl
     return fidelity(seq.target, U)
 
 
-def _products(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
-    """Quaternions of the products deformed by combined errors, elementwise
-    over the broadcast strength arrays.
+def _products(seq: PulseSequence, eps, eps_prime) -> tuple:
+    """Quaternions (w, x, y, z) of the products deformed by combined errors,
+    elementwise over the broadcast strengths: Python floats for one cell,
+    arrays for a grid.
 
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
-    the same r for every pulse.  Memory is a few arrays of pulses x cells,
-    which :func:`landscape` bounds by evaluating row blocks; any block of
-    cells is bitwise what a larger grid gives."""
-    stretch = 1.0 + np.asarray(eps, dtype=float)
-    eps_prime = np.asarray(eps_prime, dtype=float)
-    r = np.sqrt(stretch * stretch + eps_prime * eps_prime)
+    the same r for every pulse.  A grid evaluates all pulses at once, one
+    plane per pulse: memory is a few arrays of pulses x cells, which
+    :func:`landscape` bounds by evaluating row blocks; any block of cells is
+    bitwise what a larger grid gives."""
+    stretch = 1.0 + eps
+    r = _lib(stretch).sqrt(stretch * stretch + eps_prime * eps_prime)
+    if isinstance(r, float):
+        return _product(_half_angle(p.theta * r, stretch * math.cos(p.phi), stretch * math.sin(p.phi),
+                                    eps_prime, r) for p in seq.pulses)
+    import numpy as np
     per_pulse = (-1,) + (1,) * r.ndim
     theta = np.array([p.theta for p in seq.pulses]).reshape(per_pulse)
     phi = np.array([p.phi for p in seq.pulses]).reshape(per_pulse)
-    q = product(axis_angle(theta * r, stretch * np.cos(phi), stretch * np.sin(phi), eps_prime, r))
-    return q if seq.pulses else np.broadcast_to(q, r.shape + (4,))
+    return _product(zip(*_half_angle(theta * r, stretch * np.cos(phi), stretch * np.sin(phi), eps_prime, r)))
 
 
-def _infidelities(seq: PulseSequence, eps, eps_prime) -> np.ndarray:
-    """1 - F under combined errors without cancellation.  With the target's
-    global phase stripped, T^dag U is a unit quaternion (w, v), and
-    1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
-    T = seq.target * np.exp(-0.5j * np.angle(np.linalg.det(seq.target)))
-    (a, b), (c, d) = T
-    t_dag = (((a + d) / 2).real, ((b + c) / 2).imag, ((b - c) / 2).real, ((a - d) / 2).imag)
-    w, x, y, z = np.moveaxis(compose(t_dag, _products(seq, eps, eps_prime)), -1, 0)
-    return (x * x + y * y + z * z) / (1 + np.abs(w))
+def _infidelities(seq: PulseSequence, eps, eps_prime):
+    """1 - F under combined errors without cancellation, floats or arrays alike.
+    With the target's global phase stripped, T^dag U is a unit quaternion
+    (w, v), and 1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
+    tw, tx, ty, tz = seq._unit
+    w, x, y, z = _hamilton((tw, -tx, -ty, -tz), _products(seq, eps, eps_prime))
+    return (x * x + y * y + z * z) / (1 + abs(w))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def landscape(seq: PulseSequence,
@@ -130,33 +141,37 @@ def landscape(seq: PulseSequence,
 
     The eps axis is split into row blocks of at most about ``_BLOCK_CELLS``
     cells, the same number for each thread; ``threads`` evaluates them
-    concurrently, 0 meaning automatic.  Every cell is computed elementwise,
-    so the result is bitwise the same for any thread count or block split.
+    concurrently, 0 meaning automatic (up to 4); either is capped at the
+    CPUs available to the process.  Every cell is computed elementwise, so
+    the result is bitwise the same for any thread count or block split.
     Raises ValueError when a range is too large to evaluate and leaves a
-    non-finite cell.
+    non-finite cell, and MemoryError when the grid cannot be allocated.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    import numpy as np
     eps = np.linspace(eps_range[0], eps_range[1], resolution)
     eps_prime = np.linspace(eps_prime_range[0], eps_prime_range[1], resolution)
-    workers = threads if threads >= 1 else min(os.cpu_count() or 1, 4)
+    workers = min(threads if threads >= 1 else 4, _available_cpus())
     # whole rounds of blocks per thread, so that no thread is left with one more
     blocks = -(-resolution * resolution // _BLOCK_CELLS)
     blocks = min(resolution, workers * -(-blocks // workers))
     bounds = np.linspace(0, resolution, blocks + 1).astype(int)
     F = np.empty((resolution, resolution))
+    target = seq.target
 
     def fill(k):
         lo, hi = bounds[k], bounds[k + 1]
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            F[lo:hi] = fidelity_to(seq.target, _products(seq, eps[lo:hi, None], eps_prime[None, :]))
+            F[lo:hi] = fidelity_to(target, _assemble(*_products(seq, eps[lo:hi, None], eps_prime[None, :])))
 
     if workers == 1 or resolution < 2 * workers:
         for k in range(blocks):
             fill(k)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that one sequence does not load it
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(blocks)))
     if not np.isfinite(F).all():
@@ -169,6 +184,7 @@ def landscape_csv(grid: LandscapeGrid) -> str:
     """CSV rendering: header eps,eps_prime,fidelity, one row per cell,
     row-major over eps then eps_prime, 17 significant digits, LF endings.
     Raises ValueError on a non-finite value, as :func:`ioutil.dumps` does."""
+    import numpy as np
     for values in (grid.eps_values, grid.eps_prime_values, grid.fidelity):
         if not np.isfinite(values).all():
             raise ValueError("cannot render a landscape with non-finite values")
@@ -183,7 +199,7 @@ def landscape_csv(grid: LandscapeGrid) -> str:
 
 def robust_area(grid: LandscapeGrid, threshold: float) -> float:
     """Fraction of grid cells with fidelity at or above ``threshold``."""
-    return float(np.mean(grid.fidelity >= threshold))
+    return float((grid.fidelity >= threshold).mean())
 
 
 def infidelity_scaling(seq: PulseSequence, axis: str,
@@ -195,38 +211,38 @@ def infidelity_scaling(seq: PulseSequence, axis: str,
     comes out quartic or steeper.  Points with 1 - F below 1e-14 sit in
     double-precision noise and are dropped with a warning.
     """
-    strengths = np.asarray(strengths, dtype=float)
+    import numpy as np
+    slope, intercept, kept, dropped = _ladder(seq, axis, strengths)
+    if dropped:
+        warnings.warn(f"dropping {len(dropped)} ladder point(s) with infidelity below 1e-14 "
+                      f"(double-precision floor): {dropped}", RuntimeWarning, stacklevel=2)
+    kept_strengths, infidelities = (np.array(column) for column in zip(*kept))
+    return ScalingFit(axis=axis, slope=slope, intercept=intercept, strengths=kept_strengths,
+                      infidelities=infidelities, dropped=dropped)
+
+
+def _ladder(seq: PulseSequence, axis: str, strengths) -> tuple:
+    """:func:`infidelity_scaling` on Python floats, without its warning: the slope,
+    the intercept, the kept (strength, infidelity) points and the dropped strengths."""
+    strengths = [float(s) for s in strengths]
     if len(strengths) < 5:
         raise ValueError("need at least 5 ladder points")
-    if strengths.min() < 1e-3 - 1e-15 or strengths.max() > 1e-2 + 1e-15:
+    if min(strengths) < 1e-3 - 1e-15 or max(strengths) > 1e-2 + 1e-15:
         raise ValueError("ladder strengths must lie within [1e-3, 1e-2]")
     if axis not in _DIRECTIONS:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    eps, eps_prime = np.outer(_DIRECTIONS[axis], strengths)
-    infid = _infidelities(seq, eps, eps_prime)
-    keep = infid > 1e-14
-    dropped = tuple(float(s) for s in strengths[~keep])
-    if dropped:
-        warnings.warn(
-            f"dropping {len(dropped)} ladder point(s) with infidelity below 1e-14 "
-            f"(double-precision floor): {dropped}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if keep.sum() < 2:
+    de, dp = _DIRECTIONS[axis]
+    points = [(s, _infidelities(seq, de * s, dp * s)) for s in strengths]
+    kept = [(s, f) for s, f in points if f > 1e-14]
+    dropped = tuple(s for s, f in points if not f > 1e-14)
+    if len({s for s, _ in kept}) < 2:
         raise ValueError("fewer than 2 ladder points resolve above the precision floor")
-    logs = np.log(strengths[keep])
-    logf = np.log(infid[keep])
-    design = np.vstack([logs, np.ones_like(logs)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, logf, rcond=None)
-    return ScalingFit(axis=axis, slope=float(slope), intercept=float(intercept),
-                      strengths=strengths[keep], infidelities=infid[keep], dropped=dropped)
-
-
-def _wrap(angle: float) -> float:
-    """Reduce mod 2*pi into (-pi, pi]."""
-    a = float(np.angle(np.exp(1j * angle)))
-    return np.pi if a == -np.pi else a
+    # the least-squares line through the points (log s, log f)
+    xs, ys = [math.log(s) for s, _ in kept], [math.log(f) for _, f in kept]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) * (x - mx) for x in xs))
+    return slope, my - slope * mx, kept, dropped
 
 
 def phase_decomposition(seq: PulseSequence) -> PhaseReport:
@@ -237,28 +253,30 @@ def phase_decomposition(seq: PulseSequence) -> PhaseReport:
     each pulse, so the dynamical phase is the sum of per-pulse expectations
     of the pulse generators along the propagated state,
     -1/2 sum_i m_i . O(V_{i-1}) s for the state's Bloch vector s, in the
-    frames the error model accumulates over.  The geometric phase is
-    whatever remains of the total eigenphase.
+    frames the error model accumulates over.  Since A(m)^T m = m, the sum
+    is -1/2 g . s with g the pulse-length first-order generator vector, so
+    the dynamical phase vanishes on pulse-length-robust sequences.  The
+    geometric phase is whatever remains of the total eigenphase.
     """
-    U = seq.propagator()
-    pairs = eig_unitary(U)
+    import numpy as np
+    rows, states, degenerate = _phases(seq)
+    total, dynamical, geometric = (np.array(column) for column in zip(*rows))
+    return PhaseReport(total=total, dynamical=dynamical, geometric=geometric,
+                       states=np.array(states, dtype=complex).T, degenerate=degenerate)
+
+
+def _phases(seq: PulseSequence) -> tuple:
+    """:func:`phase_decomposition` on Python floats: a (total, dynamical,
+    geometric) row and an eigenvector per cyclic state, and whether the
+    product is degenerate."""
+    pairs = _eig(0.0, *seq._product())
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
-    vectors = seq.vectors()
-    O = rotation_matrix(frames(quaternion(vectors)))  # O(V_{i-1}): the frame before pulse i
-    total, dynamical, states = [], [], []
-    for gamma, psi0 in pairs:
-        # <psi| V^dag W V |psi> = m . O(V) s / 2 for the state's Bloch vector s
-        s = np.einsum("i,aij,j->a", psi0.conj(), PAULIS, psi0).real
-        acc = -0.5 * float(np.einsum("ni,nij,j->", vectors, O, s))
-        total.append(_wrap(gamma))
-        dynamical.append(_wrap(acc))
-        states.append(psi0)
-    geometric = [_wrap(g - d) for g, d in zip(total, dynamical)]
-    return PhaseReport(
-        total=np.array(total),
-        dynamical=np.array(dynamical),
-        geometric=np.array(geometric),
-        states=np.column_stack(states),
-        degenerate=bool(degenerate),
-    )
+    gx, gy, gz = _generators(seq, (ErrorChannel.pulse_length(1.0),))[0] if seq.pulses else (0.0, 0.0, 0.0)
+    rows = []
+    for gamma, (a, b) in pairs:
+        ab = a.conjugate() * b
+        s = (2 * ab.real, 2 * ab.imag, (a * a.conjugate()).real - (b * b.conjugate()).real)
+        dynamical = _wrap(-0.5 * (gx * s[0] + gy * s[1] + gz * s[2]))
+        rows.append((_wrap(gamma), dynamical, _wrap(gamma - dynamical)))
+    return rows, [v for _, v in pairs], degenerate

@@ -16,11 +16,9 @@ import re
 import sys
 
 import click
-import numpy as np
 
 from . import analysis, error_model, sequences
 from .ioutil import dumps
-from .su2 import fidelity
 
 _PI_FORM = re.compile(
     r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+\.?\d*))?$",
@@ -36,7 +34,7 @@ def parse_angle(text: str) -> float:
         if match:
             coef = match.group("coef")
             coef = float(coef + "1" if coef in ("", "+", "-") else coef)
-            angle = coef * np.pi / float(match.group("den") or 1)
+            angle = coef * math.pi / float(match.group("den") or 1)
         else:
             angle = float(text)
     except (ValueError, ZeroDivisionError):
@@ -118,9 +116,7 @@ def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequen
             raise click.UsageError(f"--theta is required for family {family!r}")
         theta = lo  # a one-point domain needs no --theta
     try:
-        # angles too large to evaluate leave a NaN product, which synthesis refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            return sequences.synthesize(family, theta, phi, winding)
+        return sequences.synthesize(family, theta, phi, winding)
     except (sequences.SynthesisError, sequences.WindingError, ValueError) as exc:
         _fail(type(exc).__name__, str(exc))
 
@@ -184,18 +180,17 @@ def verify(family, theta, phi, winding, input_path, output):
     seq = _load_or_synth(input_path, family, theta, phi, winding)
     row = sequences._REGISTRY.get(seq.family)  # None for a "custom" document
     tol, declared = (row.tolerance, row.declared) if row else (1e-10, ())
-    report = error_model.first_order_error(seq, error_model.ErrorChannel.combined(0.0, 0.0),
-                                           tolerance=tol)
+    units = {name: getattr(error_model.ErrorChannel, name)(1.0) for name in ("pulse_length", "off_resonance")}
     channels = {}
-    for name in ("pulse_length", "off_resonance"):
-        fd = error_model.finite_difference_generator(seq, getattr(error_model.ErrorChannel, name)(1.0))
+    for (name, unit), g in zip(units.items(), error_model._generators(seq, units.values())):
+        norm, fd = error_model._norm(g), error_model._fd_vector(seq, unit, 1e-5)
         channels[name] = {
-            "norm": getattr(report, f"{name}_norm"),
-            "robust": getattr(report, f"robust_to_{name}"),
+            "norm": norm,
+            "robust": norm <= tol,
             "declared": name in declared,
-            "fd_gap": float(np.linalg.norm(getattr(report, f"{name}_coefficient") - fd, ord="fro")),
+            "fd_gap": error_model._norm([a - b for a, b in zip(g, fd)]),
         }
-    product_fidelity = fidelity(seq.propagator(), seq.target)
+    product_fidelity = seq._fidelity()
     # A sequence must implement the target it declares before any channel
     # claim means anything; synthesis guarantees 1 - 1e-12.
     passed = product_fidelity >= 1 - 1e-10 and all(
@@ -237,6 +232,8 @@ def landscape(family, theta, phi, winding, eps_range, eps_prime_range, res, fmt,
         grid = analysis.landscape(seq, eps_range, eps_prime_range, res, threads=threads)
     except ValueError as exc:
         _fail(type(exc).__name__, str(exc))
+    except MemoryError as exc:  # numpy's subclass names itself _ArrayMemoryError
+        _fail("MemoryError", str(exc))
     if fmt == "csv":
         _emit(analysis.landscape_csv(grid), output)
     else:
@@ -256,14 +253,11 @@ def landscape(family, theta, phi, winding, eps_range, eps_prime_range, res, fmt,
 def phase(family, theta, phi, winding, input_path, output):
     """Report total, dynamical and geometric phases of the cyclic states."""
     seq = _load_or_synth(input_path, family, theta, phi, winding)
-    rep = analysis.phase_decomposition(seq)
+    rows, _, degenerate = analysis._phases(seq)
     doc = {
         "family": seq.family,
-        "degenerate": rep.degenerate,
-        "states": [
-            {"total": rep.total[a], "dynamical": rep.dynamical[a], "geometric": rep.geometric[a]}
-            for a in range(2)
-        ],
+        "degenerate": degenerate,
+        "states": [{"total": t, "dynamical": d, "geometric": g} for t, d, g in rows],
     }
     _emit(dumps(doc), output)
 
@@ -277,24 +271,17 @@ def phase(family, theta, phi, winding, input_path, output):
 def scaling(family, theta, phi, winding, axis, input_path, output):
     """Fit the log-log infidelity slope along one strength axis."""
     seq = _load_or_synth(input_path, family, theta, phi, winding)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            fit = analysis.infidelity_scaling(seq, axis)
-        except ValueError as exc:
-            _fail(type(exc).__name__, str(exc))
+    try:
+        slope, intercept, kept, dropped = analysis._ladder(seq, axis, analysis.DEFAULT_SCALING_LADDER)
+    except ValueError as exc:
+        _fail(type(exc).__name__, str(exc))
     doc = {
         "family": seq.family,
-        "axis": fit.axis,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "points": [
-            {"strength": s, "infidelity": f}
-            for s, f in zip(fit.strengths, fit.infidelities)
-        ],
-        "dropped": list(fit.dropped),
+        "axis": axis,
+        "slope": slope,
+        "intercept": intercept,
+        "points": [{"strength": s, "infidelity": f} for s, f in kept],
+        "dropped": list(dropped),
     }
     _emit(dumps(doc), output)
 
@@ -307,7 +294,7 @@ def reduce(phases, output):
     """Collapse a product of xy-plane pi pulses to a single rotation."""
     try:
         values = [parse_angle(p) for p in phases.split(",") if p.strip()]
-        vector = sequences.reduce_pi_pulse_product(values)
+        vector = sequences._reduce(values)
     except (ValueError, click.BadParameter) as exc:
         _fail(type(exc).__name__, str(exc))
     if len(values) % 2 == 0:
@@ -315,8 +302,8 @@ def reduce(phases, output):
     else:
         doc = {
             "kind": "pi-pulse",
-            "theta": float(np.pi),
-            "phi": float(np.arctan2(vector[1], vector[0]) % (2 * np.pi)),
+            "theta": math.pi,
+            "phi": math.atan2(vector[1], vector[0]) % (2 * math.pi),
             "vector": list(vector),
         }
     _emit(dumps(doc), output)

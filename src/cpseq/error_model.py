@@ -29,17 +29,23 @@ O is
 A(0) = I, so Gi = A(m_i)^T dm_i . sigma / 2 exactly for any channel and any
 pulse, and pulse i adds A(m_i) O(V_{i-1}) to the moment integrals.  The
 quadrature :func:`interaction_error_quadrature` is kept only as its oracle.
+
+A sequence's generators are accumulated on Python floats; the public
+functions build their matrices when they return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .sequences import PulseSequence
-from .su2 import (SIGMA_Z, compose, frames, product, quaternion, rotation, rotation_generator,
-                  rotation_matrix, to_matrix)
+from .su2 import (_assemble, _bloch, _components, _fold, _hamilton, _lib, _matrix, _product,
+                  _quaternion, compose, quaternion, rotation, rotation_generator, to_matrix)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ErrorChannel",
@@ -69,10 +75,6 @@ ROBUST_TOL = 1e-10
 
 _COMMUTE_TOL = 1e-12
 
-_E_Z = np.array([0.0, 0.0, 1.0])
-# _CROSS[l] = [e_l]x, the matrix of v -> e_l x v
-_CROSS = np.cross(np.eye(3)[None, :, :], np.eye(3)[:, None, :])
-
 
 @dataclass(frozen=True)
 class ErrorChannel:
@@ -97,6 +99,7 @@ class ErrorChannel:
         if self.kind == OFF_RESONANCE and self.epsilon != 0.0:
             raise ValueError("off-resonance channel carries only epsilon_prime")
         if self.kind == GENERAL_LINEAR:
+            import numpy as np
             f = np.zeros(3) if self.f_const is None else np.asarray(self.f_const, dtype=float)
             F = np.zeros((3, 3)) if self.f_linear is None else np.asarray(self.f_linear, dtype=float)
             if f.shape != (3,) or F.shape != (3, 3):
@@ -173,38 +176,40 @@ class MomentIntegrals:
         """Coefficient triple of integral U^dag H U dt (the contraction
         second_moment[mu, mu, :]); zero exactly for pulse-length-robust
         sequences."""
-        return np.einsum("mmr->r", self.second_moment)
+        return self.second_moment.trace()
 
 
-def _as_vectors(seq) -> np.ndarray:
-    """Rotation vectors of a sequence or of a list of vectors, as an (n, 3) array."""
-    vs = seq.vectors() if isinstance(seq, PulseSequence) else np.asarray(list(seq), dtype=float)
-    if len(vs) == 0:
+def _as_vectors(seq) -> list:
+    """Rotation vectors of a sequence or of a list of vectors, as float triples."""
+    vs = seq._vectors() if isinstance(seq, PulseSequence) else [tuple(map(float, m)) for m in seq]
+    if not vs:
         raise ValueError("pulse sequence must be nonempty")
     return vs
 
 
-def _deformation(m, channel: ErrorChannel) -> np.ndarray:
-    """The channel's deformation dm of rotation vectors m (..., 3)."""
+def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
+    """The channel's deformation dm of m = (x, y, z), floats or arrays alike."""
     if channel.kind == GENERAL_LINEAR:
-        return channel.f_const + m @ channel.f_linear.T
-    return (channel.epsilon * m
-            + channel.epsilon_prime * np.linalg.norm(m, axis=-1, keepdims=True) * _E_Z)
+        f, F = channel.f_const.tolist(), channel.f_linear.tolist()
+        return tuple(f[i] + F[i][0] * x + F[i][1] * y + F[i][2] * z for i in range(3))
+    e = channel.epsilon
+    return e * x, e * y, e * z + channel.epsilon_prime * _lib(x).sqrt(x * x + y * y + z * z)
 
 
 def perturbed_vector(m, channel: ErrorChannel) -> np.ndarray:
     """Rotation vector m + dm under the channel's deformation; m may be (..., 3)."""
-    m = np.asarray(m, dtype=float)
-    return m + _deformation(m, channel)
+    m = _components(m)
+    return _assemble(*(a + b for a, b in zip(m, _deformation(*m, channel))))
 
 
 def pulse_error(m, channel: ErrorChannel) -> np.ndarray:
     """Per-pulse error generator dW = dm . sigma / 2."""
-    return rotation_generator(_deformation(np.asarray(m, dtype=float), channel))
+    return rotation_generator(_assemble(*_deformation(*_components(m), channel)))
 
 
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w
 
@@ -220,6 +225,7 @@ def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> n
     """
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
+    import numpy as np
     m = np.asarray(m, dtype=float)
     G = np.asarray(generator, dtype=complex)
     x, w = _gauss_legendre(nodes)
@@ -227,17 +233,20 @@ def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> n
     return np.einsum("k,kij,jl,kml->im", w, E, G, E.conj())
 
 
-def _frame_average(m) -> np.ndarray:
-    """A(m) = integral_0^1 O(R(x m)) dx for vectors m (..., 3): the Bloch
-    rotation of a pulse's toggling frame averaged over the pulse, in closed
-    form (see the module docstring), with the sinc limit A(0) = I."""
-    angle = np.linalg.norm(m, axis=-1)[..., None, None]
-    safe = np.where(angle == 0.0, 1.0, angle)
-    n = m / safe[..., 0]
-    nn = n[..., :, None] * n[..., None, :]
-    sinc = np.where(angle == 0.0, 1.0, np.sin(angle) / safe)
-    cross = np.tensordot(n, _CROSS, axes=1)  # [n]x
-    return nn + sinc * (np.eye(3) - nn) + (2 * np.sin(angle / 2) ** 2 / safe) * cross
+def _frame_average(x, y, z) -> tuple:
+    """A(m) = integral_0^1 O(R(x m)) dx for m = (x, y, z) in closed form (module
+    docstring), A(0) = I: nine row-major entries, floats or arrays alike."""
+    lib = _lib(x)
+    angle = lib.sqrt(x * x + y * y + z * z)
+    zero = angle == 0.0
+    safe = angle + zero  # 1 where the angle is 0
+    nx, ny, nz = x / safe, y / safe, z / safe
+    sinc = lib.sin(angle) / safe + zero
+    k = 2 * lib.sin(angle / 2) ** 2 / safe  # (1 - cos(angle)) / angle
+    c = 1 - sinc
+    return (c * nx * nx + sinc, c * nx * ny - k * nz, c * nx * nz + k * ny,
+            c * nx * ny + k * nz, c * ny * ny + sinc, c * ny * nz - k * nx,
+            c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
 
 
 def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
@@ -246,19 +255,46 @@ def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
     Exact for every channel and every pulse, z components included;
     ``nodes`` is accepted for compatibility and does not change the result.
     """
-    m = np.asarray(m, dtype=float)
-    return rotation_generator(np.einsum("...j,...jk->...k", _deformation(m, channel),
-                                        _frame_average(m)))
+    m = _components(m)
+    return rotation_generator(_assemble(*_transposed(_frame_average(*m), _deformation(*m, channel))))
 
 
-def _accumulate(vectors: np.ndarray, dm: np.ndarray) -> np.ndarray:
-    """Generators sum_i O(V_{i-1})^T A(m_i)^T dm_i . sigma / 2 for deformations dm (..., n, 3)."""
-    return rotation_generator(np.einsum("...nj,njk->...k", dm, _shares(vectors)))
+def _transposed(s, d) -> tuple:
+    """M^T d for a 3x3 M given as its nine row-major entries ``s``, floats or arrays alike."""
+    a, b, c = d
+    return a * s[0] + b * s[3] + c * s[6], a * s[1] + b * s[4] + c * s[7], a * s[2] + b * s[5] + c * s[8]
 
 
-def _shares(vectors: np.ndarray) -> np.ndarray:
-    """A(m_i) O(V_{i-1}) for every pulse, V_{i-1} the frame before pulse i."""
-    return _frame_average(vectors) @ rotation_matrix(frames(quaternion(vectors)))
+def _shares(vectors) -> list:
+    """A(m_i) O(V_{i-1}) for every pulse, V_{i-1} the frame before pulse i, as
+    nine row-major floats each; the 3x3 product is written out."""
+    shares = []
+    for m, frame in zip(vectors, _fold(_quaternion(*m) for m in vectors)):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _frame_average(*m)
+        o0, o1, o2, o3, o4, o5, o6, o7, o8 = _bloch(*frame)
+        shares.append((
+            a0 * o0 + a1 * o3 + a2 * o6, a0 * o1 + a1 * o4 + a2 * o7, a0 * o2 + a1 * o5 + a2 * o8,
+            a3 * o0 + a4 * o3 + a5 * o6, a3 * o1 + a4 * o4 + a5 * o7, a3 * o2 + a4 * o5 + a5 * o8,
+            a6 * o0 + a7 * o3 + a8 * o6, a6 * o1 + a7 * o4 + a8 * o7, a6 * o2 + a7 * o5 + a8 * o8))
+    return shares
+
+
+def _generators(seq, channels) -> list:
+    """Accumulated generator vectors sum_i O(V_{i-1})^T A(m_i)^T dm_i of a
+    sequence, one float triple per channel."""
+    vectors = _as_vectors(seq)
+    shares = _shares(vectors)
+    gs = []
+    for channel in channels:
+        terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(vectors, shares)]
+        gs.append(tuple(map(sum, zip(*terms))))
+    return gs
+
+
+def _norm(g) -> float:
+    """Frobenius norm |g| / sqrt(2) of the generator g . sigma / 2."""
+    gx, gy, gz = g
+    return math.sqrt((gx * gx + gy * gy + gz * gz) / 2)
 
 
 def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL) -> FirstOrderReport:
@@ -268,16 +304,13 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
     pulse-length and off-resonance channels, accumulated together with the
     requested channel's generator.
     """
-    vectors = _as_vectors(seq)
-    channels = (ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0), channel)
-    dm = np.stack([_deformation(vectors, ch) for ch in channels])
-    c_len, c_det, gen = _accumulate(vectors, dm)
-    n_len = float(np.linalg.norm(c_len, ord="fro"))
-    n_det = float(np.linalg.norm(c_det, ord="fro"))
+    c_len, c_det, gen = _generators(seq, (ErrorChannel.pulse_length(1.0),
+                                          ErrorChannel.off_resonance(1.0), channel))
+    n_len, n_det = _norm(c_len), _norm(c_det)
     return FirstOrderReport(
-        generator=gen,
-        pulse_length_coefficient=c_len,
-        off_resonance_coefficient=c_det,
+        generator=rotation_generator(gen),
+        pulse_length_coefficient=rotation_generator(c_len),
+        off_resonance_coefficient=rotation_generator(c_det),
         pulse_length_norm=n_len,
         off_resonance_norm=n_det,
         robust_to_pulse_length=n_len <= tolerance,
@@ -301,15 +334,14 @@ def commuting_first_order_error(seq, channel) -> np.ndarray:
     if not isinstance(channel, ErrorChannel):
         channel = ErrorChannel.pulse_length(float(channel))
     vectors = _as_vectors(seq)
-    dm = _deformation(vectors, channel)
-    leaks = np.linalg.norm(np.cross(vectors, dm), axis=-1) / np.sqrt(2)
-    bad = np.flatnonzero(leaks > _COMMUTE_TOL)
-    if bad.size:
-        raise ValueError(
-            f"error generator does not commute with pulse {bad[0]}; "
-            "use first_order_error for non-commuting channels"
-        )
-    return _accumulate(vectors, dm)
+    for i, (x, y, z) in enumerate(vectors):
+        a, b, c = _deformation(x, y, z, channel)
+        if _norm((y * c - z * b, z * a - x * c, x * b - y * a)) > _COMMUTE_TOL:  # m x dm
+            raise ValueError(
+                f"error generator does not commute with pulse {i}; "
+                "use first_order_error for non-commuting channels"
+            )
+    return rotation_generator(_generators(vectors, (channel,))[0])
 
 
 def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +356,9 @@ def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
     error iff length_part = 0 and the off-resonance error iff
     detuning_part = 0.
     """
-    vectors = _as_vectors(seq)
+    import numpy as np
+    SIGMA_Z = np.diag([1.0, -1.0])
+    vectors = np.array(_as_vectors(seq))
     if len(vectors) != 3:
         raise ValueError(f"product error split needs exactly 3 pulses, got {len(vectors)}")
     qs = quaternion(vectors)
@@ -351,15 +385,16 @@ def error_moment_integrals(seq, subdivisions: int = 256) -> MomentIntegrals:
     """
     if subdivisions < 1:
         raise ValueError("subdivisions must be positive")
+    import numpy as np
     vectors = _as_vectors(seq)
-    angles = np.linalg.norm(vectors, axis=-1)
+    angles = np.array([math.sqrt(x * x + y * y + z * z) for x, y, z in vectors])
     total_angle = angles.sum()
     if total_angle == 0.0:
         return MomentIntegrals(first_moment=np.eye(3), second_moment=np.zeros((3, 3, 3)))
-    shares = _shares(vectors)
+    shares = np.array(_shares(vectors)).reshape(-1, 3, 3)
     first = np.einsum("n,nmr->mr", angles / total_angle, shares)
     # dt * lambda_nu = m_nu, so the linear moment needs no dt.
-    second = np.einsum("nv,nmr->mvr", vectors, shares)
+    second = np.einsum("nv,nmr->mvr", np.array(vectors), shares)
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 
@@ -371,6 +406,7 @@ def irreducible_decompose(mat) -> tuple[float, np.ndarray, np.ndarray]:
     rotation and torsion respectively, and each has its own sufficient
     robustness condition on the moment integrals.
     """
+    import numpy as np
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError("expected a real 3x3 matrix")
@@ -380,11 +416,29 @@ def irreducible_decompose(mat) -> tuple[float, np.ndarray, np.ndarray]:
     return trace, antisym, sym_traceless
 
 
+def _perturbed_product(vectors, channel: ErrorChannel) -> tuple:
+    """Quaternion of the ordered product of R(m_i + dm_i), on floats."""
+    return _product(_quaternion(*(a + b for a, b in zip(m, _deformation(*m, channel))))
+                    for m in vectors)
+
+
 def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
     """Exact (non-perturbative) propagator of the deformed sequence:
     the ordered product of R(m_i + dm_i).  Ground truth for all fidelity
     and oracle computations."""
-    return to_matrix(product(quaternion(perturbed_vector(_as_vectors(seq), channel))))
+    return _matrix(*_perturbed_product(_as_vectors(seq), channel))
+
+
+def _fd_vector(seq, channel: ErrorChannel, step: float) -> tuple:
+    """:func:`finite_difference_generator` as its vector, on floats.  With
+    U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
+    i times it is b . sigma, so the generator vector is 2 b."""
+    if not 0 < step <= 1e-3:
+        raise ValueError("step must lie in (0, 1e-3]")
+    vectors = _as_vectors(seq)
+    (w, x, y, z), up, um = (_perturbed_product(vectors, channel.scaled(s)) for s in (0.0, step, -step))
+    _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / step for p, m in zip(up, um)])
+    return gx, gy, gz
 
 
 def finite_difference_generator(seq, channel: ErrorChannel, step: float = 1e-5) -> np.ndarray:
@@ -394,10 +448,4 @@ def finite_difference_generator(seq, channel: ErrorChannel, step: float = 1e-5) 
     perturbed propagator, and symmetrises i U^dag dU into a Hermitian
     generator.  Agrees with the analytic accumulation to O(step).
     """
-    if not 0 < step <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
-    vectors = _as_vectors(seq)
-    scaled = [perturbed_vector(vectors, channel.scaled(s)) for s in (0.0, step, -step)]
-    U0, Up, Um = to_matrix(product(quaternion(np.stack(scaled, axis=1))))
-    G = 1j * U0.conj().T @ (Up - Um) / (2 * step)
-    return (G + G.conj().T) / 2
+    return rotation_generator(_fd_vector(seq, channel, step))

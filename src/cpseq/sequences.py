@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from .su2 import _hamilton, _matrix, _product, _quaternion, _unit_quaternion, rotation
 
-from .su2 import fidelity, product, quaternion, rotation, to_matrix
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SynthesisError",
@@ -36,9 +37,10 @@ __all__ = [
     "reduce_pi_pulse_product",
     "sequence_to_dict",
     "sequence_from_dict",
+    "synthesize",
 ]
 
-TWO_PI = 2 * np.pi
+TWO_PI = 2 * math.pi
 
 # Location of the first positive minimum of sin(x)/x; right edge of the
 # bracket used for the SCROFULOUS angle equation.
@@ -54,6 +56,17 @@ class WindingError(ValueError):
     violate a family constraint."""
 
 
+def _azimuth(phi: float) -> float:
+    """``phi`` reduced mod 2*pi into [0, 2*pi)."""
+    phi = float(phi) % TWO_PI  # a tiny negative azimuth rounds to 2*pi
+    return phi if phi < TWO_PI else 0.0
+
+
+def _xy(theta: float, phi: float) -> tuple[float, float, float]:
+    """Rotation vector theta * (cos phi, sin phi, 0) of an xy-plane rotation."""
+    return theta * math.cos(phi), theta * math.sin(phi), 0.0
+
+
 @dataclass(frozen=True)
 class Pulse:
     """One hard pulse: rotation by ``theta`` about azimuth ``phi`` in the xy-plane."""
@@ -62,59 +75,77 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        if not np.isfinite(self.theta) or not np.isfinite(self.phi):
+        if not math.isfinite(self.theta) or not math.isfinite(self.phi):
             raise ValueError("pulse angles must be finite")
         if self.theta < 0:
             raise ValueError(f"pulse angle must be nonnegative, got {self.theta}")
-        phi = float(self.phi) % TWO_PI  # a tiny negative azimuth rounds to 2*pi
-        object.__setattr__(self, "phi", phi if phi < TWO_PI else 0.0)
+        object.__setattr__(self, "phi", _azimuth(self.phi))
         object.__setattr__(self, "theta", float(self.theta))
 
     @property
     def vector(self) -> np.ndarray:
         """Rotation vector theta * (cos phi, sin phi, 0)."""
-        return np.array([self.theta * np.cos(self.phi), self.theta * np.sin(self.phi), 0.0])
+        import numpy as np
+        return np.array(_xy(self.theta, self.phi))
 
     def unitary(self) -> np.ndarray:
         return rotation(self.vector)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PulseSequence:
     """An ordered pulse list with its declared target gate.
 
     ``pulses[0]`` is applied first, so the ideal propagator is
-    R(m_k) ... R(m_1).  ``theta``/``phi``/``winding`` record the synthesis
-    parameters when the sequence came from a synthesizer.
+    R(m_k) ... R(m_1).  ``target`` is given as a unitary 2x2 matrix or as the
+    unit quaternion (w, x, y, z) of an SU(2) gate, and reads back as a matrix.
+    ``theta``/``phi``/``winding`` record the synthesis parameters when the
+    sequence came from a synthesizer.  The underscored methods work on Python
+    floats, the public ones return arrays.
     """
 
     family: str
     pulses: tuple[Pulse, ...]
-    target: np.ndarray
-    theta: float | None = None
-    phi: float | None = None
-    winding: tuple[int, int, int] | None = None
+    theta: float | None
+    phi: float | None
+    winding: tuple[int, int, int] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=complex))
+    def __init__(self, family: str, pulses, target, theta: float | None = None,
+                 phi: float | None = None, winding: tuple[int, int, int] | None = None):
+        given = target if len(target) != 4 else None
+        # the target's unit quaternion, global phase stripped
+        unit = tuple(map(float, target)) if given is None else _unit_quaternion(target)
+        vars(self).update(family=family, pulses=tuple(pulses), theta=theta, phi=phi, winding=winding,
+                          _given=given, _unit=unit)
 
     def __len__(self) -> int:
         return len(self.pulses)
 
+    @property
+    def target(self) -> np.ndarray:
+        """The target gate as a 2x2 complex matrix."""
+        import numpy as np
+        return _matrix(*self._unit) if self._given is None else np.asarray(self._given, dtype=complex)
+
+    def _vectors(self) -> list[tuple[float, float, float]]:
+        return [_xy(p.theta, p.phi) for p in self.pulses]
+
     def vectors(self) -> np.ndarray:
         """Rotation vectors of all pulses, in application order, as an (n, 3) array."""
-        theta = np.array([p.theta for p in self.pulses])
-        phi = np.array([p.phi for p in self.pulses])
-        return np.stack([theta * np.cos(phi), theta * np.sin(phi), np.zeros_like(theta)], axis=-1)
+        import numpy as np
+        return np.array(self._vectors(), dtype=float).reshape(-1, 3)
+
+    def _product(self) -> tuple[float, float, float, float]:
+        return _product(_quaternion(*m) for m in self._vectors())
 
     def propagator(self) -> np.ndarray:
         """Ideal (error-free) product of all pulses."""
-        return to_matrix(product(quaternion(self.vectors())))
+        return _matrix(*self._product())
 
-
-def _xy_target(theta: float, phi: float) -> np.ndarray:
-    return rotation([theta * np.cos(phi), theta * np.sin(phi), 0.0])
+    def _fidelity(self) -> float:
+        """|Tr(T^dag U)| / 2 of the ideal product U against the target T."""
+        w, x, y, z = self._unit
+        return min(abs(_hamilton((w, -x, -y, -z), self._product())[0]), 1.0)
 
 
 # Each family's segments: (theta, phi, winding) -> raw [(theta_i, phi_i), ...].
@@ -133,7 +164,7 @@ def corpse_angles(theta: float, winding: tuple[int, int, int]) -> tuple[float, f
 
     Raises WindingError if any segment angle comes out negative.
     """
-    kappa = np.arcsin(np.sin(theta / 2) / 2)
+    kappa = math.asin(math.sin(theta / 2) / 2)
     n1, n2, n3 = winding
     angles = (
         theta / 2 - kappa + TWO_PI * n1,
@@ -151,7 +182,7 @@ def corpse_angles(theta: float, winding: tuple[int, int, int]) -> tuple[float, f
 
 def _corpse_segments(theta, phi, winding):
     a1, a2, a3 = corpse_angles(theta, winding)
-    return [(a1, phi), (a2, phi + np.pi), (a3, phi)]
+    return [(a1, phi), (a2, phi + math.pi), (a3, phi)]
 
 
 def _pure_length_residual(winding: tuple[int, int, int]):
@@ -168,7 +199,7 @@ def _pure_length_residual(winding: tuple[int, int, int]):
 def _corpse_rotations(theta, phi, winding):
     """CORPSE's three rotations reduced mod 2*pi: (theta/2 - kappa, 2 kappa,
     theta/2 - kappa), all about phi, so each stays within SCROFULOUS's reach."""
-    kappa = np.arcsin(np.sin(theta / 2) / 2)
+    kappa = math.asin(math.sin(theta / 2) / 2)
     return [(theta / 2 - kappa, phi), (2 * kappa, phi), (theta / 2 - kappa, phi)]
 
 
@@ -240,22 +271,21 @@ def _scrofulous_segments(theta, phi, winding):
     th1 = math.pi / 2 + u
     # -cos(theta_1) = sin(u); the offset tends to 0 with u, also where
     # sin(theta/2) underflows
-    cos_offset = np.pi * math.sin(u) / (2 * th1 * np.sin(theta / 2)) if u else 0.0
-    ph1 = float(phi + np.arccos(np.clip(cos_offset, -1.0, 1.0)))
+    cos_offset = math.pi * math.sin(u) / (2 * th1 * math.sin(theta / 2)) if u else 0.0
+    ph1 = phi + math.acos(min(max(cos_offset, -1.0), 1.0))
     # phi_1 - arccos(-pi / (2 theta_1)), well conditioned as u -> 0
     ph2 = ph1 - math.pi + 2 * math.asin(math.sqrt(u / (math.pi + 2 * u)))
-    return [(th1, ph1), (np.pi, ph2), (th1, ph1)]
+    return [(th1, ph1), (math.pi, ph2), (th1, ph1)]
 
 
 def _bb1_segments(theta, phi, winding):
-    c = np.arccos(-theta / (4 * np.pi))
-    return [(theta, phi), (np.pi, phi + c), (2 * np.pi, phi + 3 * c), (np.pi, phi + c)]
+    c = math.acos(-theta / (4 * math.pi))
+    return [(theta, phi), (math.pi, phi + c), (TWO_PI, phi + 3 * c), (math.pi, phi + c)]
 
 
 def _alway_jones_segments(theta, phi, winding):
-    c = np.arccos(-0.25)
-    relative = ((np.pi, 0.0), (np.pi, c), (2 * np.pi, 3 * c), (np.pi, c),
-                (np.pi, np.pi - c), (np.pi, -c), (np.pi, np.pi + c), (np.pi, c))
+    c, pi = math.acos(-0.25), math.pi
+    relative = ((pi, 0.0), (pi, c), (2 * pi, 3 * c), (pi, c), (pi, pi - c), (pi, -c), (pi, pi + c), (pi, c))
     return [(t, p + phi) for t, p in relative]
 
 
@@ -322,7 +352,7 @@ _REGISTRY = {row.name: row for row in (
                 winding=(1, 1, 0), tolerance=1e-9),
     _Family("bb1", _bb1_segments, (0.0, TWO_PI, "(]"), "BB1 rotation angle must lie in (0, 2*pi]",
             declared=("pulse_length",)),
-    _Family("alway-jones", _alway_jones_segments, (np.pi, np.pi, "[]"),
+    _Family("alway-jones", _alway_jones_segments, (math.pi, math.pi, "[]"),
             "alway-jones only implements pi rotations; theta must be pi",
             declared=("pulse_length", "off_resonance"), tolerance=1e-9),
     concatenate(_Family("corpse-rotations", _corpse_rotations, (0.0, TWO_PI, "[]"), ""), _SCROFULOUS,
@@ -351,9 +381,15 @@ def synthesize(family: str, theta: float, phi: float = 0.0,
     if row.winding is None and winding is not None:
         raise ValueError(f"{family} takes no winding, got {winding}")
     winding = None if row.winding is None else tuple(winding or row.winding)
-    pulses = tuple(Pulse(t, p) for t, p in row.segments(theta, phi, winding))
-    seq = PulseSequence(family, pulses, _xy_target(theta, phi), theta=theta, phi=phi, winding=winding)
-    f = fidelity(seq.propagator(), seq.target)
+    # reduced once, so that no segment carries the rounding of a large |phi|
+    reduced = _azimuth(phi)
+    pulses = tuple(Pulse(t, p) for t, p in row.segments(theta, reduced, winding))
+    try:  # math.sin refuses an angle whose |m|^2 overflows
+        seq = PulseSequence(family, pulses, _quaternion(*_xy(theta, reduced)),
+                            theta=theta, phi=phi, winding=winding)
+        f = seq._fidelity()
+    except ValueError:
+        f = math.nan
     if not f >= 1 - 1e-12:  # also refuses a NaN product
         raise SynthesisError(f"{family} synthesis produced a product with fidelity {f!r} to its target")
     return seq
@@ -419,7 +455,7 @@ def alway_jones(phi_axis: float = 0.0) -> PulseSequence:
     off-resonance error.  Both blocks multiply to +I at zero error.  The
     construction only exists for rotation angle pi; the axis is free.
     """
-    return synthesize("alway-jones", np.pi, phi_axis)
+    return synthesize("alway-jones", math.pi, phi_axis)
 
 
 def scrofulous_in_corpse(theta: float, phi: float = 0.0) -> PulseSequence:
@@ -447,17 +483,22 @@ def reduce_pi_pulse_product(phases) -> np.ndarray:
     phi_last - Theta(preceding pairs).  Both identities are exact, not just
     up to global phase.  Raises ValueError when the result overflows.
     """
+    import numpy as np
+    return np.array(_reduce(phases))
+
+
+def _reduce(phases) -> tuple[float, float, float]:
+    """:func:`reduce_pi_pulse_product` on Python floats."""
     phases = [float(p) for p in phases]
     if not phases:
         raise ValueError("need at least one pulse azimuth")
-    pairs = (len(phases) // 2) if len(phases) % 2 == 0 else ((len(phases) - 1) // 2)
-    big_theta = sum(phases[2 * j + 1] - phases[2 * j] + np.pi for j in range(pairs))
+    big_theta = sum(phases[2 * j + 1] - phases[2 * j] + math.pi for j in range(len(phases) // 2))
     azimuth = phases[-1] - big_theta
     if not math.isfinite(2 * big_theta if len(phases) % 2 == 0 else azimuth):
         raise ValueError("pulse azimuths too large: the reduced rotation is not finite")
     if len(phases) % 2 == 0:
-        return np.array([0.0, 0.0, 2 * big_theta])
-    return np.array([np.pi * np.cos(azimuth), np.pi * np.sin(azimuth), 0.0])
+        return 0.0, 0.0, 2 * big_theta
+    return math.pi * math.cos(azimuth), math.pi * math.sin(azimuth), 0.0
 
 
 def sequence_to_dict(seq: PulseSequence) -> dict:
@@ -518,11 +559,10 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
                 f"malformed sequence document: winding must be three integers, got {winding!r}"
             )
         winding = tuple(winding)
-    # angles above ~1e154 overflow |m|^2 and leave NaN entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        seq = PulseSequence(family, pulses, _xy_target(theta, phi),
+    try:  # math.sin refuses an angle whose |m|^2 overflows, above about 1e154
+        seq = PulseSequence(family, pulses, _quaternion(*_xy(theta, _azimuth(phi))),
                             theta=theta, phi=phi, winding=winding)
-        evaluable = np.isfinite(seq.target).all() and np.isfinite(seq.propagator()).all()
-    if not evaluable:
-        raise ValueError("malformed sequence document: angles too large to evaluate the product")
+        seq._product()
+    except ValueError:
+        raise ValueError("malformed sequence document: angles too large to evaluate the product") from None
     return seq

@@ -9,21 +9,30 @@ Conventions used throughout the package:
   Tr(tau_mu tau_nu) = delta_mu_nu / 2;
 - gate overlap is the phase-blind fidelity F = |Tr(U^dag V)| / 2.
 
-Rotations are real unit quaternions q = (w, x, y, z) on the last axis,
-U = w I - i (x, y, z) . sigma, with any leading batch axes.  Only
-:func:`axis_angle` evaluates a rotation and only :func:`_hamilton`
-multiplies two; the rest of the package composes through them.
+Rotations are real unit quaternions q = (w, x, y, z), U = w I - i (x, y, z) . sigma.
+Only :func:`_half_angle` evaluates a rotation, only :func:`_hamilton`
+multiplies two and only :func:`_fold` runs a product; the rest of the
+package composes through them.  These kernels take their components as
+Python floats or as numpy arrays of any broadcast batch shape, alike: on
+floats they use :mod:`math`, so a single sequence is handled without numpy.
+numpy is imported only by the functions that take or return arrays, and by
+the matrix constants IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z and PAULIS, which
+are built on first access.
 
-All functions are pure and operate on plain ``numpy`` arrays; there is no
-shared mutable state, so concurrent use is safe.
+All functions are pure; there is no shared mutable state, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
+import importlib
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IDENTITY2",
@@ -50,42 +59,50 @@ __all__ = [
     "is_hermitian_traceless",
 ]
 
-IDENTITY2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-_PAULI_STACK = np.array(PAULIS)
-
 # Below this rotation angle log_rotation reports no axis: R(m) ~ I.
 _SMALL_ANGLE = 1e-12
+
+
+def __getattr__(name):
+    """The matrix constants, built with numpy on first access (PEP 562)."""
+    if name not in ("IDENTITY2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULIS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    i2, sx, sy, sz = (np.array(m, dtype=complex) for m in (
+        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+    globals().update(IDENTITY2=i2, SIGMA_X=sx, SIGMA_Y=sy, SIGMA_Z=sz, PAULIS=(sx, sy, sz))
+    return globals()[name]
+
+
+def _lib(x):
+    """The elementary functions for a kernel input: math for a Python float, numpy for an array."""
+    return math if isinstance(x, (float, int)) else importlib.import_module("numpy")
 
 
 def pauli_generator(index: int) -> np.ndarray:
     """Return tau_index = sigma_index / 2 for index in {1, 2, 3}."""
     if index not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2 or 3, got {index!r}")
-    return PAULIS[index - 1] / 2
+    return rotation_generator([float(k == index) for k in (1, 2, 3)])
 
 
 def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:
     """Check U^dag U = I within ``tol`` (operator norm)."""
+    import numpy as np
     U = np.asarray(U, dtype=complex)
-    if U.shape != (2, 2):
-        return False
-    return np.linalg.norm(U.conj().T @ U - IDENTITY2, ord=2) <= tol
+    return U.shape == (2, 2) and np.linalg.norm(U.conj().T @ U - np.eye(2), ord=2) <= tol
 
 
 def is_hermitian_traceless(H: np.ndarray, tol: float = 1e-12) -> bool:
     """Check H = H^dag and Tr H = 0 within ``tol``."""
+    import numpy as np
     H = np.asarray(H, dtype=complex)
-    if H.shape != (2, 2):
-        return False
-    return np.linalg.norm(H - H.conj().T, ord=2) <= tol and abs(np.trace(H)) <= tol
+    return H.shape == (2, 2) and np.linalg.norm(H - H.conj().T, ord=2) <= tol and abs(np.trace(H)) <= tol
 
 
 def _components(q) -> list:
     """The planes of a quaternion or vector array, unpacked from its last axis."""
+    import numpy as np
     q = np.asarray(q, dtype=float)
     return [q[..., k] for k in range(q.shape[-1])]
 
@@ -93,6 +110,7 @@ def _components(q) -> list:
 def _assemble(*planes) -> np.ndarray:
     """Array whose last axis runs over ``planes``, stored plane-major so that
     batched products read and write contiguous planes."""
+    import numpy as np
     a = np.array(np.broadcast_arrays(*planes))
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
@@ -109,31 +127,44 @@ def _hamilton(p, q):
     )
 
 
-def _fold(qs):
-    """Running products 1, q_0, q_1 q_0, ... of the factors along the first axis.
-    An (n, 4) array is folded in Python floats, several times faster than numpy
-    calls on 4-vectors; anything else one batched factor at a time."""
+def _fold(factors):
+    """Running products 1, q_0, q_1 q_0, ... of (w, x, y, z) factors, floats or broadcast planes."""
     acc = (1.0, 0.0, 0.0, 0.0)
     yield acc
-    for q in qs.tolist() if isinstance(qs, np.ndarray) and qs.ndim == 2 else map(_components, qs):
+    for q in factors:
         acc = _hamilton(q, acc)
         yield acc
 
 
+def _product(factors):
+    """The ordered product q_{n-1} ... q_0: the last running product of :func:`_fold`."""
+    return collections.deque(_fold(factors), maxlen=1).pop()
+
+
+def _half_angle(angle, x, y, z, length):
+    """:func:`axis_angle` as the tuple (w, x, y, z), floats or arrays alike."""
+    lib = _lib(angle)
+    half = angle / 2
+    scale = lib.sin(half) / (length + (length == 0.0))  # length 1 stands in for a zero axis
+    return lib.cos(half), x * scale, y * scale, z * scale
+
+
+def _quaternion(x, y, z):
+    """(w, x, y, z) of R(m) for m = (x, y, z), floats or arrays alike."""
+    angle = _lib(x).sqrt(x * x + y * y + z * z)
+    return _half_angle(angle, x, y, z, angle)
+
+
 def quaternion(m) -> np.ndarray:
     """Unit quaternions (cos(|m|/2), sin(|m|/2) m/|m|) of R(m) for vectors m (..., 3)."""
-    x, y, z = _components(m)
-    angle = np.sqrt(x * x + y * y + z * z)
-    return axis_angle(angle, x, y, z, angle)
+    return _assemble(*_quaternion(*_components(m)))
 
 
 def axis_angle(angle, x, y, z, length) -> np.ndarray:
     """Unit quaternions (cos(angle/2), sin(angle/2) (x, y, z)/length) of rotations
     by ``angle`` about the axes (x, y, z) of norm ``length``; a zero axis must
     come with a zero angle.  All five arguments broadcast."""
-    half = angle / 2
-    scale = np.sin(half) / np.where(length == 0.0, 1.0, length)
-    return _assemble(np.cos(half), x * scale, y * scale, z * scale)
+    return _assemble(*_half_angle(angle, x, y, z, length))
 
 
 def compose(p, q) -> np.ndarray:
@@ -142,47 +173,64 @@ def compose(p, q) -> np.ndarray:
 
 
 def product(qs) -> np.ndarray:
-    """Ordered product q_{n-1} ... q_0 of an (n, ..., 4) array or an iterable of
-    broadcast-compatible factors, in application order.  Only the running
-    product is held: a generator of batched factors needs the memory of a few."""
-    for acc in _fold(qs):
-        pass
-    return _assemble(*acc)
+    """Ordered product q_{n-1} ... q_0 of an (n, ..., 4) array (folded in Python
+    floats) or an iterable of broadcast-compatible factors, in application
+    order.  Only the running product is held, so a generator of batched factors
+    needs the memory of a few."""
+    return _assemble(*_product(qs.tolist() if getattr(qs, "ndim", None) == 2 else map(_components, qs)))
 
 
 def frames(qs) -> np.ndarray:
     """Frames before each factor of an (n, 4) array: V_0 = 1, V_i = q_{i-1} ... q_0."""
-    return np.array(list(_fold(np.asarray(qs, dtype=float)))[:-1]).reshape(-1, 4)
+    import numpy as np
+    return np.array(list(_fold(np.asarray(qs, dtype=float).tolist()))[:-1]).reshape(-1, 4)
+
+
+def _matrix(w, x, y, z) -> np.ndarray:
+    """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast quaternion planes."""
+    a = _assemble(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z)
+    return a.reshape(a.shape[:-1] + (2, 2))
 
 
 def to_matrix(q) -> np.ndarray:
     """The 2x2 matrices w I - i (x, y, z) . sigma of quaternions q (..., 4)."""
-    w, x, y, z = _components(q)
-    return _assemble(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z).reshape(np.shape(w) + (2, 2))
+    return _matrix(*_components(q))
+
+
+def _bloch(w, x, y, z):
+    """Row-major entries of the Bloch rotation O of :func:`rotation_matrix`, floats or arrays alike."""
+    return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
 
 
 def rotation_matrix(q) -> np.ndarray:
     """Bloch rotations O of quaternions q: U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho."""
-    w, x, y, z = _components(q)
-    return _assemble(
-        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-    ).reshape(np.shape(w) + (3, 3))
+    a = _assemble(*_bloch(*_components(q)))
+    return a.reshape(a.shape[:-1] + (3, 3))
 
 
 def fidelity_to(target, q) -> np.ndarray:
     """Fidelity |Tr(T^dag U)| / 2, clipped into [0, 1], of quaternions q against
     the entries of a 2x2 target T, which need not lie in SU(2)."""
+    import numpy as np
     (a, b), (c, d) = np.conj(np.asarray(target, dtype=complex))
     w, x, y, z = _components(q)
     tr = (a + d) * w - 1j * (b + c) * x + (c - b) * y + 1j * (d - a) * z
     return np.minimum(np.abs(tr) / 2, 1.0)
 
 
+def _unit_quaternion(T):
+    """(w, x, y, z) of a unitary 2x2 T = exp(i gamma) (w I - i (x, y, z) . sigma), det T = exp(2i gamma)."""
+    (a, b), (c, d) = T
+    u = cmath.exp(-0.5j * cmath.phase(a * d - b * c)) / 2
+    return (float(((a + d) * u).real), float(-((b + c) * u).imag),
+            float(-((b - c) * u).real), float(-((a - d) * u).imag))
+
+
 def rotation(m) -> np.ndarray:
     """SU(2) rotation R(m) = exp(-i m . sigma / 2) as 2x2 matrices, for vectors m (..., 3)."""
-    return to_matrix(quaternion(m))
+    return _matrix(*_quaternion(*_components(m)))
 
 
 def rotation_generator(m) -> np.ndarray:
@@ -190,17 +238,18 @@ def rotation_generator(m) -> np.ndarray:
 
     A batch of vectors (..., 3) gives a batch of generators (..., 2, 2).
     """
-    return np.einsum("...a,aij->...ij", np.asarray(m, dtype=float), _PAULI_STACK) / 2
+    return 0.5j * _matrix(0.0, *_components(m))
 
 
 def generator_vector(H: np.ndarray) -> np.ndarray:
     """Coefficients of a Hermitian traceless H in the tau basis.
 
     Inverse of :func:`rotation_generator`: H = v . sigma / 2 maps to v,
-    via v_mu = 2 Tr(H tau_mu).
+    via v_mu = 2 Tr(H tau_mu) = Tr(H sigma_mu) (real parts, for any H).
     """
-    H = np.asarray(H, dtype=complex)
-    return np.array([np.trace(H @ s).real for s in PAULIS])
+    import numpy as np
+    (a, b), (c, d) = np.asarray(H, dtype=complex)
+    return np.array([(b + c).real, (c - b).imag, (a - d).real])
 
 
 def log_rotation(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -212,6 +261,7 @@ def log_rotation(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
     Raises ValueError if U is not special-unitary within ``tol``.
     """
+    import numpy as np
     U = np.asarray(U, dtype=complex)
     if not is_unitary(U, tol):
         raise ValueError("log_rotation requires a unitary 2x2 matrix")
@@ -221,30 +271,44 @@ def log_rotation(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     half = np.arccos(c)
     s = np.sin(half)
     if s < _SMALL_ANGLE:
-        if c > 0:
-            return np.zeros(3)
-        return np.array([0.0, 0.0, 2 * np.pi])
+        return np.zeros(3) if c > 0 else np.array([0.0, 0.0, 2 * np.pi])
     # U - cI = -i sin(|m|/2) n.sigma, so n_mu = Tr(sigma_mu i(U - cI)) / (2 sin)
-    A = 1j * (U - c * IDENTITY2)
-    n = np.array([np.trace(s_mu @ A).real for s_mu in PAULIS]) / (2 * s)
-    return 2 * half * n
+    return 2 * half * generator_vector(1j * (U - c * np.eye(2))) / (2 * s)
 
 
 def fidelity(U: np.ndarray, V: np.ndarray) -> float:
     """Phase-blind gate overlap |Tr(U^dag V)| / 2, clipped into [0, 1]."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    f = abs(np.trace(U.conj().T @ V)) / 2
+    import numpy as np
+    f = abs(np.trace(np.asarray(U, dtype=complex).conj().T @ np.asarray(V, dtype=complex))) / 2
     return float(min(f, 1.0))
 
 
 def _wrap(phase: float) -> float:
-    """Reduce an angle within 2*pi of (-pi, pi] into (-pi, pi]."""
-    if phase > math.pi:
-        return phase - 2 * math.pi
-    if phase <= -math.pi:
-        return phase + 2 * math.pi
-    return phase
+    """Reduce an angle mod 2*pi into (-pi, pi], exactly."""
+    r = math.remainder(phase, 2 * math.pi)
+    return math.pi if r == -math.pi else r
+
+
+def _eig(gamma, w, x1, x2, x3) -> list:
+    """:func:`eig_unitary` of exp(i gamma) (w I - i x . sigma) for a unit quaternion
+    (w, x) of Python floats, each eigenvector a pair of Python numbers."""
+    s = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    # |lambda_0 - lambda_1| = 2 |x|
+    if 2 * s < 1e-12:
+        phase = _wrap(gamma if w > 0 else gamma + math.pi)
+        return [(phase, (1.0, 0.0)), (phase, (0.0, 1.0))]
+    half = math.atan2(s, w)
+    r = s + abs(x3)
+    z = complex(x1, x2)
+    norm = math.sqrt(2 * s * r)
+    if x3 >= 0:
+        v_plus, v_minus = (r, z), (z.conjugate(), -r)
+    else:
+        v_plus, v_minus = (z.conjugate(), r), (r, -z)
+    pairs = [(_wrap(gamma - half), tuple(v / norm for v in v_plus)),
+             (_wrap(gamma + half), tuple(v / norm for v in v_minus))]
+    pairs.sort(key=lambda p: p[0])
+    return pairs
 
 
 def eig_unitary(U: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -261,29 +325,7 @@ def eig_unitary(U: np.ndarray) -> list[tuple[float, np.ndarray]]:
     forms has the larger norm, which keeps it orthonormal to rounding even
     near degeneracy.
     """
-    (u00, u01), (u10, u11) = np.asarray(U, dtype=complex).tolist()
-    gamma = cmath.phase(u00 * u11 - u01 * u10) / 2
-    w = cmath.exp(-1j * gamma)
-    a, b, c, d = u00 * w, u01 * w, u10 * w, u11 * w
-    x1 = -(b + c).imag / 2
-    x2 = (c - b).real / 2
-    x3 = (d - a).imag / 2
-    s = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    # |lambda_0 - lambda_1| = 2 |x|
-    if 2 * s < 1e-12:
-        phase = cmath.phase((u00 + u11) / 2)
-        return [(phase, np.array([1, 0], dtype=complex)), (phase, np.array([0, 1], dtype=complex))]
-    half = math.atan2(s, (a + d).real / 2)
-    r = s + abs(x3)
-    z = complex(x1, x2)
-    norm = math.sqrt(2 * s * r)
-    if x3 >= 0:
-        v_plus, v_minus = (r, z), (z.conjugate(), -r)
-    else:
-        v_plus, v_minus = (z.conjugate(), r), (r, -z)
-    pairs = [
-        (_wrap(gamma - half), np.array(v_plus, dtype=complex) / norm),
-        (_wrap(gamma + half), np.array(v_minus, dtype=complex) / norm),
-    ]
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+    import numpy as np
+    (a, b), (c, d) = T = np.asarray(U, dtype=complex).tolist()
+    pairs = _eig(cmath.phase(a * d - b * c) / 2, *_unit_quaternion(T))
+    return [(phase, np.array(v, dtype=complex)) for phase, v in pairs]

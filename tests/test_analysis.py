@@ -1,3 +1,4 @@
+import concurrent.futures
 import warnings
 
 import numpy as np
@@ -258,3 +259,29 @@ def test_phase_states_are_cyclic():
     for a in range(2):
         v = rep.states[:, a]
         assert np.linalg.norm(U @ v - np.exp(1j * rep.total[a]) * v) < 1e-12
+
+
+@pytest.mark.parametrize("threads", [5000, 0])
+def test_landscape_thread_pool_is_capped_at_available_cpus(monkeypatch, threads):
+    # a stand-in pool records its size and runs the blocks in this thread
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 3)
+    seq = scrofulous(np.pi, 0.0)
+    got = landscape(seq, resolution=41, threads=threads)
+    assert sizes == [3]
+    assert np.array_equal(got.fidelity, landscape(seq, resolution=41, threads=1).fidelity)

@@ -454,3 +454,72 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", "import sys, cpseq.cli; print('scipy' in sys.modules)"],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# ------------------------------------------------- process start and azimuths
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--family", "bb1", "--theta", "1", "--phi", "262140"],
+    ["synth", "--family", "bb1", "--theta", "1", "--phi", "1e12"],
+], ids=["verify-262140", "synth-1e12"])
+def test_large_azimuth_keeps_cancellation(runner, args):
+    # phi is reduced mod 2*pi once, so its rounding does not reach each pulse apart
+    result = invoke(runner, args)
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    if args[0] == "verify":
+        assert doc["passed"] and doc["channels"]["pulse_length"]["norm"] < 1e-13
+    else:
+        assert doc["target"]["phi"] == 1e12  # the wire document keeps the raw azimuth
+        assert all(0 <= p["phi"] < 2 * np.pi for p in doc["pulses"])
+
+
+def test_landscape_unallocatable_grid_exits_2_with_json(runner, monkeypatch):
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(np, "empty", unallocatable)
+    err = _refused_with_json(runner.invoke(main, ["landscape", "--family", "plain", "--theta", "1",
+                                                  "--res", "1000000"]))
+    assert err["type"] == "MemoryError" and "Unable to allocate" in err["message"]
+
+
+def _cpseq_process(*args, code="from cpseq.cli import main; main()"):
+    """Run ``code`` in a fresh interpreter with src on the path; stderr ends with
+    whether numpy was loaded when the process exited."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+    return subprocess.run([sys.executable, "-c", probe + code, *args], env=env, capture_output=True,
+                          text=True, input="")
+
+
+@pytest.mark.parametrize("args,code", [
+    (["synth", "--family", "bb1", "--theta", "pi/2"], 0),
+    (["verify", "--family", "cis-cccp", "--theta", "pi"], 0),
+    (["verify", "--input", "{document}"], 0),
+    (["phase", "--family", "corpse", "--theta", "1"], 0),
+    (["scaling", "--family", "bb1", "--theta", "1", "--axis", "diagonal"], 0),
+    (["reduce", "--phases", "0.1,0.2,0.3"], 0),
+    (["synth", "--family", "cis-cccp", "--theta", "0"], 2),
+], ids=["synth", "verify-family", "verify-input", "phase", "scaling", "reduce", "refusal"])
+def test_per_sequence_commands_leave_numpy_unloaded(tmp_path, args, code):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(sequence_to_dict(synthesize("scrofulous", 1.0, 0.3))))
+    proc = _cpseq_process(*[a.format(document=path) for a in args])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_landscape_loads_numpy():
+    proc = _cpseq_process("landscape", "--family", "plain", "--theta", "1", "--res", "3")
+    assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "True"
+
+
+def test_verify_imports_no_numpy_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cpseq.cli", "verify", "--family",
+                           "cis-cccp", "--theta", "pi"], env=env, capture_output=True, text=True, check=True)
+    modules = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "cpseq.su2" in modules and not [m for m in modules if m.split(".")[0] == "numpy"]
