@@ -5,8 +5,8 @@ product with the target: nothing here linearises in the error strengths, so
 these tools independently confirm what the first-order error generators
 predict.
 
-One sequence's ladder and phases are computed on Python floats; numpy is
-imported for grids and for the arrays the public functions return.
+One sequence's fidelity, ladder and phases are computed on Python floats;
+numpy is imported for grids and for the arrays the public functions return.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .error_model import ErrorChannel, _generators, perturbed_propagator
+from .error_model import ErrorChannel, _generators
 from .sequences import PulseSequence
-from .su2 import _assemble, _eig, _half_angle, _hamilton, _lib, _product, _wrap, fidelity, fidelity_to
+from .su2 import _eig, _half_angle, _lib, _product, _wrap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,39 +91,29 @@ class PhaseReport:
 
 def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> float:
     """Exact gate fidelity of the deformed sequence against its target."""
-    U = perturbed_propagator(seq, ErrorChannel.combined(eps, eps_prime))
-    return fidelity(seq.target, U)
+    return min(abs(seq._overlap(_products(seq, float(eps), float(eps_prime)))[0]), 1.0)
 
 
 def _products(seq: PulseSequence, eps, eps_prime) -> tuple:
-    """Quaternions (w, x, y, z) of the products deformed by combined errors,
+    """Quaternion (w, x, y, z) of the product deformed by combined errors,
     elementwise over the broadcast strengths: Python floats for one cell,
     arrays for a grid.
 
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
-    the same r for every pulse.  A grid evaluates all pulses at once, one
-    plane per pulse: memory is a few arrays of pulses x cells, which
-    :func:`landscape` bounds by evaluating row blocks; any block of cells is
+    the same r for every pulse.  Pulses are composed one at a time, so memory
+    is a few arrays the size of the strengths, and any block of cells is
     bitwise what a larger grid gives."""
     stretch = 1.0 + eps
     r = _lib(stretch).sqrt(stretch * stretch + eps_prime * eps_prime)
-    if isinstance(r, float):
-        return _product(_half_angle(p.theta * r, stretch * math.cos(p.phi), stretch * math.sin(p.phi),
-                                    eps_prime, r) for p in seq.pulses)
-    import numpy as np
-    per_pulse = (-1,) + (1,) * r.ndim
-    theta = np.array([p.theta for p in seq.pulses]).reshape(per_pulse)
-    phi = np.array([p.phi for p in seq.pulses]).reshape(per_pulse)
-    return _product(zip(*_half_angle(theta * r, stretch * np.cos(phi), stretch * np.sin(phi), eps_prime, r)))
+    return _product(_half_angle(p.theta * r, stretch * math.cos(p.phi), stretch * math.sin(p.phi), eps_prime, r)
+                    for p in seq.pulses)
 
 
 def _infidelities(seq: PulseSequence, eps, eps_prime):
-    """1 - F under combined errors without cancellation, floats or arrays alike.
-    With the target's global phase stripped, T^dag U is a unit quaternion
-    (w, v), and 1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
-    tw, tx, ty, tz = seq._unit
-    w, x, y, z = _hamilton((tw, -tx, -ty, -tz), _products(seq, eps, eps_prime))
+    """1 - F under combined errors without cancellation, floats or arrays alike:
+    with T^dag U = (w, v), 1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
+    w, x, y, z = seq._overlap(_products(seq, eps, eps_prime))
     return (x * x + y * y + z * z) / (1 + abs(w))
 
 
@@ -158,14 +148,14 @@ def landscape(seq: PulseSequence,
     blocks = min(resolution, workers * -(-blocks // workers))
     bounds = np.linspace(0, resolution, blocks + 1).astype(int)
     F = np.empty((resolution, resolution))
-    target = seq.target
 
     def fill(k):
         lo, hi = bounds[k], bounds[k + 1]
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            F[lo:hi] = fidelity_to(target, _assemble(*_products(seq, eps[lo:hi, None], eps_prime[None, :])))
+            w = seq._overlap(_products(seq, eps[lo:hi, None], eps_prime[None, :]))[0]
+            np.minimum(np.abs(w), 1.0, out=F[lo:hi])
 
     if workers == 1 or resolution < 2 * workers:
         for k in range(blocks):
@@ -227,7 +217,7 @@ def _ladder(seq: PulseSequence, axis: str, strengths) -> tuple:
     strengths = [float(s) for s in strengths]
     if len(strengths) < 5:
         raise ValueError("need at least 5 ladder points")
-    if min(strengths) < 1e-3 - 1e-15 or max(strengths) > 1e-2 + 1e-15:
+    if not all(1e-3 - 1e-15 <= s <= 1e-2 + 1e-15 for s in strengths):  # NaN fails too
         raise ValueError("ladder strengths must lie within [1e-3, 1e-2]")
     if axis not in _DIRECTIONS:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")

@@ -303,7 +303,7 @@ def reduce(phases, output):
         doc = {
             "kind": "pi-pulse",
             "theta": math.pi,
-            "phi": math.atan2(vector[1], vector[0]) % (2 * math.pi),
+            "phi": sequences._azimuth(math.atan2(vector[1], vector[0])),
             "vector": list(vector),
         }
     _emit(dumps(doc), output)

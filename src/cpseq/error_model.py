@@ -249,12 +249,9 @@ def _frame_average(x, y, z) -> tuple:
             c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
 
 
-def interaction_error(m, channel: ErrorChannel, nodes: int = 64) -> np.ndarray:
-    """Toggling-frame averaged per-pulse error generator A(m)^T dm . sigma / 2.
-
-    Exact for every channel and every pulse, z components included;
-    ``nodes`` is accepted for compatibility and does not change the result.
-    """
+def interaction_error(m, channel: ErrorChannel) -> np.ndarray:
+    """Toggling-frame averaged per-pulse error generator A(m)^T dm . sigma / 2,
+    exact for every channel and every pulse, z components included."""
     m = _components(m)
     return rotation_generator(_assemble(*_transposed(_frame_average(*m), _deformation(*m, channel))))
 
@@ -371,20 +368,17 @@ def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
     return length_part, detuning_part
 
 
-def error_moment_integrals(seq, subdivisions: int = 256) -> MomentIntegrals:
+def error_moment_integrals(seq) -> MomentIntegrals:
     """Interaction-picture moment integrals over the whole sequence.
 
     Each pulse occupies a time fraction proportional to its rotation angle
     (constant drive amplitude), with the drive vector lambda = m / dt held
     constant on its interval.  Within pulse i the Bloch rotation of
-    U(t) = R(x m_i) V_{i-1} averages to A(m_i) O(V_{i-1}) exactly, so
-    ``subdivisions`` (which must be positive) does not change the result.
+    U(t) = R(x m_i) V_{i-1} averages to A(m_i) O(V_{i-1}) exactly.
 
     A sequence of zero-angle pulses evolves trivially: the first moment is
     the identity and the second moment vanishes.
     """
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be positive")
     import numpy as np
     vectors = _as_vectors(seq)
     angles = np.array([math.sqrt(x * x + y * y + z * z) for x, y, z in vectors])
@@ -423,9 +417,9 @@ def _perturbed_product(vectors, channel: ErrorChannel) -> tuple:
 
 
 def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
-    """Exact (non-perturbative) propagator of the deformed sequence:
-    the ordered product of R(m_i + dm_i).  Ground truth for all fidelity
-    and oracle computations."""
+    """Exact (non-perturbative) propagator of the deformed sequence under any
+    channel: the ordered product of R(m_i + dm_i), as the finite-difference
+    oracle computes it."""
     return _matrix(*_perturbed_product(_as_vectors(seq), channel))
 
 

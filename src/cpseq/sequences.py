@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .su2 import _hamilton, _matrix, _product, _quaternion, _unit_quaternion, rotation
+from .su2 import _hamilton, _matrix, _product, _quaternion, _unit_quaternion, is_unitary, rotation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,7 +98,9 @@ class PulseSequence:
 
     ``pulses[0]`` is applied first, so the ideal propagator is
     R(m_k) ... R(m_1).  ``target`` is given as a unitary 2x2 matrix or as the
-    unit quaternion (w, x, y, z) of an SU(2) gate, and reads back as a matrix.
+    unit quaternion (w, x, y, z) of an SU(2) gate; a matrix that is not
+    unitary raises ValueError.  Only the target's unit quaternion is kept,
+    global phase stripped, and ``target`` reads back as its SU(2) matrix.
     ``theta``/``phi``/``winding`` record the synthesis parameters when the
     sequence came from a synthesizer.  The underscored methods work on Python
     floats, the public ones return arrays.
@@ -112,20 +114,20 @@ class PulseSequence:
 
     def __init__(self, family: str, pulses, target, theta: float | None = None,
                  phi: float | None = None, winding: tuple[int, int, int] | None = None):
-        given = target if len(target) != 4 else None
+        if len(target) != 4 and not is_unitary(target):
+            raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix")
         # the target's unit quaternion, global phase stripped
-        unit = tuple(map(float, target)) if given is None else _unit_quaternion(target)
+        unit = tuple(map(float, target)) if len(target) == 4 else _unit_quaternion(target)
         vars(self).update(family=family, pulses=tuple(pulses), theta=theta, phi=phi, winding=winding,
-                          _given=given, _unit=unit)
+                          _unit=unit)
 
     def __len__(self) -> int:
         return len(self.pulses)
 
     @property
     def target(self) -> np.ndarray:
-        """The target gate as a 2x2 complex matrix."""
-        import numpy as np
-        return _matrix(*self._unit) if self._given is None else np.asarray(self._given, dtype=complex)
+        """The target gate as a 2x2 special-unitary matrix."""
+        return _matrix(*self._unit)
 
     def _vectors(self) -> list[tuple[float, float, float]]:
         return [_xy(p.theta, p.phi) for p in self.pulses]
@@ -142,10 +144,15 @@ class PulseSequence:
         """Ideal (error-free) product of all pulses."""
         return _matrix(*self._product())
 
-    def _fidelity(self) -> float:
-        """|Tr(T^dag U)| / 2 of the ideal product U against the target T."""
+    def _overlap(self, q) -> tuple:
+        """T^dag U = (w, x, y, z) of a product quaternion U against the target T,
+        floats or arrays alike: the fidelity |Tr(T^dag U)| / 2 is min(|w|, 1)."""
         w, x, y, z = self._unit
-        return min(abs(_hamilton((w, -x, -y, -z), self._product())[0]), 1.0)
+        return _hamilton((w, -x, -y, -z), q)
+
+    def _fidelity(self) -> float:
+        """Fidelity of the ideal product to the target."""
+        return min(abs(self._overlap(self._product())[0]), 1.0)
 
 
 # Each family's segments: (theta, phi, winding) -> raw [(theta_i, phi_i), ...].

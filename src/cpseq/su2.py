@@ -7,17 +7,19 @@ Conventions used throughout the package:
   Bloch-sphere rotation by |m| about the axis m/|m|;
 - generators are tau_mu = sigma_mu / 2, orthonormalised so that
   Tr(tau_mu tau_nu) = delta_mu_nu / 2;
-- gate overlap is the phase-blind fidelity F = |Tr(U^dag V)| / 2.
+- gate overlap is the phase-blind fidelity F = |Tr(U^dag V)| / 2; for unit
+  quaternions, with U^dag V = (w, v), it is min(|w|, 1).
 
 Rotations are real unit quaternions q = (w, x, y, z), U = w I - i (x, y, z) . sigma.
 Only :func:`_half_angle` evaluates a rotation, only :func:`_hamilton`
 multiplies two and only :func:`_fold` runs a product; the rest of the
-package composes through them.  These kernels take their components as
-Python floats or as numpy arrays of any broadcast batch shape, alike: on
-floats they use :mod:`math`, so a single sequence is handled without numpy.
-numpy is imported only by the functions that take or return arrays, and by
-the matrix constants IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z and PAULIS, which
-are built on first access.
+package composes through them, and a sequence meets its target only
+through ``PulseSequence._overlap``, the quaternion T^dag U.  These kernels
+take their components as Python floats or as numpy arrays of any broadcast
+batch shape, alike: on floats they use :mod:`math`, so a single sequence is
+handled without numpy.  numpy is imported only by the functions that take
+or return arrays, and by the matrix constants IDENTITY2, SIGMA_X, SIGMA_Y,
+SIGMA_Z and PAULIS, which are built on first access.
 
 All functions are pure; there is no shared mutable state, so concurrent use
 is safe.
@@ -49,7 +51,6 @@ __all__ = [
     "frames",
     "to_matrix",
     "rotation_matrix",
-    "fidelity_to",
     "rotation_generator",
     "generator_vector",
     "log_rotation",
@@ -208,16 +209,6 @@ def rotation_matrix(q) -> np.ndarray:
     """Bloch rotations O of quaternions q: U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho."""
     a = _assemble(*_bloch(*_components(q)))
     return a.reshape(a.shape[:-1] + (3, 3))
-
-
-def fidelity_to(target, q) -> np.ndarray:
-    """Fidelity |Tr(T^dag U)| / 2, clipped into [0, 1], of quaternions q against
-    the entries of a 2x2 target T, which need not lie in SU(2)."""
-    import numpy as np
-    (a, b), (c, d) = np.conj(np.asarray(target, dtype=complex))
-    w, x, y, z = _components(q)
-    tr = (a + d) * w - 1j * (b + c) * x + (c - b) * y + 1j * (d - a) * z
-    return np.minimum(np.abs(tr) / 2, 1.0)
 
 
 def _unit_quaternion(T):

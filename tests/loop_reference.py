@@ -53,6 +53,15 @@ def fidelity(T, U) -> float:
     return float(min(abs(np.trace(np.conj(T).T @ U)) / 2, 1.0))
 
 
+def trace_fidelity(T, q) -> np.ndarray:
+    """|Tr(T^dag U)| / 2, clipped into [0, 1], of the matrices U = w I - i (x, y, z) . sigma
+    of quaternion planes q = (w, x, y, z), written out on the entries of T."""
+    (a, b), (c, d) = np.conj(np.asarray(T, dtype=complex))
+    w, x, y, z = q
+    tr = (a + d) * w - 1j * (b + c) * x + (c - b) * y + 1j * (d - a) * z
+    return np.minimum(np.abs(tr) / 2, 1.0)
+
+
 def interaction_quadrature(m, G, nodes: int) -> np.ndarray:
     """Gauss-Legendre toggling-frame average, one node at a time."""
     x, w = np.polynomial.legendre.leggauss(nodes)

@@ -234,7 +234,7 @@ def test_criterion_10_reverse_concatenation_not_robust():
 def test_criterion_11_moment_integrals():
     worst_trace = 0.0
     for seq in (scrofulous(np.pi, 0.0), bb1(np.pi, 0.0)):
-        mom = error_moment_integrals(seq, subdivisions=256)
+        mom = error_moment_integrals(seq)
         worst_trace = max(worst_trace, float(np.max(np.abs(mom.second_moment_trace_part))))
     rng = np.random.default_rng(111)
     worst_rec = 0.0

@@ -217,6 +217,9 @@ def test_scaling_ladder_validation():
         infidelity_scaling(plain(np.pi, 0.0), "eps", strengths=[1e-4, 2e-3, 4e-3, 8e-3, 1e-2])
     with pytest.raises(ValueError):
         infidelity_scaling(plain(np.pi, 0.0), "bogus-axis")
+    for bad in (np.nan, np.inf, -np.inf):  # a range check by min and max lets NaN through
+        with pytest.raises(ValueError, match="within"):
+            infidelity_scaling(plain(1.0), "eps", strengths=[1e-3, bad, 2e-3, 4e-3, 8e-3])
 
 
 # ---------------------------------------------------------------- phases

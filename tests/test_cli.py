@@ -438,6 +438,21 @@ def test_reduce_single(runner):
     assert abs(doc["phi"] - np.pi / 4) < 1e-12
 
 
+@pytest.mark.parametrize("text", ["-1e-300", "6.283185307179586"])
+def test_reduce_azimuth_rounding_to_two_pi_prints_zero(runner, text):
+    doc = json.loads(invoke(runner, ["reduce", f"--phases={text}"]).output)
+    assert doc["kind"] == "pi-pulse" and doc["phi"] == 0.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 3).flatmap(lambda pairs: st.lists(st.floats(-1e6, 1e6), min_size=2 * pairs + 1,
+                                                        max_size=2 * pairs + 1)))
+def test_reduce_odd_count_azimuth_lies_in_zero_two_pi(phases):
+    result = CliRunner().invoke(main, ["reduce", "--phases=" + ",".join(map(repr, phases))])
+    assert result.exit_code == 0, result.output
+    assert 0.0 <= json.loads(result.output)["phi"] < 2 * math.pi
+
+
 def test_reduce_overflowing_product_exits_2_with_json(runner):
     err = _refused_with_json(runner.invoke(main, ["reduce", "--phases", "1.7e308,-1.7e308"]))
     assert err["type"] == "ValueError"
@@ -509,6 +524,14 @@ def test_per_sequence_commands_leave_numpy_unloaded(tmp_path, args, code):
     proc = _cpseq_process(*[a.format(document=path) for a in args])
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_fidelity_under_error_leaves_numpy_unloaded():
+    proc = _cpseq_process(code="from cpseq.analysis import fidelity_under_error; "
+                               "from cpseq.sequences import synthesize; "
+                               "print(fidelity_under_error(synthesize('cis-cccp', 1.0), 0.01, 0.01))")
+    assert proc.returncode == 0, proc.stderr
+    assert 0.999 < float(proc.stdout) <= 1.0 and proc.stderr.splitlines()[-1] == "False"
 
 
 def test_landscape_loads_numpy():

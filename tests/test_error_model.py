@@ -289,34 +289,26 @@ def test_product_split_requires_three_pulses():
 # ------------------------------------------------------ moment integrals
 
 def test_moment_trace_part_scrofulous():
-    mom = error_moment_integrals(scrofulous(np.pi, 0.0), subdivisions=256)
+    mom = error_moment_integrals(scrofulous(np.pi, 0.0))
     assert np.max(np.abs(mom.second_moment_trace_part)) < 1e-8
 
 
 def test_moment_trace_part_plain_pulse():
-    mom = error_moment_integrals(plain(np.pi, 0.0), subdivisions=256)
+    mom = error_moment_integrals(plain(np.pi, 0.0))
     assert np.allclose(mom.second_moment_trace_part, [np.pi, 0, 0], atol=1e-10)
 
 
 def test_moment_first_constant_hamiltonian():
     # a single pulse about x leaves tau_x untouched: first row is (1, 0, 0)
-    mom = error_moment_integrals(plain(np.pi, 0.0), subdivisions=256)
+    mom = error_moment_integrals(plain(np.pi, 0.0))
     assert np.allclose(mom.first_moment[0], [1, 0, 0], atol=1e-12)
 
 
 def test_moment_zero_length_sequence():
     seq = PulseSequence("custom", (Pulse(0.0, 0.0),), np.eye(2, dtype=complex))
-    mom = error_moment_integrals(seq, subdivisions=8)
+    mom = error_moment_integrals(seq)
     assert np.allclose(mom.second_moment, 0.0)
     assert np.allclose(mom.first_moment, np.eye(3))
-
-
-def test_moment_quadrature_converged():
-    seq = corpse(1.3, 0.4)
-    coarse = error_moment_integrals(seq, subdivisions=64)
-    fine = error_moment_integrals(seq, subdivisions=256)
-    assert np.max(np.abs(coarse.first_moment - fine.first_moment)) < 1e-10
-    assert np.max(np.abs(coarse.second_moment - fine.second_moment)) < 1e-10
 
 
 def test_irreducible_decompose_identity():

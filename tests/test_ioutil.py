@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpseq.ioutil import dumps
 
@@ -49,6 +51,19 @@ def test_dumps_rejects_unknown_types():
 def test_dumps_escapes_strings():
     back = json.loads(dumps({"s": 'quote " backslash \\ newline \n'}))
     assert back["s"] == 'quote " backslash \\ newline \n'
+
+
+def test_dumps_escapes_control_characters_in_keys_and_strings():
+    doc = {"a\tb": "c\rd", 'q"k': 1, "\x00\\": "\x1f\b\f"}
+    assert json.loads(dumps(doc)) == doc
+    assert dumps({"\u00e9": "\u03b8"}) == '{\n  "\u00e9": "\u03b8"\n}'  # non-ASCII stays raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.text(), st.text() | st.lists(st.text(), max_size=3)
+                       | st.dictionaries(st.text(), st.text(), max_size=3)))
+def test_dumps_round_trips_any_text(doc):
+    assert json.loads(dumps(doc)) == doc
 
 
 def test_dumps_empty_containers():

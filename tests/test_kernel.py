@@ -1,7 +1,8 @@
 """The quaternion product kernel against the plain-loop reference.
 
-Tolerances are fixed in advance: products 1e-14, landscape cells 1e-13,
-moment integrals 1e-12, toggling-frame quadrature 1e-14 (all max-abs).
+Tolerances are fixed in advance: products 1e-14, landscape cells 1e-13
+(and bitwise against the trace formula), moment integrals 1e-12,
+toggling-frame quadrature 1e-14 (all max-abs).
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import loop_reference as ref
-from cpseq.analysis import landscape
+from cpseq.analysis import _products, landscape
 from cpseq.error_model import (
     ErrorChannel,
     error_moment_integrals,
@@ -63,6 +64,15 @@ def test_landscape_cells_match_loop(family):
     assert max_abs(grid.fidelity, want) <= 1e-13
 
 
+@pytest.mark.parametrize("family", SYNTH_FAMILIES)
+def test_landscape_cells_are_the_trace_fidelity_bit_for_bit(family):
+    # for an SU(2) target |Tr(T^dag U)| / 2 is an exact doubling of the overlap's w
+    seq = synthesize(family, theta_for(family, 1.3), 0.4)
+    grid = landscape(seq, (-0.3, 0.2), (-0.25, 0.3), resolution=257, threads=2)
+    q = _products(seq, grid.eps_values[:, None], grid.eps_prime_values[None, :])
+    assert np.array_equal(grid.fidelity, ref.trace_fidelity(seq.target, q))
+
+
 def test_landscape_cells_at_zero_strength_vector_match_loop():
     # eps = -1, eps' = 0 deforms every pulse to the identity
     seq = synthesize("bb1", 1.3, 0.4)
@@ -86,7 +96,7 @@ def test_landscape_of_a_pulse_free_sequence_is_the_target_overlap():
 ])
 def test_moments_match_node_loop(family, subdivisions):
     seq = synthesize(family, theta_for(family, 1.3), 0.4)
-    got = error_moment_integrals(seq, subdivisions=subdivisions)
+    got = error_moment_integrals(seq)
     first, second = ref.moments(ref.vectors_of(seq), subdivisions)
     assert max_abs(got.first_moment, first) <= 1e-12
     assert max_abs(got.second_moment, second) <= 1e-12
@@ -97,7 +107,7 @@ def test_moments_match_node_loop_with_zero_angle_pulse():
     rng = np.random.default_rng(44)
     for vectors in ([np.array([1.1, 0.3, 0.0]), np.zeros(3), np.array([-0.4, 2.0, 0.0])],
                     [*rng.normal(scale=2.0, size=(4, 3)), np.zeros(3), np.array([0.0, 0.0, 2 * np.pi])]):
-        got = error_moment_integrals(vectors, subdivisions=32)
+        got = error_moment_integrals(vectors)
         first, second = ref.moments(vectors, 32)
         assert max_abs(got.first_moment, first) <= 1e-12
         assert max_abs(got.second_moment, second) <= 1e-12

@@ -57,6 +57,14 @@ def test_sequence_propagator_order():
 
 # ------------------------------------------------------------------ plain
 
+def test_sequence_target_is_phase_stripped_and_must_be_unitary():
+    U = rotation([0.3, -1.2, 0.5])
+    assert frob(PulseSequence("custom", (), np.exp(0.7j) * U).target, U) < 1e-15
+    for T in (2 * U, np.zeros((2, 2)), [[1.0, 0.0], [0.0, 1.1]], np.eye(3)):
+        with pytest.raises(ValueError, match="unitary"):
+            PulseSequence("custom", (), T)
+
+
 def test_plain_pi_about_y():
     seq = plain(np.pi, np.pi / 2)
     assert frob(seq.target, rotation([0, np.pi, 0])) < 1e-15

@@ -11,7 +11,6 @@ from cpseq.su2 import (
     compose,
     eig_unitary,
     fidelity,
-    fidelity_to,
     frames,
     product,
     quaternion,
@@ -263,13 +262,3 @@ def test_rotation_matrix_is_the_adjoint_action():
             assert frob(back, sum(O[mu, rho] * PAULIS[rho] for rho in range(3))) < 1e-14
         assert frob(O @ O.T, np.eye(3)) < 1e-14 and abs(np.linalg.det(O) - 1) < 1e-14
 
-
-def test_fidelity_to_matches_matrix_fidelity_for_any_target():
-    rng = np.random.default_rng(18)
-    qs = quaternion(rng.normal(size=(7, 3)))
-    targets = [random_su2(rng), np.exp(0.3j) * random_su2(rng), rng.normal(size=(2, 2)) / 3]
-    for T in targets:
-        got = fidelity_to(T, qs)
-        assert got.shape == (7,)
-        for q, f in zip(qs, got):
-            assert abs(f - fidelity(T, to_matrix(q))) < 1e-15
