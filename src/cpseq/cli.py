@@ -103,8 +103,11 @@ def _fail(kind: str, message: str, code: int = 2):
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            _fail(type(exc).__name__, str(exc))
     else:
         click.echo(text)
 

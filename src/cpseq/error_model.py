@@ -21,14 +21,15 @@ robust against the channel exactly when G = 0.
 
 Every generator here is Hermitian and traceless: a real 3-vector g with
 G = g . sigma / 2, which a frame V conjugates into O(V)^T g, O the Bloch
-rotation of :func:`su2.rotation_matrix`.  Averaged over a pulse m = theta n,
-O is
+rotation U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho of V.  Averaged over
+a pulse m = theta n, O is
 
     A(m) = n n^T + (sin theta / theta) (I - n n^T) + ((1 - cos theta) / theta) [n]x,
 
 A(0) = I, so Gi = A(m_i)^T dm_i . sigma / 2 exactly for any channel and any
 pulse, and pulse i adds A(m_i) O(V_{i-1}) to the moment integrals.  The
-quadrature :func:`interaction_error_quadrature` is kept only as its oracle.
+defining integral, evaluated by Gauss-Legendre quadrature in
+``tests/loop_reference.py``, is the oracle for this closed form.
 
 A sequence's generators are accumulated on Python floats; the public
 functions build their matrices when they return.
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING
 
 from .sequences import PulseSequence
 from .su2 import (_assemble, _bloch, _components, _fold, _hamilton, _lib, _matrix, _product,
-                  _quaternion, compose, quaternion, rotation, rotation_generator, to_matrix)
+                  _quaternion, compose, quaternion, rotation_generator, to_matrix)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,13 +54,10 @@ __all__ = [
     "MomentIntegrals",
     "pulse_error",
     "interaction_error",
-    "interaction_error_quadrature",
     "first_order_error",
-    "commuting_first_order_error",
     "product_error_split",
     "error_moment_integrals",
     "irreducible_decompose",
-    "perturbed_vector",
     "perturbed_propagator",
     "finite_difference_generator",
 ]
@@ -72,8 +70,6 @@ GENERAL_LINEAR = "general-linear"
 # Frobenius norm below which a per-unit-strength generator counts as
 # compensated: machine-precision algebra, far below any physical error.
 ROBUST_TOL = 1e-10
-
-_COMMUTE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -196,41 +192,9 @@ def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
     return e * x, e * y, e * z + channel.epsilon_prime * _lib(x).sqrt(x * x + y * y + z * z)
 
 
-def perturbed_vector(m, channel: ErrorChannel) -> np.ndarray:
-    """Rotation vector m + dm under the channel's deformation; m may be (..., 3)."""
-    m = _components(m)
-    return _assemble(*(a + b for a, b in zip(m, _deformation(*m, channel))))
-
-
 def pulse_error(m, channel: ErrorChannel) -> np.ndarray:
     """Per-pulse error generator dW = dm . sigma / 2."""
     return rotation_generator(_assemble(*_deformation(*_components(m), channel)))
-
-
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    import numpy as np
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def interaction_error_quadrature(m, generator: np.ndarray, nodes: int = 64) -> np.ndarray:
-    """Gauss-Legendre evaluation of the toggling-frame average
-    integral_0^1 exp(i x W) G exp(-i x W) dx with W = m . sigma / 2.
-
-    Converges spectrally in ``nodes`` (the integrand is entire); 64 nodes
-    put the result at machine precision for any |m| a sequence ships.
-    This is the defining integral and serves as the oracle for the closed
-    form in :func:`interaction_error`.
-    """
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    import numpy as np
-    m = np.asarray(m, dtype=float)
-    G = np.asarray(generator, dtype=complex)
-    x, w = _gauss_legendre(nodes)
-    E = rotation(-x[:, None] * m)  # exp(+i x W) at every node
-    return np.einsum("k,kij,jl,kml->im", w, E, G, E.conj())
 
 
 def _frame_average(x, y, z) -> tuple:
@@ -314,31 +278,6 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
         robust_to_off_resonance=n_det <= tolerance,
         tolerance=tolerance,
     )
-
-
-def commuting_first_order_error(seq, channel) -> np.ndarray:
-    """Accumulated error generator for a channel that commutes pulsewise.
-
-    When every per-pulse error generator commutes with its own pulse
-    (dm parallel to m) the toggling-frame average leaves it unchanged and
-    the accumulation is sum_i V_{i-1}^dag dW_i V_{i-1}.  ``channel`` may be a
-    bare float, read as a pulse-length strength (for which the commutation
-    always holds).
-
-    Raises ValueError if the channel does not commute on some pulse, that
-    is if the Frobenius norm |m x dm| / sqrt(2) of [W, dW] exceeds 1e-12.
-    """
-    if not isinstance(channel, ErrorChannel):
-        channel = ErrorChannel.pulse_length(float(channel))
-    vectors = _as_vectors(seq)
-    for i, (x, y, z) in enumerate(vectors):
-        a, b, c = _deformation(x, y, z, channel)
-        if _norm((y * c - z * b, z * a - x * c, x * b - y * a)) > _COMMUTE_TOL:  # m x dm
-            raise ValueError(
-                f"error generator does not commute with pulse {i}; "
-                "use first_order_error for non-commuting channels"
-            )
-    return rotation_generator(_generators(vectors, (channel,))[0])
 
 
 def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:

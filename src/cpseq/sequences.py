@@ -92,15 +92,34 @@ class Pulse:
         return rotation(self.vector)
 
 
+def _target_quaternion(target) -> tuple[float, float, float, float]:
+    """The unit quaternion of a target gate, global phase stripped.  Raises
+    ValueError unless ``target`` is a unitary 2x2 matrix or four numbers of
+    norm 1 within 1e-12."""
+    if len(target) != 4:
+        if not is_unitary(target):
+            raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix")
+        return _unit_quaternion(target)
+    try:
+        unit = tuple(map(float, target))
+    except TypeError:  # four rows, not four numbers
+        raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix") from None
+    norm = math.hypot(*unit)
+    if not abs(norm - 1) <= 1e-12:
+        raise ValueError(f"target quaternion must have norm 1, got {norm!r}")
+    return unit
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class PulseSequence:
     """An ordered pulse list with its declared target gate.
 
     ``pulses[0]`` is applied first, so the ideal propagator is
     R(m_k) ... R(m_1).  ``target`` is given as a unitary 2x2 matrix or as the
-    unit quaternion (w, x, y, z) of an SU(2) gate; a matrix that is not
-    unitary raises ValueError.  Only the target's unit quaternion is kept,
-    global phase stripped, and ``target`` reads back as its SU(2) matrix.
+    unit quaternion (w, x, y, z) of an SU(2) gate; anything else, a
+    quaternion of norm other than 1 included, raises ValueError.  Only the
+    target's unit quaternion is kept, global phase stripped, and ``target``
+    reads back as its SU(2) matrix.
     ``theta``/``phi``/``winding`` record the synthesis parameters when the
     sequence came from a synthesizer.  The underscored methods work on Python
     floats, the public ones return arrays.
@@ -114,12 +133,8 @@ class PulseSequence:
 
     def __init__(self, family: str, pulses, target, theta: float | None = None,
                  phi: float | None = None, winding: tuple[int, int, int] | None = None):
-        if len(target) != 4 and not is_unitary(target):
-            raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix")
-        # the target's unit quaternion, global phase stripped
-        unit = tuple(map(float, target)) if len(target) == 4 else _unit_quaternion(target)
         vars(self).update(family=family, pulses=tuple(pulses), theta=theta, phi=phi, winding=winding,
-                          _unit=unit)
+                          _unit=_target_quaternion(target))
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -407,15 +422,15 @@ def plain(theta: float, phi: float = 0.0) -> PulseSequence:
     return synthesize("plain", theta, phi)
 
 
-def corpse(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1, 2, 1)) -> PulseSequence:
+def corpse(theta: float, phi: float = 0.0, winding: tuple[int, int, int] | None = None) -> PulseSequence:
     """CORPSE: three collinear pulses cancelling the off-resonance error.
 
     The middle pulse is applied along the reversed axis (phi + pi).  Any
-    integer winding with all segment angles nonnegative is accepted; the
-    default (1, 2, 1) is the standard long CORPSE.  Windings with
-    n1 - n2 + n3 = 0 leave a residual first-order error exactly equal to the
-    pulse-length error of the target rotation itself, which is what the
-    concatenated sequence :func:`cis_cccp` relies on.
+    integer winding with all segment angles nonnegative is accepted; without
+    one, the registry's default (1, 2, 1) gives the standard long CORPSE.
+    Windings with n1 - n2 + n3 = 0 leave a residual first-order error exactly
+    equal to the pulse-length error of the target rotation itself, which is
+    what the concatenated sequence :func:`cis_cccp` relies on.
 
     For odd n1 + n2 + n3 the product equals minus the target; the gate is the
     same up to global phase.
@@ -432,14 +447,14 @@ def scrofulous(theta: float, phi: float = 0.0) -> PulseSequence:
     return synthesize("scrofulous", theta, phi)
 
 
-def cis_cccp(theta: float, phi: float = 0.0, winding: tuple[int, int, int] = (1, 1, 0)) -> PulseSequence:
+def cis_cccp(theta: float, phi: float = 0.0, winding: tuple[int, int, int] | None = None) -> PulseSequence:
     """CORPSE-in-SCROFULOUS concatenation: robust against both errors.
 
     Each of the three SCROFULOUS pulses is replaced by a CORPSE with the
-    given winding (shared by all three constituents).  The winding must
-    satisfy n1 - n2 + n3 = 0 so that each CORPSE's residual first-order
-    error is exactly the pulse-length error of its own target, which the
-    outer SCROFULOUS structure then cancels.
+    given winding (shared by all three constituents; the registry's default
+    is (1, 1, 0)).  The winding must satisfy n1 - n2 + n3 = 0 so that each
+    CORPSE's residual first-order error is exactly the pulse-length error of
+    its own target, which the outer SCROFULOUS structure then cancels.
     """
     return synthesize("cis-cccp", theta, phi, winding)
 

@@ -18,8 +18,7 @@ through ``PulseSequence._overlap``, the quaternion T^dag U.  These kernels
 take their components as Python floats or as numpy arrays of any broadcast
 batch shape, alike: on floats they use :mod:`math`, so a single sequence is
 handled without numpy.  numpy is imported only by the functions that take
-or return arrays, and by the matrix constants IDENTITY2, SIGMA_X, SIGMA_Y,
-SIGMA_Z and PAULIS, which are built on first access.
+or return arrays.
 
 All functions are pure; there is no shared mutable state, so concurrent use
 is safe.
@@ -37,42 +36,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "IDENTITY2",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "PAULIS",
-    "pauli_generator",
     "rotation",
     "quaternion",
-    "axis_angle",
     "compose",
-    "product",
-    "frames",
     "to_matrix",
-    "rotation_matrix",
     "rotation_generator",
-    "generator_vector",
-    "log_rotation",
-    "fidelity",
     "eig_unitary",
     "is_unitary",
-    "is_hermitian_traceless",
 ]
-
-# Below this rotation angle log_rotation reports no axis: R(m) ~ I.
-_SMALL_ANGLE = 1e-12
-
-
-def __getattr__(name):
-    """The matrix constants, built with numpy on first access (PEP 562)."""
-    if name not in ("IDENTITY2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULIS"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-    i2, sx, sy, sz = (np.array(m, dtype=complex) for m in (
-        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
-    globals().update(IDENTITY2=i2, SIGMA_X=sx, SIGMA_Y=sy, SIGMA_Z=sz, PAULIS=(sx, sy, sz))
-    return globals()[name]
 
 
 def _lib(x):
@@ -80,25 +51,11 @@ def _lib(x):
     return math if isinstance(x, (float, int)) else importlib.import_module("numpy")
 
 
-def pauli_generator(index: int) -> np.ndarray:
-    """Return tau_index = sigma_index / 2 for index in {1, 2, 3}."""
-    if index not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2 or 3, got {index!r}")
-    return rotation_generator([float(k == index) for k in (1, 2, 3)])
-
-
 def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:
     """Check U^dag U = I within ``tol`` (operator norm)."""
     import numpy as np
     U = np.asarray(U, dtype=complex)
     return U.shape == (2, 2) and np.linalg.norm(U.conj().T @ U - np.eye(2), ord=2) <= tol
-
-
-def is_hermitian_traceless(H: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check H = H^dag and Tr H = 0 within ``tol``."""
-    import numpy as np
-    H = np.asarray(H, dtype=complex)
-    return H.shape == (2, 2) and np.linalg.norm(H - H.conj().T, ord=2) <= tol and abs(np.trace(H)) <= tol
 
 
 def _components(q) -> list:
@@ -143,7 +100,9 @@ def _product(factors):
 
 
 def _half_angle(angle, x, y, z, length):
-    """:func:`axis_angle` as the tuple (w, x, y, z), floats or arrays alike."""
+    """Unit quaternion (cos(angle/2), sin(angle/2) (x, y, z)/length) of the rotation
+    by ``angle`` about the axis (x, y, z) of norm ``length``, floats or arrays
+    alike; a zero axis must come with a zero angle."""
     lib = _lib(angle)
     half = angle / 2
     scale = lib.sin(half) / (length + (length == 0.0))  # length 1 stands in for a zero axis
@@ -161,30 +120,9 @@ def quaternion(m) -> np.ndarray:
     return _assemble(*_quaternion(*_components(m)))
 
 
-def axis_angle(angle, x, y, z, length) -> np.ndarray:
-    """Unit quaternions (cos(angle/2), sin(angle/2) (x, y, z)/length) of rotations
-    by ``angle`` about the axes (x, y, z) of norm ``length``; a zero axis must
-    come with a zero angle.  All five arguments broadcast."""
-    return _assemble(*_half_angle(angle, x, y, z, length))
-
-
 def compose(p, q) -> np.ndarray:
     """Quaternion of the product P Q (P applied after Q); batch axes broadcast."""
     return _assemble(*_hamilton(_components(p), _components(q)))
-
-
-def product(qs) -> np.ndarray:
-    """Ordered product q_{n-1} ... q_0 of an (n, ..., 4) array (folded in Python
-    floats) or an iterable of broadcast-compatible factors, in application
-    order.  Only the running product is held, so a generator of batched factors
-    needs the memory of a few."""
-    return _assemble(*_product(qs.tolist() if getattr(qs, "ndim", None) == 2 else map(_components, qs)))
-
-
-def frames(qs) -> np.ndarray:
-    """Frames before each factor of an (n, 4) array: V_0 = 1, V_i = q_{i-1} ... q_0."""
-    import numpy as np
-    return np.array(list(_fold(np.asarray(qs, dtype=float).tolist()))[:-1]).reshape(-1, 4)
 
 
 def _matrix(w, x, y, z) -> np.ndarray:
@@ -199,16 +137,11 @@ def to_matrix(q) -> np.ndarray:
 
 
 def _bloch(w, x, y, z):
-    """Row-major entries of the Bloch rotation O of :func:`rotation_matrix`, floats or arrays alike."""
+    """Row-major entries of the Bloch rotation O of a quaternion,
+    U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho, floats or arrays alike."""
     return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
-
-
-def rotation_matrix(q) -> np.ndarray:
-    """Bloch rotations O of quaternions q: U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho."""
-    a = _assemble(*_bloch(*_components(q)))
-    return a.reshape(a.shape[:-1] + (3, 3))
 
 
 def _unit_quaternion(T):
@@ -230,48 +163,6 @@ def rotation_generator(m) -> np.ndarray:
     A batch of vectors (..., 3) gives a batch of generators (..., 2, 2).
     """
     return 0.5j * _matrix(0.0, *_components(m))
-
-
-def generator_vector(H: np.ndarray) -> np.ndarray:
-    """Coefficients of a Hermitian traceless H in the tau basis.
-
-    Inverse of :func:`rotation_generator`: H = v . sigma / 2 maps to v,
-    via v_mu = 2 Tr(H tau_mu) = Tr(H sigma_mu) (real parts, for any H).
-    """
-    import numpy as np
-    (a, b), (c, d) = np.asarray(H, dtype=complex)
-    return np.array([(b + c).real, (c - b).imag, (a - d).real])
-
-
-def log_rotation(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Principal rotation vector of a special-unitary U: inverse of rotation().
-
-    Returns m with |m| in [0, 2*pi) such that rotation(m) = U, except for
-    U = -I which is reported as (0, 0, 2*pi) (the one angle the principal
-    branch cannot represent with a well-defined axis).
-
-    Raises ValueError if U is not special-unitary within ``tol``.
-    """
-    import numpy as np
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, tol):
-        raise ValueError("log_rotation requires a unitary 2x2 matrix")
-    if abs(np.linalg.det(U) - 1) > tol:
-        raise ValueError("log_rotation requires det U = 1 (special unitary)")
-    c = float(np.clip(np.trace(U).real / 2, -1.0, 1.0))
-    half = np.arccos(c)
-    s = np.sin(half)
-    if s < _SMALL_ANGLE:
-        return np.zeros(3) if c > 0 else np.array([0.0, 0.0, 2 * np.pi])
-    # U - cI = -i sin(|m|/2) n.sigma, so n_mu = Tr(sigma_mu i(U - cI)) / (2 sin)
-    return 2 * half * generator_vector(1j * (U - c * np.eye(2))) / (2 * s)
-
-
-def fidelity(U: np.ndarray, V: np.ndarray) -> float:
-    """Phase-blind gate overlap |Tr(U^dag V)| / 2, clipped into [0, 1]."""
-    import numpy as np
-    f = abs(np.trace(np.asarray(U, dtype=complex).conj().T @ np.asarray(V, dtype=complex))) / 2
-    return float(min(f, 1.0))
 
 
 def _wrap(phase: float) -> float:

@@ -20,7 +20,6 @@ from cpseq.error_model import (
     finite_difference_generator,
     first_order_error,
     interaction_error,
-    interaction_error_quadrature,
     irreducible_decompose,
     perturbed_propagator,
     pulse_error,
@@ -35,9 +34,10 @@ from cpseq.sequences import (
     scrofulous,
     scrofulous_in_corpse,
 )
-from cpseq.su2 import SIGMA_X, SIGMA_Y, fidelity, rotation
+from cpseq.su2 import rotation
 
 from conftest import frob, random_xy_vector
+from loop_reference import SX, SY, fidelity, interaction_quadrature
 
 
 def report(number: int, description: str, ok: bool):
@@ -99,7 +99,7 @@ def test_criterion_03_corpse_residual_identity():
             theta = rng.uniform(0.1, 2 * np.pi - 0.1)
             phi = rng.uniform(0, 2 * np.pi)
             rep = first_order_error(corpse(theta, phi, winding), UNIT_LENGTH)
-            want = theta * (np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y) / 2
+            want = theta * (np.cos(phi) * SX + np.sin(phi) * SY) / 2
             worst = max(worst, frob(rep.generator, want))
     report(3, f"CORPSE residual equals the target's own pulse-length error "
               f"(worst gap {worst:.2e} <= 1e-10)", worst <= 1e-10)
@@ -112,7 +112,7 @@ def test_criterion_04_closed_form_matches_quadrature():
         m = random_xy_vector(rng)
         ch = ErrorChannel.combined(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         closed = interaction_error(m, ch)
-        quad = interaction_error_quadrature(m, pulse_error(m, ch), nodes=64)
+        quad = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
         worst = max(worst, frob(closed, quad))
     report(4, f"toggling-frame closed form matches 64-node quadrature "
               f"(worst {worst:.2e} <= 1e-10)", worst <= 1e-10)
@@ -202,10 +202,10 @@ def test_criterion_09_pi_pulse_appendix():
     c = np.arccos(-0.25)
     d_len = (block_product(length_block, ErrorChannel.pulse_length(h))
              - block_product(length_block, ErrorChannel.pulse_length(-h))) / (2 * h)
-    gap_len = frob(d_len, -2j * np.pi * np.cos(c) * SIGMA_X)
+    gap_len = frob(d_len, -2j * np.pi * np.cos(c) * SX)
     d_det = (block_product(detuning_block, ErrorChannel.off_resonance(h))
              - block_product(detuning_block, ErrorChannel.off_resonance(-h))) / (2 * h)
-    gap_det = frob(d_det, 4j * np.cos(c) * SIGMA_Y)
+    gap_det = frob(d_det, 4j * np.cos(c) * SY)
 
     rng = np.random.default_rng(109)
     worst_red = 0.0

@@ -14,7 +14,6 @@ from cpseq.analysis import (
     robust_area,
 )
 from cpseq.sequences import alway_jones, bb1, cis_cccp, corpse, plain, scrofulous, synthesize
-from cpseq.su2 import fidelity
 
 from conftest import frob
 

@@ -242,6 +242,15 @@ def test_empty_pulse_list_exits_2_with_json(runner, tmp_path, command):
     assert "pulses" in err["message"]
 
 
+@pytest.mark.parametrize("command", [["synth"], ["verify"], ["landscape", "--res", "3"]],
+                         ids=["synth", "verify", "landscape"])
+def test_output_into_a_missing_directory_exits_2_with_json(runner, tmp_path, command):
+    path = tmp_path / "missing" / "x.json"
+    result = invoke(runner, [*command, "--family", "plain", "--theta", "1", "--output", str(path)])
+    assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
+    assert _refused_with_json(result)["type"] == "FileNotFoundError"
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]",
     '"corpse"',

@@ -4,27 +4,24 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cpseq import error_model
 from cpseq.cli import main
 from cpseq.error_model import (
     ErrorChannel,
-    commuting_first_order_error,
     error_moment_integrals,
     finite_difference_generator,
     first_order_error,
     interaction_error,
-    interaction_error_quadrature,
     irreducible_decompose,
     perturbed_propagator,
-    perturbed_vector,
     product_error_split,
     pulse_error,
 )
 from cpseq.sequences import (_REGISTRY, Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous,
                              synthesize)
-from cpseq.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, fidelity, is_hermitian_traceless, rotation
+from cpseq.su2 import rotation
 
 from conftest import frob, random_xy_vector, theta_for
+from loop_reference import SX, SY, SZ, fidelity, interaction_quadrature
 
 
 def random_three_pulse(rng) -> PulseSequence:
@@ -50,12 +47,12 @@ def test_channel_kind_consistency():
 
 def test_pulse_error_pulse_length_term():
     got = pulse_error([np.pi, 0, 0], ErrorChannel.pulse_length(0.1))
-    assert frob(got, 0.1 * np.pi * SIGMA_X / 2) < 1e-14
+    assert frob(got, 0.1 * np.pi * SX / 2) < 1e-14
 
 
 def test_pulse_error_off_resonance_term():
     got = pulse_error([np.pi, 0, 0], ErrorChannel.off_resonance(0.1))
-    assert frob(got, 0.1 * np.pi * SIGMA_Z / 2) < 1e-14
+    assert frob(got, 0.1 * np.pi * SZ / 2) < 1e-14
 
 
 def test_pulse_error_zero_strengths():
@@ -68,7 +65,7 @@ def test_pulse_error_general_linear():
     m = np.array([1.0, 2.0, 0.0])
     got = pulse_error(m, ErrorChannel.general_linear(f, F))
     v = f + F @ m
-    expect = (v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z) / 2
+    expect = (v[0] * SX + v[1] * SY + v[2] * SZ) / 2
     assert frob(got, expect) < 1e-14
 
 
@@ -80,30 +77,30 @@ def test_interaction_error_full_two_pi_pulse_kills_detuning():
     ch = ErrorChannel.off_resonance(0.7)
     closed = interaction_error(m, ch)
     assert frob(closed) < 1e-12
-    quad = interaction_error_quadrature(m, pulse_error(m, ch), nodes=64)
+    quad = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
     assert frob(quad) < 1e-12
 
 
 def test_interaction_error_commuting_term_untouched():
     got = interaction_error([np.pi, 0, 0], ErrorChannel.pulse_length(0.1))
-    assert frob(got, 0.1 * np.pi * SIGMA_X / 2) < 1e-14
+    assert frob(got, 0.1 * np.pi * SX / 2) < 1e-14
 
 
 def test_interaction_error_quarter_pulse_detuning():
     # analytic integral of (cos(x theta) sz + sin(x theta) sy) over the pulse
     got = interaction_error([np.pi / 2, 0, 0], ErrorChannel.off_resonance(1.0))
     s = np.sin(np.pi / 4)
-    want = s * (np.cos(np.pi / 4) * SIGMA_Z + np.sin(np.pi / 4) * SIGMA_Y)
+    want = s * (np.cos(np.pi / 4) * SZ + np.sin(np.pi / 4) * SY)
     assert frob(got, want) < 1e-14
 
 
 def test_quadrature_zero_generator():
-    assert frob(interaction_error_quadrature([1.0, 0.5, 0], np.zeros((2, 2)))) == 0.0
+    assert frob(interaction_quadrature([1.0, 0.5, 0], np.zeros((2, 2)), nodes=64)) == 0.0
 
 
 def test_quadrature_matches_closed_form_single_case():
     m = [np.pi / 2, 0, 0]
-    got = interaction_error_quadrature(m, (np.pi / 2) * SIGMA_Z / 2, nodes=64)
+    got = interaction_quadrature(m, (np.pi / 2) * SZ / 2, nodes=64)
     want = interaction_error(m, ErrorChannel.off_resonance(1.0))
     assert frob(got, want) < 1e-12
 
@@ -111,8 +108,8 @@ def test_quadrature_matches_closed_form_single_case():
 def test_quadrature_z_axis_pulse_rotation_average():
     # W = pi sz / 2 conjugates sx/2 into (cos(pi x) sx - sin(pi x) sy) / 2;
     # integrating over x in [0, 1] leaves -(2/pi) sy / 2.
-    got = interaction_error_quadrature([0, 0, np.pi], SIGMA_X / 2, nodes=64)
-    want = -(2 / np.pi) * SIGMA_Y / 2
+    got = interaction_quadrature([0, 0, np.pi], SX / 2, nodes=64)
+    want = -(2 / np.pi) * SY / 2
     assert frob(got, want) < 1e-12
 
 
@@ -123,7 +120,7 @@ def test_closed_form_vs_quadrature_200_random():
         m = random_xy_vector(rng)
         ch = ErrorChannel.combined(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         closed = interaction_error(m, ch)
-        quad = interaction_error_quadrature(m, pulse_error(m, ch), nodes=64)
+        quad = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
         worst = max(worst, frob(closed, quad))
     assert worst < 1e-10
 
@@ -133,7 +130,8 @@ def test_interaction_error_hermitian():
     for _ in range(50):
         m = random_xy_vector(rng)
         ch = ErrorChannel.combined(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        assert is_hermitian_traceless(interaction_error(m, ch), tol=1e-12)
+        H = interaction_error(m, ch)
+        assert frob(H, H.conj().T) <= 1e-12 and abs(np.trace(H)) <= 1e-12
 
 
 def test_interaction_error_general_linear_off_axis_pulse():
@@ -153,7 +151,7 @@ def test_interaction_error_general_linear_off_axis_pulse():
             warnings.simplefilter("error")
             got = interaction_error(m, ch)
         assert np.isfinite(got).all()
-        want = interaction_error_quadrature(m, pulse_error(m, ch), nodes=64)
+        want = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
         assert frob(got, want) < 1e-13
 
 
@@ -161,7 +159,7 @@ def test_interaction_error_general_linear_off_axis_pulse():
 
 def test_first_order_single_pulse():
     rep = first_order_error(plain(np.pi, 0.0), ErrorChannel.pulse_length(1.0))
-    assert frob(rep.generator, np.pi * SIGMA_X / 2) < 1e-12
+    assert frob(rep.generator, np.pi * SX / 2) < 1e-12
 
 
 def test_first_order_corpse_detuning_cancels():
@@ -175,7 +173,7 @@ def test_first_order_corpse_residual_is_target_pulse_length_error():
     for winding in ((1, 1, 0), (1, 2, 1)):
         theta, phi = rng.uniform(0.2, 2 * np.pi - 0.2), rng.uniform(0, 2 * np.pi)
         rep = first_order_error(corpse(theta, phi, winding), ErrorChannel.pulse_length(1.0))
-        target_error = theta * (np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y) / 2
+        target_error = theta * (np.cos(phi) * SX + np.sin(phi) * SY) / 2
         assert frob(rep.generator, target_error) < 1e-10
 
 
@@ -192,51 +190,29 @@ def test_first_order_generator_hermitian():
     rng = np.random.default_rng(13)
     for _ in range(20):
         seq = random_three_pulse(rng)
-        rep = first_order_error(seq, ErrorChannel.combined(0.1, 0.07))
-        assert is_hermitian_traceless(rep.generator, tol=1e-12)
+        H = first_order_error(seq, ErrorChannel.combined(0.1, 0.07)).generator
+        assert frob(H, H.conj().T) <= 1e-12 and abs(np.trace(H)) <= 1e-12
 
+
+# a pulse-length error commutes with its pulse: no toggling-frame rotation
 
 def test_commuting_accumulation_plain_pulse():
-    got = commuting_first_order_error(plain(np.pi, 0.0), 1.0)
-    assert frob(got, np.pi * SIGMA_X / 2) < 1e-14
+    got = first_order_error(plain(np.pi, 0.0), ErrorChannel.pulse_length(1.0)).generator
+    assert frob(got, np.pi * SX / 2) < 1e-14
 
 
 def test_commuting_accumulation_scrofulous_cancels():
-    got = commuting_first_order_error(scrofulous(np.pi, 0.0), 1.0)
+    got = first_order_error(scrofulous(np.pi, 0.0), ErrorChannel.pulse_length(1.0)).generator
     assert frob(got) < 1e-10
-
-
-def test_commuting_matches_general_accumulation():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        seq = random_three_pulse(rng)
-        eps = rng.uniform(-0.3, 0.3)
-        fast = commuting_first_order_error(seq, eps)
-        full = first_order_error(seq, ErrorChannel.pulse_length(eps)).generator
-        assert frob(fast, full) < 1e-12
-    # f_linear = c I scales every pulse, z components included, so it commutes
-    for _ in range(20):
-        vectors = rng.normal(scale=2.0, size=(4, 3))
-        ch = ErrorChannel.general_linear(f_linear=rng.uniform(-0.3, 0.3) * np.eye(3))
-        fast = commuting_first_order_error(vectors, ch)
-        assert frob(fast, first_order_error(vectors, ch).generator) < 1e-12
-
-
-def test_commuting_rejects_non_commuting_channel():
-    with pytest.raises(ValueError):
-        commuting_first_order_error(plain(np.pi, 0.0), ErrorChannel.off_resonance(0.1))
-    # a z-axis pulse commutes with the off-resonance error; a tilted one does not
-    with pytest.raises(ValueError, match="pulse 1"):
-        commuting_first_order_error([[0, 0, 1.0], [0.3, -0.4, 1.2]], ErrorChannel.off_resonance(0.1))
 
 
 def test_no_library_path_runs_a_quadrature(monkeypatch):
     def refuse(nodes):
         raise AssertionError("Gauss-Legendre quadrature outside the oracle")
 
-    monkeypatch.setattr(error_model, "_gauss_legendre", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
     with pytest.raises(AssertionError):
-        interaction_error_quadrature([1.0, 0.0, 0.0], SIGMA_X / 2)
+        interaction_quadrature([1.0, 0.0, 0.0], SX / 2, nodes=64)
     rng = np.random.default_rng(57)
     channels = (ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1),
                 ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))))
@@ -247,7 +223,7 @@ def test_no_library_path_runs_a_quadrature(monkeypatch):
         for vectors in (seq, tilted):
             for ch in channels:
                 first_order_error(vectors, ch)
-            commuting_first_order_error(vectors, ErrorChannel.general_linear(f_linear=0.1 * np.eye(3)))
+            first_order_error(vectors, ErrorChannel.general_linear(f_linear=0.1 * np.eye(3)))
             error_moment_integrals(vectors)
         theta = [] if family == "alway-jones" else ["--theta", "1.3"]
         result = runner.invoke(main, ["verify", "--family", family, *theta], catch_exceptions=False)
@@ -278,7 +254,7 @@ def test_product_split_scrofulous():
     assert frob(length_part) < 1e-10
     # the residual detuning term is NOT the bare off-resonance error of the
     # target, which is why the reverse concatenation fails
-    assert frob(detuning_part, SIGMA_Z * np.sin(np.pi / 2)) > 0.1
+    assert frob(detuning_part, SZ * np.sin(np.pi / 2)) > 0.1
 
 
 def test_product_split_requires_three_pulses():
@@ -352,8 +328,9 @@ def test_perturbed_propagator_plain_pulse_closed_forms():
 
 
 def test_perturbed_vector_general_linear():
+    # m + f + F m = (1.15, 2.1, 0) for m = (1, 2, 0)
     ch = ErrorChannel.general_linear([0.1, 0, 0], 0.05 * np.eye(3))
-    assert np.allclose(perturbed_vector([1, 2, 0], ch), [1.15, 2.1, 0.0])
+    assert frob(perturbed_propagator([[1, 2, 0]], ch), rotation([1.15, 2.1, 0.0])) < 1e-14
 
 
 # ------------------------------------------------------ finite differences
@@ -365,7 +342,7 @@ def test_fd_oracle_compensated_channel():
 
 def test_fd_oracle_plain_pulse():
     got = finite_difference_generator(plain(np.pi, 0.0), ErrorChannel.pulse_length(1.0), step=1e-5)
-    assert frob(got, np.pi * SIGMA_X / 2) < 1e-4
+    assert frob(got, np.pi * SX / 2) < 1e-4
 
 
 def test_fd_oracle_concatenated_both_channels():
@@ -390,7 +367,7 @@ def test_fd_oracle_general_linear_channel():
         analytic = first_order_error(seq, ch).generator
         fd = finite_difference_generator(seq, ch, step=1e-5)
         assert frob(analytic, fd) < 1e-4
-        assert is_hermitian_traceless(analytic, tol=1e-12)
+        assert frob(analytic, analytic.conj().T) <= 1e-12 and abs(np.trace(analytic)) <= 1e-12
 
 
 def test_fd_oracle_step_validation():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cpseq.analysis import AXES, _DIRECTIONS, _infidelities, infidelity_scaling
 from cpseq.error_model import _frame_average
 from cpseq.sequences import _REGISTRY, synthesize
-from cpseq.su2 import _bloch, _half_angle, _product, _quaternion, product
+from cpseq.su2 import _bloch, _half_angle, _product, _quaternion
 
 from conftest import theta_for
 
@@ -53,9 +53,6 @@ def test_half_angle_and_product_are_one_kernel(ulps, rotations):
         planes.append(_half_angle(*(np.array([v]) for v in (angle, x, y, z, length))))
         assert ulp_gap(floats[-1], planes[-1]) <= ulps
     assert ulp_gap(_product(floats), _product(planes)) <= ulps
-    # the public product folds an (n, 4) array on floats, a batched one on planes
-    qs = np.array(floats)
-    assert ulp_gap(product(qs), product(qs[:, None, :])) <= ulps
 
 
 @BOUND

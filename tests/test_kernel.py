@@ -1,8 +1,8 @@
 """The quaternion product kernel against the plain-loop reference.
 
 Tolerances are fixed in advance: products 1e-14, landscape cells 1e-13
-(and bitwise against the trace formula), moment integrals 1e-12,
-toggling-frame quadrature 1e-14 (all max-abs).
+(and bitwise against the trace formula), moment integrals 1e-12
+(all max-abs).
 """
 
 import numpy as np
@@ -16,13 +16,12 @@ from cpseq.analysis import _products, landscape
 from cpseq.error_model import (
     ErrorChannel,
     error_moment_integrals,
-    interaction_error_quadrature,
     perturbed_propagator,
 )
 from cpseq.sequences import _REGISTRY, PulseSequence, synthesize
-from cpseq.su2 import compose, product, quaternion, to_matrix
+from cpseq.su2 import _product, compose, quaternion, to_matrix
 
-from conftest import random_xy_vector, theta_for
+from conftest import theta_for
 
 SYNTH_FAMILIES = list(_REGISTRY)
 TARGETS = [(1.3, 0.4), (np.pi / 2, 2.9), (3.0, 5.5)]
@@ -113,17 +112,6 @@ def test_moments_match_node_loop_with_zero_angle_pulse():
         assert max_abs(got.second_moment, second) <= 1e-12
 
 
-def test_interaction_quadrature_matches_node_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        m = random_xy_vector(rng) + np.array([0.0, 0.0, rng.normal()])
-        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        G = (A + A.conj().T) / 2
-        for nodes in (2, 64):
-            got = interaction_error_quadrature(m, G, nodes)
-            assert max_abs(got, ref.interaction_quadrature(m, G, nodes)) <= 1e-14
-
-
 batch_shapes = st.one_of(
     st.just(()),
     st.tuples(st.integers(1, 4)),
@@ -146,7 +134,7 @@ def test_hamilton_product_is_the_matrix_product(vs):
     assert np.all(np.abs(np.linalg.norm(qs, axis=-1) - 1) <= 4e-15)
     batch = vs.shape[1:-1]
     pair = compose(qs[-1], qs[0])
-    full = product(qs)
+    full = np.stack(_product(np.moveaxis(qs, -1, 1)), axis=-1)
     for index in np.ndindex(*batch):
         column = [v[index] for v in vs]
         want_pair = ref.rotation(column[-1]) @ ref.rotation(column[0])

@@ -1,5 +1,6 @@
 """The family registry: one row per family, concatenation by the paper's rule."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cpseq.cli import main
 from cpseq.error_model import ErrorChannel, first_order_error
+from cpseq import sequences
 from cpseq.ioutil import dumps
 from cpseq.sequences import (
     _REGISTRY,
@@ -82,6 +84,15 @@ def test_corpse_in_bb1_cancels_both_channels(theta):
 def test_family_without_default_winding_refuses_one(family):
     with pytest.raises(ValueError, match="takes no winding"):
         synthesize(family, np.pi, 0.0, (5, 5, 5))
+
+
+@pytest.mark.parametrize("family", list(_REGISTRY))
+def test_family_function_default_winding_is_the_registry_row(family):
+    fn = getattr(sequences, family.replace("-", "_"))
+    params = inspect.signature(fn).parameters
+    assert "winding" not in params or params["winding"].default is None
+    # alway_jones reads the 1.0 as its axis azimuth
+    assert fn(1.0).winding == _REGISTRY[family].winding
 
 
 def test_alway_jones_refuses_theta_other_than_pi():

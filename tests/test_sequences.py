@@ -19,9 +19,10 @@ from cpseq.sequences import (
     sequence_to_dict,
     synthesize,
 )
-from cpseq.su2 import SIGMA_Y, fidelity, rotation
+from cpseq.su2 import rotation
 
 from conftest import frob
+from loop_reference import fidelity
 
 
 def xy(theta, phi):
@@ -63,6 +64,16 @@ def test_sequence_target_is_phase_stripped_and_must_be_unitary():
     for T in (2 * U, np.zeros((2, 2)), [[1.0, 0.0], [0.0, 1.1]], np.eye(3)):
         with pytest.raises(ValueError, match="unitary"):
             PulseSequence("custom", (), T)
+
+
+def test_sequence_target_quaternion_must_have_unit_norm():
+    pulses = (Pulse(1.0, 0.0),)
+    assert PulseSequence("custom", pulses, (1.0, 0.0, 0.0, 0.0))._fidelity() == pytest.approx(np.cos(0.5))
+    for T in ((2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="norm 1"):
+            PulseSequence("custom", pulses, T)
+    with pytest.raises(ValueError, match="unit quaternion or a unitary 2x2 matrix"):
+        PulseSequence("custom", pulses, np.eye(4))
 
 
 def test_plain_pi_about_y():

@@ -1,67 +1,56 @@
 import numpy as np
 import pytest
 
+from cpseq.sequences import Pulse, PulseSequence
 from cpseq.su2 import (
-    IDENTITY2,
-    PAULIS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    axis_angle,
+    _bloch,
+    _fold,
+    _half_angle,
+    _product,
     compose,
     eig_unitary,
-    fidelity,
-    frames,
-    product,
     quaternion,
-    rotation_matrix,
     to_matrix,
-    is_hermitian_traceless,
-    log_rotation,
-    pauli_generator,
     rotation,
     rotation_generator,
-    generator_vector,
 )
 
 from conftest import frob, random_su2
 import loop_reference as ref
+from loop_reference import I2, SX, SY, SZ
+
+PAULIS = (SX, SY, SZ)
 
 
 def test_pauli_generator_definition():
-    assert frob(pauli_generator(3), np.diag([0.5, -0.5])) < 1e-15
-    assert frob(pauli_generator(1), SIGMA_X / 2) < 1e-15
+    # the generators tau_mu = sigma_mu / 2 are rotation_generator of the unit vectors
+    assert frob(rotation_generator([0.0, 0.0, 1.0]), np.diag([0.5, -0.5])) < 1e-15
+    assert frob(rotation_generator([1.0, 0.0, 0.0]), SX / 2) < 1e-15
 
 
 def test_pauli_orthogonality_and_normalisation():
-    t1, t2 = pauli_generator(1), pauli_generator(2)
+    t1, t2 = rotation_generator([1.0, 0.0, 0.0]), rotation_generator([0.0, 1.0, 0.0])
     assert abs(np.trace(t1 @ t2)) < 1e-15
     assert abs(np.trace(t1 @ t1) - 0.5) < 1e-15
 
 
-@pytest.mark.parametrize("bad", [0, 4, -1])
-def test_pauli_generator_rejects_bad_index(bad):
-    with pytest.raises(ValueError):
-        pauli_generator(bad)
-
-
 def test_rotation_identity():
-    assert frob(rotation([0, 0, 0]), IDENTITY2) == 0.0
+    assert frob(rotation([0, 0, 0]), I2) == 0.0
 
 
 def test_rotation_pi_about_x():
-    assert frob(rotation([np.pi, 0, 0]), -1j * SIGMA_X) < 1e-15
+    assert frob(rotation([np.pi, 0, 0]), -1j * SX) < 1e-15
 
 
 def test_rotation_two_pi_is_minus_identity():
-    assert frob(rotation([0, 0, 2 * np.pi]), -IDENTITY2) < 1e-15
+    assert frob(rotation([0, 0, 2 * np.pi]), -I2) < 1e-15
 
 
 def test_rotation_group_property():
     rng = np.random.default_rng(2)
     for _ in range(50):
         U = rotation(rng.normal(size=3)) @ rotation(rng.normal(size=3))
-        assert frob(U.conj().T @ U, IDENTITY2) < 1e-12
+        assert frob(U.conj().T @ U, I2) < 1e-12
         assert abs(np.linalg.det(U) - 1) < 1e-12
 
 
@@ -77,46 +66,26 @@ def test_rotation_generator_roundtrip():
     rng = np.random.default_rng(4)
     m = rng.normal(size=3)
     H = rotation_generator(m)
-    assert is_hermitian_traceless(H)
-    assert np.allclose(generator_vector(H), m, atol=1e-14)
+    assert frob(H, H.conj().T) <= 1e-12 and abs(np.trace(H)) <= 1e-12
+    # m_mu = Tr(H sigma_mu) recovers the vector
+    assert np.allclose([np.trace(H @ s).real for s in PAULIS], m, atol=1e-14)
 
 
-def test_log_rotation_identity_and_pi_pulse():
-    assert np.allclose(log_rotation(IDENTITY2), 0.0)
-    assert np.allclose(log_rotation(-1j * SIGMA_X), [np.pi, 0, 0], atol=1e-12)
-
-
-def test_log_rotation_minus_identity_convention():
-    assert np.allclose(log_rotation(-IDENTITY2), [0, 0, 2 * np.pi])
-
-
-def test_log_rotation_roundtrip_100_random():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = rng.normal(size=3)
-        m = n / np.linalg.norm(n) * rng.uniform(0.05, 2 * np.pi - 0.05)
-        back = log_rotation(rotation(m))
-        assert np.max(np.abs(back - m)) < 1e-9
-        assert fidelity(rotation(back), rotation(m)) > 1 - 1e-10
-
-
-def test_log_rotation_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        log_rotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
-
+# the phase-blind fidelity |Tr(T^dag U)| / 2 of a sequence to its target
 
 def test_fidelity_self_and_global_phase():
     rng = np.random.default_rng(6)
-    U = random_su2(rng)
-    assert abs(fidelity(U, U) - 1) < 1e-14
+    a, b = (Pulse(rng.uniform(0.1, 2 * np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(2))
+    U = rotation(b.vector) @ rotation(a.vector)
+    assert abs(PulseSequence("custom", (a, b), U)._fidelity() - 1) < 1e-14
     for _ in range(10):
         alpha = rng.uniform(0, 2 * np.pi)
-        assert abs(fidelity(U, np.exp(1j * alpha) * U) - 1) < 1e-12
+        assert abs(PulseSequence("custom", (a, b), np.exp(1j * alpha) * U)._fidelity() - 1) < 1e-12
 
 
 def test_fidelity_examples():
-    assert abs(fidelity(IDENTITY2, -IDENTITY2) - 1) < 1e-15
-    assert fidelity(IDENTITY2, rotation([np.pi, 0, 0])) < 1e-15
+    assert abs(PulseSequence("custom", (), -I2)._fidelity() - 1) < 1e-15
+    assert PulseSequence("custom", (Pulse(np.pi, 0.0),), I2)._fidelity() < 1e-15
 
 
 def test_eig_unitary_diagonal_example():
@@ -128,20 +97,20 @@ def test_eig_unitary_diagonal_example():
 
 
 def test_eig_unitary_pi_pulse():
-    (g0, v0), (g1, v1) = eig_unitary(-1j * SIGMA_X)
+    (g0, v0), (g1, v1) = eig_unitary(-1j * SX)
     assert abs(g0 + np.pi / 2) < 1e-14 and abs(g1 - np.pi / 2) < 1e-14
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
     assert abs(abs(np.vdot(plus, v0)) - 1) < 1e-12
     assert abs(abs(np.vdot(minus, v1)) - 1) < 1e-12
     # eigen-relation and orthonormality
-    U = -1j * SIGMA_X
+    U = -1j * SX
     assert np.linalg.norm(U @ v0 - np.exp(1j * g0) * v0) < 1e-12
     assert abs(np.vdot(v0, v1)) < 1e-12
 
 
 def test_eig_unitary_degenerate_convention():
-    pairs = eig_unitary(IDENTITY2)
+    pairs = eig_unitary(I2)
     assert pairs[0][0] == 0.0 and pairs[1][0] == 0.0
     assert np.allclose(pairs[0][1], [1, 0]) and np.allclose(pairs[1][1], [0, 1])
 
@@ -187,9 +156,9 @@ def test_eig_unitary_phases_match_eigvals():
 
 
 def test_eig_unitary_degenerate_keeps_global_phase():
-    pairs = eig_unitary(np.exp(0.7j) * IDENTITY2)
+    pairs = eig_unitary(np.exp(0.7j) * I2)
     assert abs(pairs[0][0] - 0.7) < 1e-15 and abs(pairs[1][0] - 0.7) < 1e-15
-    pairs = eig_unitary(-IDENTITY2)
+    pairs = eig_unitary(-I2)
     assert pairs[0][0] == pairs[1][0] == np.pi
     assert np.allclose(pairs[0][1], [1, 0]) and np.allclose(pairs[1][1], [0, 1])
 
@@ -207,11 +176,11 @@ def test_axis_angle_broadcasts_and_matches_the_loop():
     n = rng.normal(size=(4, 3))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     length = rng.uniform(0.5, 2.0, size=4)
-    q = axis_angle(angle, *(length * n.T), length)
+    q = np.stack(np.broadcast_arrays(*_half_angle(angle, *(length * n.T), length)), axis=-1)
     assert q.shape == (3, 4, 4)
     for i, j in np.ndindex(3, 4):
         assert frob(to_matrix(q[i, j]), ref.rotation(angle[i, 0] * n[j])) < 1e-15
-    assert np.array_equal(axis_angle(0.0, 0.0, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0, 0.0])
+    assert _half_angle(0.0, 0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_rotation_of_a_batch_matches_the_loop():
@@ -224,22 +193,26 @@ def test_rotation_of_a_batch_matches_the_loop():
 
 
 def test_product_of_no_factors_is_identity():
-    assert np.array_equal(product(np.zeros((0, 4))), [1.0, 0.0, 0.0, 0.0])
+    assert _product([]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_product_accepts_a_generator_of_batched_factors():
+    # batched factors fold plane by plane, and bit for bit as each column alone
     rng = np.random.default_rng(14)
     ms = rng.normal(size=(5, 3, 2, 3))
-    qs = quaternion(ms)
-    assert np.array_equal(product(q for q in qs), product(qs))
+    planes = np.moveaxis(quaternion(ms), -1, 1)
+    full = np.stack(_product(q for q in planes), axis=-1)
+    for index in np.ndindex(3, 2):
+        column = [q[(slice(None), *index)].tolist() for q in planes]
+        assert full[index].tolist() == list(_product(column))
 
 
 def test_frames_are_the_products_before_each_factor():
     rng = np.random.default_rng(15)
     ms = rng.normal(size=(6, 3))
-    V = frames(quaternion(ms))
-    assert np.array_equal(V[0], [1.0, 0.0, 0.0, 0.0])
-    for i in range(1, 6):
+    V = list(_fold(quaternion(ms).tolist()))
+    assert len(V) == 7 and V[0] == (1.0, 0.0, 0.0, 0.0)
+    for i in range(1, 7):
         assert frob(to_matrix(V[i]), ref.product(ms[:i])) < 1e-14
 
 
@@ -256,7 +229,7 @@ def test_rotation_matrix_is_the_adjoint_action():
     rng = np.random.default_rng(17)
     for _ in range(20):
         q = quaternion(rng.normal(size=3))
-        U, O = to_matrix(q), rotation_matrix(q)
+        U, O = to_matrix(q), np.reshape(_bloch(*q), (3, 3))
         for mu in range(3):
             back = U.conj().T @ PAULIS[mu] @ U
             assert frob(back, sum(O[mu, rho] * PAULIS[rho] for rho in range(3))) < 1e-14
