@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .error_model import ErrorChannel, _generators
-from .sequences import PulseSequence
+from .sequences import PulseSequence, _Record
 from .su2 import _eig, _half_angle, _lib, _product, _wrap
 
 if TYPE_CHECKING:
@@ -48,33 +47,30 @@ DEFAULT_SCALING_LADDER = (1e-3, 2e-3, 4e-3, 8e-3, 1e-2)
 _BLOCK_CELLS = 16384
 
 
-@dataclass(frozen=True, eq=False)
-class LandscapeGrid:
+class LandscapeGrid(_Record):
     """Sampled fidelity over an (eps, eps_prime) rectangle.
 
     ``fidelity[i, j]`` belongs to (eps_values[i], eps_prime_values[j]).
     """
 
-    eps_values: np.ndarray
-    eps_prime_values: np.ndarray
-    fidelity: np.ndarray
-    family: str
+    __slots__ = ("eps_values", "eps_prime_values", "fidelity", "family")
+
+    def __init__(self, eps_values: np.ndarray, eps_prime_values: np.ndarray, fidelity: np.ndarray,
+                 family: str):
+        super().__init__(eps_values, eps_prime_values, fidelity, family)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingFit:
+class ScalingFit(_Record):
     """Log-log fit of infidelity against error strength along one axis."""
 
-    axis: str
-    slope: float
-    intercept: float
-    strengths: np.ndarray
-    infidelities: np.ndarray
-    dropped: tuple[float, ...]
+    __slots__ = ("axis", "slope", "intercept", "strengths", "infidelities", "dropped")
+
+    def __init__(self, axis: str, slope: float, intercept: float, strengths: np.ndarray,
+                 infidelities: np.ndarray, dropped: tuple[float, ...]):
+        super().__init__(axis, slope, intercept, strengths, infidelities, dropped)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseReport:
+class PhaseReport(_Record):
     """Total, dynamical and geometric phases of the two cyclic states.
 
     States are sorted by ascending total phase; all phases are reduced
@@ -82,11 +78,11 @@ class PhaseReport:
     the identity, for which the computational basis convention applies.
     """
 
-    total: np.ndarray
-    dynamical: np.ndarray
-    geometric: np.ndarray
-    states: np.ndarray
-    degenerate: bool
+    __slots__ = ("total", "dynamical", "geometric", "states", "degenerate")
+
+    def __init__(self, total: np.ndarray, dynamical: np.ndarray, geometric: np.ndarray,
+                 states: np.ndarray, degenerate: bool):
+        super().__init__(total, dynamical, geometric, states, degenerate)
 
 
 def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> float:

@@ -4,26 +4,50 @@ Subcommands: synth, verify, landscape, phase, scaling, reduce.  Angles on
 the command line accept decimal radians or ``pi`` fractions (``pi``,
 ``pi/2``, ``3pi/4``, ``-pi/3``, ``2*pi/3``).  All outputs are deterministic:
 identical invocations produce identical bytes.  Exit codes: 0 success,
-2 usage or parse failure, 3 verification failure.
+2 usage or parse failure, 3 verification failure.  Every refusal, the
+parser's own included, writes one JSON document
+``{"error": {"type": ..., "message": ...}}`` to stderr.
+
+A command imports only what it runs: ``synth`` and ``reduce`` load
+``sequences`` (with ``su2``) and ``ioutil``; ``verify`` adds
+``error_model``; ``phase`` and ``scaling`` add ``analysis``; ``landscape``
+adds numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import re
 import sys
 
-import click
-
-from . import analysis, error_model, sequences
+from . import __version__, sequences
 from .ioutil import dumps
 
 _PI_FORM = re.compile(
     r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+\.?\d*))?$",
     re.IGNORECASE,
 )
+
+
+class UsageError(Exception):
+    """A refusal: ``main`` writes it as one JSON error document and exits 2.
+    ``kind`` is the document's type, the class name unless given."""
+
+    def __init__(self, message: str, kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind or type(self).__name__
+
+
+class BadParameter(UsageError):
+    """A command-line value that does not parse."""
+
+
+def _refusal(exc: Exception) -> UsageError:
+    """A library error as a refusal, typed by its class name."""
+    return UsageError(str(exc), type(exc).__name__)
 
 
 def parse_angle(text: str) -> float:
@@ -38,149 +62,142 @@ def parse_angle(text: str) -> float:
         else:
             angle = float(text)
     except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"cannot parse angle {text!r}")
+        raise BadParameter(f"cannot parse angle {text!r}") from None
     if not math.isfinite(angle):
-        raise click.BadParameter(f"angle must be finite, got {text!r}")
+        raise BadParameter(f"angle must be finite, got {text!r}")
     return angle
 
 
-class AngleParam(click.ParamType):
-    name = "angle"
-
-    def __init__(self, nonnegative: bool = False):
-        self.nonnegative = nonnegative
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, float):
-            return value
-        angle = parse_angle(value)
-        if self.nonnegative and angle < 0:
-            self.fail(f"{param.name if param else 'angle'} must be nonnegative, got {value!r}",
-                      param, ctx)
-        return angle
+# ---- option values: each raises ValueError with the reason it refuses ----------
 
 
-ANGLE = AngleParam()
-NONNEG_ANGLE = AngleParam(nonnegative=True)
+def _theta(text: str) -> float:
+    angle = parse_angle(text)
+    if angle < 0:
+        raise ValueError(f"theta must be nonnegative, got {text!r}")
+    return angle
 
 
-class WindingParam(click.ParamType):
-    name = "winding"
+def _winding(text: str) -> tuple[int, ...]:
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"winding must be three comma-separated integers, got {text!r}") from None
+    if len(parts) != 3:
+        raise ValueError(f"winding must have exactly three entries, got {text!r}")
+    return parts
 
-    def convert(self, value, param, ctx):
-        if value is None or isinstance(value, tuple):
-            return value
+
+def _range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"range must be 'lo,hi', got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite, got {text!r}")
+    if not lo < hi:
+        raise ValueError(f"range must be increasing, got {text!r}")
+    return lo, hi
+
+
+def _resolution(text: str) -> int:
+    try:
+        res = int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer") from None
+    if res < 2:
+        raise ValueError(f"{res} is not in the range x>=2.")
+    return res
+
+
+def _input_file(text: str) -> str:
+    if text == "-":  # stdin
+        return text
+    if not os.path.exists(text):
+        raise ValueError(f"File {text!r} does not exist.")
+    return _output_file(text)
+
+
+def _output_file(text: str) -> str:
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    return text
+
+
+def _add(parser, flag: str, convert=str, default=None, help=None, choices=None, required=False):
+    """Add ``flag``, whose value ``convert`` parses; a refused value raises
+    BadParameter, "Invalid value for '--flag': <reason>"."""
+
+    def parse(text: str):
         try:
-            parts = tuple(int(p) for p in value.split(","))
-        except ValueError:
-            self.fail(f"winding must be three comma-separated integers, got {value!r}", param, ctx)
-        if len(parts) != 3:
-            self.fail(f"winding must have exactly three entries, got {value!r}", param, ctx)
-        return parts
-
-
-class RangeParam(click.ParamType):
-    name = "range"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
+            value = convert(text)
+            if choices is not None and value not in choices:
+                raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
             return value
-        try:
-            lo, hi = (float(p) for p in value.split(","))
-        except ValueError:
-            self.fail(f"range must be 'lo,hi', got {value!r}", param, ctx)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            self.fail(f"range bounds must be finite, got {value!r}", param, ctx)
-        if not lo < hi:
-            self.fail(f"range must be increasing, got {value!r}", param, ctx)
-        return lo, hi
+        except (ValueError, UsageError) as exc:
+            raise BadParameter(f"Invalid value for '{flag}': {exc}") from None
+
+    parser.add_argument(flag, type=parse, default=default, help=help, required=required,
+                        metavar="{" + ",".join(choices) + "}" if choices else None)
 
 
-def _fail(kind: str, message: str, code: int = 2):
-    click.echo(dumps({"error": {"type": kind, "message": message}}), err=True)
-    sys.exit(code)
+# ---- commands: each takes the parsed options and returns its exit code --------
 
 
 def _emit(text: str, output: str | None):
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            _fail(type(exc).__name__, str(exc))
-    else:
-        click.echo(text)
+    if not output:
+        sys.stdout.write(text + "\n")
+        return
+    try:
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise _refusal(exc) from None
 
 
 def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequences.PulseSequence:
     if theta is None:
         lo, hi, _ = sequences._REGISTRY[family].domain
         if lo != hi:
-            raise click.UsageError(f"--theta is required for family {family!r}")
+            raise UsageError(f"--theta is required for family {family!r}")
         theta = lo  # a one-point domain needs no --theta
     try:
         return sequences.synthesize(family, theta, phi, winding)
-    except (sequences.SynthesisError, sequences.WindingError, ValueError) as exc:
-        _fail(type(exc).__name__, str(exc))
+    except (sequences.SynthesisError, ValueError) as exc:
+        raise _refusal(exc) from None
 
 
-def _load_or_synth(input_path, family, theta, phi, winding) -> sequences.PulseSequence:
-    if input_path is not None:
+def _sequence(opts) -> sequences.PulseSequence:
+    """The sequence read from ``--input``, or synthesized from ``--family``."""
+    if opts.input is not None:
         try:
-            with click.open_file(input_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            if opts.input == "-":
+                doc = json.load(sys.stdin)
+            else:
+                with open(opts.input, encoding="utf-8") as fh:
+                    doc = json.load(fh)
             return sequences.sequence_from_dict(doc)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            _fail(type(exc).__name__, str(exc))
-    if family is None:
-        raise click.UsageError("provide either --input or --family")
-    return _synthesize(family, theta, phi, winding)
+        except (OSError, ValueError) as exc:
+            raise _refusal(exc) from None
+    if opts.family is None:
+        raise UsageError("provide either --input or --family")
+    return _synthesize(opts.family, opts.theta, opts.phi, opts.winding)
 
 
-_COMMON = [
-    click.option("--family", type=click.Choice(list(sequences._REGISTRY)), default=None,
-                 help="Sequence family to synthesize."),
-    click.option("--theta", type=NONNEG_ANGLE, default=None,
-                 help="Target rotation angle (radians; pi forms accepted)."),
-    click.option("--phi", type=ANGLE, default=0.0, show_default=True,
-                 help="Target axis azimuth (radians)."),
-    click.option("--winding", type=WindingParam(), default=None,
-                 help="Winding integers n1,n2,n3 for CORPSE-based families."),
-]
-
-
-def _with_common(cmd):
-    for opt in reversed(_COMMON):
-        cmd = opt(cmd)
-    return cmd
-
-
-@click.group()
-@click.version_option(version="0.1.0", prog_name="cpseq")
-def main():
-    """Composite pulse synthesis and robustness verification for SU(2) gates."""
-
-
-@main.command()
-@_with_common
-@click.option("--output", type=click.Path(dir_okay=False), default=None,
-              help="Write JSON here instead of stdout.")
-def synth(family, theta, phi, winding, output):
+def synth(opts) -> int:
     """Synthesize a pulse sequence and emit it as JSON."""
-    if family is None:
-        raise click.UsageError("--family is required")
-    seq = _synthesize(family, theta, phi, winding)
-    _emit(dumps(sequences.sequence_to_dict(seq)), output)
+    if opts.family is None:
+        raise UsageError("--family is required")
+    seq = _synthesize(opts.family, opts.theta, opts.phi, opts.winding)
+    _emit(dumps(sequences.sequence_to_dict(seq)), opts.output)
+    return 0
 
 
-@main.command()
-@_with_common
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True), default=None,
-              help="Verify a sequence JSON file instead of synthesizing (- for stdin).")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def verify(family, theta, phi, winding, input_path, output):
+def verify(opts) -> int:
     """Check first-order robustness claims; exit 3 when a declared channel fails."""
-    seq = _load_or_synth(input_path, family, theta, phi, winding)
+    from . import error_model
+
+    seq = _sequence(opts)
     row = sequences._REGISTRY.get(seq.family)  # None for a "custom" document
     tol, declared = (row.tolerance, row.declared) if row else (1e-10, ())
     units = {name: getattr(error_model.ErrorChannel, name)(1.0) for name in ("pulse_length", "off_resonance")}
@@ -206,39 +223,27 @@ def verify(family, theta, phi, winding, input_path, output):
         "channels": channels,
         "passed": passed,
     }
-    _emit(dumps(doc), output)
-    if not passed:
-        sys.exit(3)
+    _emit(dumps(doc), opts.output)
+    return 0 if passed else 3
 
 
-@main.command()
-@_with_common
-@click.option("--eps-range", type=RangeParam(), default=(-0.1, 0.1),
-              help="Pulse-length strength range lo,hi.")
-@click.option("--eps-prime-range", type=RangeParam(), default=(-0.1, 0.1),
-              help="Off-resonance strength range lo,hi.")
-@click.option("--res", type=click.IntRange(min=2), default=201, show_default=True,
-              help="Samples per axis.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def landscape(family, theta, phi, winding, eps_range, eps_prime_range, res, fmt,
-              input_path, output):
+def landscape(opts) -> int:
     """Sample the fidelity landscape over an error-strength rectangle."""
-    seq = _load_or_synth(input_path, family, theta, phi, winding)
+    from . import analysis
+
+    seq = _sequence(opts)
     try:
         threads = int(os.environ.get("PULSE_THREADS", "0"))
     except ValueError:
-        _fail("UsageError", "PULSE_THREADS must be an integer (0 = auto)")
+        raise UsageError("PULSE_THREADS must be an integer (0 = auto)") from None
     try:
-        grid = analysis.landscape(seq, eps_range, eps_prime_range, res, threads=threads)
+        grid = analysis.landscape(seq, opts.eps_range, opts.eps_prime_range, opts.res, threads=threads)
     except ValueError as exc:
-        _fail(type(exc).__name__, str(exc))
+        raise _refusal(exc) from None
     except MemoryError as exc:  # numpy's subclass names itself _ArrayMemoryError
-        _fail("MemoryError", str(exc))
-    if fmt == "csv":
-        _emit(analysis.landscape_csv(grid), output)
+        raise UsageError(str(exc), "MemoryError") from None
+    if opts.format == "csv":
+        _emit(analysis.landscape_csv(grid), opts.output)
     else:
         doc = {
             "family": grid.family,
@@ -246,60 +251,53 @@ def landscape(family, theta, phi, winding, eps_range, eps_prime_range, res, fmt,
             "eps_prime": grid.eps_prime_values,
             "fidelity": grid.fidelity,
         }
-        _emit(dumps(doc), output)
+        _emit(dumps(doc), opts.output)
+    return 0
 
 
-@main.command()
-@_with_common
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def phase(family, theta, phi, winding, input_path, output):
+def phase(opts) -> int:
     """Report total, dynamical and geometric phases of the cyclic states."""
-    seq = _load_or_synth(input_path, family, theta, phi, winding)
+    from . import analysis
+
+    seq = _sequence(opts)
     rows, _, degenerate = analysis._phases(seq)
     doc = {
         "family": seq.family,
         "degenerate": degenerate,
         "states": [{"total": t, "dynamical": d, "geometric": g} for t, d, g in rows],
     }
-    _emit(dumps(doc), output)
+    _emit(dumps(doc), opts.output)
+    return 0
 
 
-@main.command()
-@_with_common
-@click.option("--axis", type=click.Choice(list(analysis.AXES)), default="eps",
-              show_default=True, help="Strength axis for the ladder.")
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def scaling(family, theta, phi, winding, axis, input_path, output):
+def scaling(opts) -> int:
     """Fit the log-log infidelity slope along one strength axis."""
-    seq = _load_or_synth(input_path, family, theta, phi, winding)
+    from . import analysis
+
+    seq = _sequence(opts)
     try:
-        slope, intercept, kept, dropped = analysis._ladder(seq, axis, analysis.DEFAULT_SCALING_LADDER)
+        slope, intercept, kept, dropped = analysis._ladder(seq, opts.axis, analysis.DEFAULT_SCALING_LADDER)
     except ValueError as exc:
-        _fail(type(exc).__name__, str(exc))
+        raise _refusal(exc) from None
     doc = {
         "family": seq.family,
-        "axis": axis,
+        "axis": opts.axis,
         "slope": slope,
         "intercept": intercept,
         "points": [{"strength": s, "infidelity": f} for s, f in kept],
         "dropped": list(dropped),
     }
-    _emit(dumps(doc), output)
+    _emit(dumps(doc), opts.output)
+    return 0
 
 
-@main.command()
-@click.option("--phases", required=True,
-              help="Comma-separated azimuths of xy-plane pi pulses, in application order.")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def reduce(phases, output):
+def reduce(opts) -> int:
     """Collapse a product of xy-plane pi pulses to a single rotation."""
+    values = [parse_angle(p) for p in opts.phases.split(",") if p.strip()]
     try:
-        values = [parse_angle(p) for p in phases.split(",") if p.strip()]
         vector = sequences._reduce(values)
-    except (ValueError, click.BadParameter) as exc:
-        _fail(type(exc).__name__, str(exc))
+    except ValueError as exc:
+        raise _refusal(exc) from None
     if len(values) % 2 == 0:
         doc = {"kind": "z-rotation", "vector": list(vector)}
     else:
@@ -309,7 +307,108 @@ def reduce(phases, output):
             "phi": sequences._azimuth(math.atan2(vector[1], vector[0])),
             "vector": list(vector),
         }
-    _emit(dumps(doc), output)
+    _emit(dumps(doc), opts.output)
+    return 0
+
+
+_COMMANDS = (synth, verify, landscape, phase, scaling, reduce)
+
+
+def _options(name: str, parser):
+    """Add the options of command ``name``, importing nothing the command
+    does not."""
+    if name == "reduce":
+        _add(parser, "--phases", required=True,
+             help="Comma-separated azimuths of xy-plane pi pulses, in application order.")
+    else:
+        _add(parser, "--family", choices=list(sequences._REGISTRY), help="Sequence family to synthesize.")
+        _add(parser, "--theta", _theta, help="Target rotation angle (radians; pi forms accepted).")
+        _add(parser, "--phi", parse_angle, 0.0, "Target axis azimuth (radians; default 0).")
+        _add(parser, "--winding", _winding, help="Winding integers n1,n2,n3 for CORPSE-based families.")
+    if name == "landscape":
+        _add(parser, "--eps-range", _range, (-0.1, 0.1), "Pulse-length strength range lo,hi.")
+        _add(parser, "--eps-prime-range", _range, (-0.1, 0.1), "Off-resonance strength range lo,hi.")
+        _add(parser, "--res", _resolution, 201, "Samples per axis (default 201).")
+        _add(parser, "--format", default="csv", choices=["csv", "json"], help="Output format (default csv).")
+    if name == "scaling":
+        from . import analysis
+        _add(parser, "--axis", default="eps", choices=list(analysis.AXES),
+             help="Strength axis for the ladder (default eps).")
+    if name not in ("synth", "reduce"):
+        _add(parser, "--input", _input_file,
+             help="Read the sequence from this JSON file instead of synthesizing (- for stdin).")
+    _add(parser, "--output", _output_file, help="Write the result here instead of stdout.")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, so that they take the
+    one error path."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _parser(prog: str, argv: list[str]) -> _Parser:
+    parser = _Parser(prog=prog, description=main.__doc__.splitlines()[0], add_help=False,
+                     allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    # Only the command that runs gets a parser, with its options; --help and
+    # an unknown command list them all.
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    names = [command.__name__ for command in _COMMANDS]
+    for command in _COMMANDS:
+        name = command.__name__
+        if chosen in names and name != chosen:
+            continue
+        summary = command.__doc__.splitlines()[0]
+        sub = commands.add_parser(name, help=summary, description=summary, add_help=False,
+                                  allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(command=command)
+        if name == chosen:
+            _options(name, sub)
+    return parser
+
+
+def _values_attached(argv: list[str]) -> list[str]:
+    """``--option value`` as ``--option=value``.  Every option but --help and
+    --version takes the next argument as its value, even when it starts with
+    '-' (``--phi -pi/3``), which argparse would read as an option."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        if arg == "--":
+            out += [arg, *rest]
+            break
+        value = None
+        if arg.startswith("--") and "=" not in arg and arg not in ("--help", "--version"):
+            value = next(rest, None)
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Composite pulse synthesis and robustness verification for SU(2) gates.
+
+    Runs the command line ``args`` (``sys.argv[1:]`` by default) and exits
+    with its code; with ``standalone_mode=False`` returns the code instead.
+    """
+    argv = sys.argv[1:] if args is None else list(args)
+    try:
+        opts = _parser(prog_name or "cpseq", argv).parse_args(_values_attached(argv))
+        code = opts.command(opts)
+    except UsageError as exc:
+        sys.stderr.write(dumps({"error": {"type": exc.kind, "message": str(exc)}}) + "\n")
+        code = 2
+    except SystemExit as exc:  # --help and --version
+        if standalone_mode:
+            raise
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

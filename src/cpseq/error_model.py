@@ -38,10 +38,9 @@ functions build their matrices when they return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .sequences import PulseSequence
+from .sequences import PulseSequence, _Value
 from .su2 import (_assemble, _bloch, _components, _fold, _hamilton, _lib, _matrix, _product,
                   _quaternion, compose, quaternion, rotation_generator, to_matrix)
 
@@ -72,8 +71,7 @@ GENERAL_LINEAR = "general-linear"
 ROBUST_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ErrorChannel:
+class ErrorChannel(_Value):
     """A systematic error specification.
 
     Use the classmethod constructors; they enforce that each kind carries
@@ -81,31 +79,31 @@ class ErrorChannel:
     (epsilon, epsilon_prime) and deform pulses as dm = f_const + f_linear @ m.
     """
 
-    kind: str
-    epsilon: float = 0.0
-    epsilon_prime: float = 0.0
-    f_const: np.ndarray | None = None
-    f_linear: np.ndarray | None = None
+    __slots__ = ("kind", "epsilon", "epsilon_prime", "f_const", "f_linear")
 
-    def __post_init__(self):
-        if self.kind not in (PULSE_LENGTH, OFF_RESONANCE, COMBINED, GENERAL_LINEAR):
-            raise ValueError(f"unknown error channel kind {self.kind!r}")
-        if self.kind == PULSE_LENGTH and self.epsilon_prime != 0.0:
+    def __init__(self, kind: str, epsilon: float = 0.0, epsilon_prime: float = 0.0,
+                 f_const: np.ndarray | None = None, f_linear: np.ndarray | None = None):
+        if kind not in (PULSE_LENGTH, OFF_RESONANCE, COMBINED, GENERAL_LINEAR):
+            raise ValueError(f"unknown error channel kind {kind!r}")
+        if kind == PULSE_LENGTH and epsilon_prime != 0.0:
             raise ValueError("pulse-length channel carries only epsilon")
-        if self.kind == OFF_RESONANCE and self.epsilon != 0.0:
+        if kind == OFF_RESONANCE and epsilon != 0.0:
             raise ValueError("off-resonance channel carries only epsilon_prime")
-        if self.kind == GENERAL_LINEAR:
+        if kind == GENERAL_LINEAR:
             import numpy as np
-            f = np.zeros(3) if self.f_const is None else np.asarray(self.f_const, dtype=float)
-            F = np.zeros((3, 3)) if self.f_linear is None else np.asarray(self.f_linear, dtype=float)
-            if f.shape != (3,) or F.shape != (3, 3):
+            f_const = np.zeros(3) if f_const is None else np.asarray(f_const, dtype=float)
+            f_linear = np.zeros((3, 3)) if f_linear is None else np.asarray(f_linear, dtype=float)
+            if f_const.shape != (3,) or f_linear.shape != (3, 3):
                 raise ValueError("general-linear channel needs f_const (3,) and f_linear (3, 3)")
-            object.__setattr__(self, "f_const", f)
-            object.__setattr__(self, "f_linear", F)
-            object.__setattr__(self, "epsilon", 0.0)
-            object.__setattr__(self, "epsilon_prime", 0.0)
-        elif self.f_const is not None or self.f_linear is not None:
+            epsilon = epsilon_prime = 0.0
+        elif f_const is not None or f_linear is not None:
             raise ValueError("tensor fields are only valid on a general-linear channel")
+        set_field = object.__setattr__  # written out: an error analysis builds a dozen channels
+        set_field(self, "kind", kind)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "epsilon_prime", epsilon_prime)
+        set_field(self, "f_const", f_const)
+        set_field(self, "f_linear", f_linear)
 
     @classmethod
     def pulse_length(cls, epsilon: float) -> "ErrorChannel":
@@ -131,8 +129,7 @@ class ErrorChannel:
                             epsilon_prime=factor * self.epsilon_prime)
 
 
-@dataclass(frozen=True)
-class FirstOrderReport:
+class FirstOrderReport(_Value):
     """Accumulated first-order error of a sequence under one channel.
 
     ``generator`` is the Hermitian accumulated error generator at the
@@ -142,18 +139,20 @@ class FirstOrderReport:
     Frobenius norms against ``tolerance``.
     """
 
-    generator: np.ndarray
-    pulse_length_coefficient: np.ndarray
-    off_resonance_coefficient: np.ndarray
-    pulse_length_norm: float
-    off_resonance_norm: float
-    robust_to_pulse_length: bool
-    robust_to_off_resonance: bool
-    tolerance: float
+    __slots__ = ("generator", "pulse_length_coefficient", "off_resonance_coefficient",
+                 "pulse_length_norm", "off_resonance_norm", "robust_to_pulse_length",
+                 "robust_to_off_resonance", "tolerance")
+
+    def __init__(self, generator: np.ndarray, pulse_length_coefficient: np.ndarray,
+                 off_resonance_coefficient: np.ndarray, pulse_length_norm: float,
+                 off_resonance_norm: float, robust_to_pulse_length: bool,
+                 robust_to_off_resonance: bool, tolerance: float):
+        super().__init__(generator, pulse_length_coefficient, off_resonance_coefficient,
+                         pulse_length_norm, off_resonance_norm, robust_to_pulse_length,
+                         robust_to_off_resonance, tolerance)
 
 
-@dataclass(frozen=True)
-class MomentIntegrals:
+class MomentIntegrals(_Value):
     """Interaction-picture moments controlling robustness to constant and
     linear error tensors.
 
@@ -164,8 +163,10 @@ class MomentIntegrals:
     moment kills constant errors; vanishing second moment kills linear ones.
     """
 
-    first_moment: np.ndarray
-    second_moment: np.ndarray
+    __slots__ = ("first_moment", "second_moment")
+
+    def __init__(self, first_moment: np.ndarray, second_moment: np.ndarray):
+        super().__init__(first_moment, second_moment)
 
     @property
     def second_moment_trace_part(self) -> np.ndarray:

@@ -12,11 +12,11 @@ families are rows built by :func:`concatenate`.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from .su2 import _hamilton, _matrix, _product, _quaternion, _unit_quaternion, is_unitary, rotation
+from .su2 import _hamilton, _matrix, _product, _quaternion, _unit_quaternion, is_unitary
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,29 +67,70 @@ def _xy(theta: float, phi: float) -> tuple[float, float, float]:
     return theta * math.cos(phi), theta * math.sin(phi), 0.0
 
 
-@dataclass(frozen=True)
-class Pulse:
+class _Record:
+    """Base of the package's immutable records.  The fields are the
+    ``__slots__``, set once by ``__init__``; assigning or deleting one raises
+    AttributeError.  Records compare by identity unless they derive from
+    :class:`_Value`."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots through here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                           if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Value(_Record):
+    """A record that compares and hashes by its fields, like a tuple of them,
+    and equals only records of its own class."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Pulse(_Value):
     """One hard pulse: rotation by ``theta`` about azimuth ``phi`` in the xy-plane."""
 
-    theta: float
-    phi: float
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta) or not math.isfinite(self.phi):
+    def __init__(self, theta: float, phi: float):
+        if not math.isfinite(theta) or not math.isfinite(phi):
             raise ValueError("pulse angles must be finite")
-        if self.theta < 0:
-            raise ValueError(f"pulse angle must be nonnegative, got {self.theta}")
-        object.__setattr__(self, "phi", _azimuth(self.phi))
-        object.__setattr__(self, "theta", float(self.theta))
+        if theta < 0:
+            raise ValueError(f"pulse angle must be nonnegative, got {theta}")
+        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "phi", _azimuth(phi))
 
     @property
     def vector(self) -> np.ndarray:
         """Rotation vector theta * (cos phi, sin phi, 0)."""
         import numpy as np
         return np.array(_xy(self.theta, self.phi))
-
-    def unitary(self) -> np.ndarray:
-        return rotation(self.vector)
 
 
 def _target_quaternion(target) -> tuple[float, float, float, float]:
@@ -110,8 +151,7 @@ def _target_quaternion(target) -> tuple[float, float, float, float]:
     return unit
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PulseSequence:
+class PulseSequence(_Record):
     """An ordered pulse list with its declared target gate.
 
     ``pulses[0]`` is applied first, so the ideal propagator is
@@ -125,16 +165,18 @@ class PulseSequence:
     floats, the public ones return arrays.
     """
 
-    family: str
-    pulses: tuple[Pulse, ...]
-    theta: float | None
-    phi: float | None
-    winding: tuple[int, int, int] | None
+    __slots__ = ("family", "pulses", "theta", "phi", "winding", "_unit")
 
     def __init__(self, family: str, pulses, target, theta: float | None = None,
                  phi: float | None = None, winding: tuple[int, int, int] | None = None):
-        vars(self).update(family=family, pulses=tuple(pulses), theta=theta, phi=phi, winding=winding,
-                          _unit=_target_quaternion(target))
+        unit = _target_quaternion(target)
+        set_field = object.__setattr__  # written out: synthesis builds one sequence per call
+        set_field(self, "family", family)
+        set_field(self, "pulses", tuple(pulses))
+        set_field(self, "theta", theta)
+        set_field(self, "phi", phi)
+        set_field(self, "winding", winding)
+        set_field(self, "_unit", unit)
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -146,11 +188,6 @@ class PulseSequence:
 
     def _vectors(self) -> list[tuple[float, float, float]]:
         return [_xy(p.theta, p.phi) for p in self.pulses]
-
-    def vectors(self) -> np.ndarray:
-        """Rotation vectors of all pulses, in application order, as an (n, 3) array."""
-        import numpy as np
-        return np.array(self._vectors(), dtype=float).reshape(-1, 3)
 
     def _product(self) -> tuple[float, float, float, float]:
         return _product(_quaternion(*m) for m in self._vectors())
@@ -314,20 +351,23 @@ def _alway_jones_segments(theta, phi, winding):
 # ---- the registry ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One registry row: everything the package states about a family."""
+class _Family(collections.namedtuple(
+        "_Family", "name segments domain refusal winding declared tolerance length_residual",
+        defaults=(None, (), 1e-10, None))):
+    """One registry row: everything the package states about a family.
 
-    name: str
-    segments: Callable  # (theta, phi, winding) -> raw [(theta_i, phi_i), ...]
-    domain: tuple[float, float, str]  # (lo, hi, brackets): (0, 2*pi, "(]") is 0 < theta <= 2*pi
-    refusal: str  # what a theta outside the domain is told
-    winding: tuple[int, int, int] | None = None  # default; None refuses any winding
-    declared: tuple[str, ...] = ()  # channels cancelled to first order
-    tolerance: float = 1e-10  # verify's bound on the first-order norms
-    # raises WindingError unless the family's only first-order residual is
-    # the pulse-length error of its own target; None: no winding gives that
-    length_residual: Callable | None = None
+    - ``segments``: (theta, phi, winding) -> raw [(theta_i, phi_i), ...];
+    - ``domain``: (lo, hi, brackets), (0, 2*pi, "(]") is 0 < theta <= 2*pi;
+    - ``refusal``: what a theta outside the domain is told;
+    - ``winding``: the default winding; None refuses any winding;
+    - ``declared``: the channels cancelled to first order;
+    - ``tolerance``: verify's bound on the first-order norms;
+    - ``length_residual``: raises WindingError unless the family's only
+      first-order residual is the pulse-length error of its own target;
+      None when no winding gives that.
+    """
+
+    __slots__ = ()
 
     def admits(self, theta: float) -> bool:
         lo, hi, brackets = self.domain

@@ -1,5 +1,12 @@
 """Shared helpers for the test suite."""
 
+import contextlib
+import io
+import os
+import sys
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 
 from cpseq.sequences import _REGISTRY
@@ -31,3 +38,39 @@ def theta_for(family: str, theta: float) -> float:
     """``theta``, or the one angle a family with a one-point domain makes."""
     lo, hi, _ = _REGISTRY[family].domain
     return theta if lo != hi else lo
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is given to ``shared``."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a CLI entry point in process, as ``main(args, prog_name=..., standalone_mode=False)``.
+
+    ``invoke`` returns ``exit_code``, ``stdout``, ``stderr``, ``output`` (both
+    streams in the order written) and ``exception``: an exception the command
+    raised, which propagates instead when ``catch_exceptions`` is false.
+    """
+
+    def invoke(self, main, args=(), input=None, env=None, catch_exceptions=True):
+        output = io.StringIO()
+        stdout, stderr = _Tee(output), _Tee(output)
+        exception = None
+        with mock.patch.dict(os.environ, env or {}), mock.patch.object(sys, "stdin", io.StringIO(input or "")), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                exit_code = main(list(args), prog_name="cpseq", standalone_mode=False)
+            except Exception as exc:
+                if not catch_exceptions:
+                    raise
+                exit_code, exception = 1, exc
+        return SimpleNamespace(exit_code=exit_code, stdout=stdout.getvalue(), stderr=stderr.getvalue(),
+                               output=output.getvalue(), exception=exception)

@@ -5,17 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpseq.cli import main, parse_angle
+from cpseq.cli import BadParameter, main, parse_angle
 from cpseq.sequences import _REGISTRY, FAMILIES, sequence_to_dict, synthesize
 
-from conftest import theta_for
+from conftest import CliRunner, theta_for
 
 
 @pytest.fixture()
@@ -56,7 +54,7 @@ angle_texts = st.one_of(
 def test_parse_angle_is_finite_or_bad_parameter(text):
     try:
         value = parse_angle(text)
-    except click.BadParameter:
+    except BadParameter:
         return
     assert isinstance(value, float) and math.isfinite(value)
 
@@ -64,6 +62,65 @@ def test_parse_angle_is_finite_or_bad_parameter(text):
 def test_negative_theta_is_a_usage_error(runner):
     result = runner.invoke(main, ["synth", "--family", "plain", "--theta", "-pi"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["synth", "--family", "plain", "--theta", "1", "--phi", "-pi/3"], {"phi": -math.pi / 3}),
+    (["reduce", "--phases", "-pi/2,pi"], {"vector": [0.0, 0.0, 2 * (math.pi + math.pi / 2 + math.pi)]}),
+    (["landscape", "--family", "plain", "--theta", "1", "--res", "3", "--format", "json",
+      "--eps-range", "-0.2,0.1"], {"eps": [-0.2, -0.05, 0.1]}),
+], ids=["phi", "phases", "eps-range"])
+def test_values_starting_with_a_minus_sign_parse(runner, args, expected):
+    result = invoke(runner, args)
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.stdout)
+    doc = doc.get("target", doc)
+    for key, value in expected.items():
+        assert doc[key] == pytest.approx(value, abs=1e-15)
+
+
+def test_negative_theta_names_the_bound(runner):
+    err = _refused_with_json(runner.invoke(main, ["synth", "--family", "plain", "--theta", "-pi"]))
+    assert err == {"type": "BadParameter", "message": "Invalid value for '--theta': theta must be nonnegative, got '-pi'"}
+
+
+@pytest.mark.parametrize("args,message", [
+    (["synth", "--family", "plain", "--theta", "foo"], "Invalid value for '--theta': cannot parse angle 'foo'"),
+    (["synth", "--family", "nope", "--theta", "1"], "Invalid value for '--family': 'nope' is not one of"),
+    (["synth", "--theta", "1"], "--family is required"),
+    (["landscape", "--family", "plain", "--theta", "1", "--res", "1"], "Invalid value for '--res': 1 is not"),
+    (["synth", "--family", "corpse", "--theta", "1", "--winding", "1,2"],
+     "Invalid value for '--winding': winding must have exactly three entries"),
+    (["verify", "--input", "{missing}"], "Invalid value for '--input': File"),
+    (["synth", "--family", "plain", "--theta", "1", "--output", "{directory}"],
+     "Invalid value for '--output': File"),
+    (["scaling", "--family", "plain", "--theta", "1", "--axis", "x"], "Invalid value for '--axis'"),
+    (["reduce"], "--phases"),
+    (["synth", "--fam", "plain", "--theta", "1"], "--fam"),  # no abbreviations
+    (["synth", "--family", "plain", "--theta", "1", "extra"], "extra"),
+    (["bogus"], "bogus"),
+    ([], "COMMAND"),
+], ids=["theta", "family", "no-family", "res", "winding", "input-missing", "output-directory", "axis",
+        "no-phases", "abbreviation", "extra-argument", "unknown-command", "no-command"])
+def test_flag_errors_exit_2_with_one_json_document(runner, tmp_path, args, message):
+    args = [a.format(missing=tmp_path / "missing.json", directory=tmp_path) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
+    assert message in _refused_with_json(result)["message"]
+
+
+def test_version_is_the_package_version(runner):
+    import cpseq
+
+    result = invoke(runner, ["--version"])
+    assert result.exit_code == 0 and result.stdout == f"cpseq, version {cpseq.__version__}\n"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["synth", "--help"], ["landscape", "--help"]])
+def test_help_exits_0(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 0 and "--help" in result.stdout and result.stderr == ""
 
 
 # the last one is a pi fraction whose coefficient, 1e308, overflows times pi
@@ -324,6 +381,51 @@ def test_fuzzed_wire_documents_exit_0_2_or_3(doc):
         assert isinstance(json.loads(result.output)["passed"], bool)
 
 
+OPTION_VALUES = {
+    "--family": st.sampled_from([*_REGISTRY, "nope", ""]),
+    "--theta": st.sampled_from(["1", "pi/2", "-pi", "0", "foo", "nan", "1e308", "3.9"]),
+    "--phi": st.sampled_from(["0", "-pi/3", "2pi", "x", "inf"]),
+    "--winding": st.sampled_from(["1,2,1", "1,1,0", "1,2", "a,b,c", "-1,0,0"]),
+    "--input": st.sampled_from(["-", "{document}", "{missing}", "{directory}"]),
+    "--output": st.sampled_from(["{directory}", "{file}"]),
+    "--eps-range": st.sampled_from(["-0.2,0.1", "0.1,-0.2", "nan,1", "1", "-1e200,1e200"]),
+    "--eps-prime-range": st.sampled_from(["-0.1,0.1", "0,0", "x"]),
+    "--res": st.sampled_from(["2", "3", "1", "-3", "x"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--axis": st.sampled_from(["eps", "eps-prime", "diagonal", "x"]),
+    "--phases": st.sampled_from(["0.3,1.1", "-pi/2,pi", "", "nan", "1.7e308,-1.7e308"]),
+    "--bogus": st.just("1"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, then options in any order, some without their value."""
+    argv = [draw(st.sampled_from(["synth", "verify", "landscape", "phase", "scaling", "reduce", "bogus"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=6)):
+        value = draw(OPTION_VALUES[flag])
+        form = draw(st.sampled_from(["separate", "attached", "missing"]))
+        argv += {"separate": [flag, value], "attached": [f"{flag}={value}"], "missing": [flag]}[form]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--help", "--version", "x"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_0_2_or_3(tmp_path_factory, argv):
+    tmp = tmp_path_factory.mktemp("argv")
+    document = tmp / "seq.json"
+    document.write_text(json.dumps(sequence_to_dict(synthesize("bb1", 1.0, 0.3))))
+    paths = {"document": document, "missing": tmp / "missing.json", "directory": tmp, "file": tmp / "out.json"}
+    result = CliRunner().invoke(main, [a.format(**paths) for a in argv])
+    assert result.exception is None and result.exit_code in (0, 2, 3), result.output
+    if result.exit_code == 2:
+        assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
+    else:
+        assert result.stderr == ""
+
+
 # -------------------------------------------------------------- landscape
 
 def test_landscape_csv_row_count(runner):
@@ -506,6 +608,25 @@ def test_landscape_unallocatable_grid_exits_2_with_json(runner, monkeypatch):
     err = _refused_with_json(runner.invoke(main, ["landscape", "--family", "plain", "--theta", "1",
                                                   "--res", "1000000"]))
     assert err["type"] == "MemoryError" and "Unable to allocate" in err["message"]
+
+
+@pytest.mark.parametrize("args,allowed", [
+    (["synth", "--family", "bb1", "--theta", "pi/2"], ()),
+    (["reduce", "--phases", "0.1,0.2,0.3"], ()),
+    (["synth", "--family", "nope"], ()),
+    (["verify", "--family", "cis-cccp", "--theta", "pi"], ("cpseq.error_model",)),
+], ids=["synth", "reduce", "refusal", "verify"])
+def test_commands_load_only_what_they_run(args, allowed):
+    # sys.modules, not -X importtime: importtime does not list submodules
+    # that a "from . import" loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    heavy = {"click", "numpy", "dataclasses", "cpseq.error_model", "cpseq.analysis"} - set(allowed)
+    code = ("import atexit, runpy, sys; "
+            f"atexit.register(lambda: print(sorted({sorted(heavy)!r} & sys.modules.keys()), file=sys.stderr)); "
+            "runpy.run_module('cpseq.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode in (0, 2) and proc.stderr.splitlines()[-1] == "[]", proc.stderr
 
 
 def _cpseq_process(*args, code="from cpseq.cli import main; main()"):

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from cpseq.cli import main
 from cpseq.error_model import (
@@ -20,7 +19,7 @@ from cpseq.sequences import (_REGISTRY, Pulse, PulseSequence, bb1, cis_cccp, cor
                              synthesize)
 from cpseq.su2 import rotation
 
-from conftest import frob, random_xy_vector, theta_for
+from conftest import CliRunner, frob, random_xy_vector, theta_for
 from loop_reference import SX, SY, SZ, fidelity, interaction_quadrature
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +26,8 @@ from cpseq.sequences import (
     sequence_to_dict,
     synthesize,
 )
+
+from conftest import CliRunner
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CHANNELS = {"pulse-length": ("pulse_length",), "off-resonance": ("off_resonance",),

@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from cpseq.error_model import ErrorChannel, first_order_error
+from cpseq import analysis
+from cpseq.error_model import ErrorChannel, error_moment_integrals, first_order_error
 from cpseq.sequences import (
     Pulse,
     PulseSequence,
@@ -15,6 +18,7 @@ from cpseq.sequences import (
     reduce_pi_pulse_product,
     scrofulous,
     scrofulous_in_corpse,
+    _REGISTRY,
     sequence_from_dict,
     sequence_to_dict,
     synthesize,
@@ -54,6 +58,59 @@ def test_sequence_propagator_order():
     a, b = Pulse(1.0, 0.0), Pulse(0.7, np.pi / 2)
     seq = PulseSequence("custom", (a, b), rotation(b.vector) @ rotation(a.vector))
     assert frob(seq.propagator(), seq.target) < 1e-14
+
+
+def test_pulse_equality_and_hash_are_by_angles():
+    a = Pulse(1.0, 0.3)
+    assert a == Pulse(1, 0.3) and hash(a) == hash(Pulse(1, 0.3))
+    assert a != Pulse(1.0, 0.4) and a != (1.0, 0.3)
+    assert len({Pulse(1.0, 0.3), Pulse(1.0, 0.3), Pulse(2.0, 0.3)}) == 2
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_error_channel_equality_and_hash_are_by_fields():
+    a = ErrorChannel.pulse_length(0.1)
+    assert a == ErrorChannel("pulse-length", epsilon=0.1) and hash(a) == hash(ErrorChannel.pulse_length(0.1))
+    assert a != ErrorChannel.pulse_length(0.2) and a != ErrorChannel.combined(0.1, 0.0)
+    assert ErrorChannel.off_resonance(0.1) != ErrorChannel.pulse_length(0.1)
+    assert len({a, ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1)}) == 2
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_sequences_compare_by_identity():
+    seq = bb1(1.0, 0.3)
+    assert seq == seq and seq != bb1(1.0, 0.3) and hash(seq) == hash(seq)
+    copy = pickle.loads(pickle.dumps(seq))
+    assert copy.pulses == seq.pulses and frob(copy.target, seq.target) == 0
+
+
+def _records():
+    seq = plain(1.0, 0.3)
+    return {
+        "Pulse": seq.pulses[0],
+        "PulseSequence": seq,
+        "_Family": _REGISTRY["bb1"],
+        "ErrorChannel": ErrorChannel.combined(0.1, 0.2),
+        "FirstOrderReport": first_order_error(seq, ErrorChannel.pulse_length(0.1)),
+        "MomentIntegrals": error_moment_integrals(seq),
+        "LandscapeGrid": analysis.landscape(seq, resolution=3),
+        "ScalingFit": analysis.infidelity_scaling(seq, "eps"),
+        "PhaseReport": analysis.phase_decomposition(seq),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_records()))
+def test_records_are_immutable(kind):
+    record = _records()[kind]
+    assert type(record).__name__ == kind
+    fields = [name for name in dir(record) if not name.startswith("_") and not callable(getattr(record, name))]
+    assert fields
+    for name in [*fields, "unknown_field"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 # ------------------------------------------------------------------ plain
@@ -264,7 +321,7 @@ def test_alway_jones_subproducts_are_identity():
     for block in (seq.pulses[1:4], seq.pulses[4:8]):
         U = np.eye(2, dtype=complex)
         for p in block:
-            U = p.unitary() @ U
+            U = rotation(p.vector) @ U
         assert frob(U, np.eye(2)) < 1e-12
 
 
