@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .error_model import ErrorChannel, _generators
 from .sequences import PulseSequence, _Record
-from .su2 import _eig, _half_angle, _lib, _product, _wrap
+from .su2 import _eig, _lib, _product, _wrap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,9 +42,11 @@ AXES = tuple(_DIRECTIONS)
 
 DEFAULT_SCALING_LADDER = (1e-3, 2e-3, 4e-3, 8e-3, 1e-2)
 
-# Landscape cells per row block: small enough that a block's planes stay in
-# cache while its pulses are composed.
-_BLOCK_CELLS = 16384
+# Landscape cells per row block: small enough that a block's planes, and the
+# rotations it keeps for each distinct pulse angle, stay in cache while its
+# pulses are composed, and that the kept rotations add nothing to a grid's
+# peak memory (at 16384 cells they added several per cent).
+_BLOCK_CELLS = 8192
 
 
 class LandscapeGrid(_Record):
@@ -97,13 +99,29 @@ def _products(seq: PulseSequence, eps, eps_prime) -> tuple:
 
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
-    the same r for every pulse.  Pulses are composed one at a time, so memory
-    is a few arrays the size of the strengths, and any block of cells is
-    bitwise what a larger grid gives."""
+    the same r for every pulse.  So cos(theta r / 2), sin(theta r / 2) / r and
+    eps' sin(theta r / 2) / r are evaluated once per distinct pulse angle
+    theta (exact ``==``), and each pulse adds only its two azimuth terms,
+    with the operations of :func:`su2._half_angle` in its order: every cell
+    has the bits of a rotation evaluated per pulse.  Pulses are composed one
+    at a time, so memory is a few arrays the size of the strengths per
+    distinct angle, and any block of cells is bitwise what a larger grid gives."""
     stretch = 1.0 + eps
-    r = _lib(stretch).sqrt(stretch * stretch + eps_prime * eps_prime)
-    return _product(_half_angle(p.theta * r, stretch * math.cos(p.phi), stretch * math.sin(p.phi), eps_prime, r)
-                    for p in seq.pulses)
+    lib = _lib(stretch)
+    r = lib.sqrt(stretch * stretch + eps_prime * eps_prime)
+    length = r + (r == 0.0)  # length 1 stands in for a zero axis, as in su2._half_angle
+    rotations = {}
+
+    def factor(p):
+        rotation = rotations.get(p.theta)
+        if rotation is None:
+            half = p.theta * r / 2
+            scale = lib.sin(half) / length
+            rotation = rotations[p.theta] = (lib.cos(half), scale, eps_prime * scale)
+        cos_half, scale, z = rotation
+        return cos_half, (stretch * math.cos(p.phi)) * scale, (stretch * math.sin(p.phi)) * scale, z
+
+    return _product(map(factor, seq.pulses))
 
 
 def _infidelities(seq: PulseSequence, eps, eps_prime):
@@ -128,32 +146,39 @@ def landscape(seq: PulseSequence,
     The eps axis is split into row blocks of at most about ``_BLOCK_CELLS``
     cells, the same number for each thread; ``threads`` evaluates them
     concurrently, 0 meaning automatic (up to 4); either is capped at the
-    CPUs available to the process.  Every cell is computed elementwise, so
+    CPUs available to the process and at the number of blocks, so a grid of
+    one block runs in the calling thread.  Each cell is the w component of
+    T^dag U for the product U of :func:`_products`, computed elementwise, so
     the result is bitwise the same for any thread count or block split.
-    Raises ValueError when a range is too large to evaluate and leaves a
-    non-finite cell, and MemoryError when the grid cannot be allocated.
+    Raises ValueError for a negative ``threads`` or a ``resolution`` below 2,
+    and when a range is too large to evaluate and leaves a non-finite cell;
+    MemoryError when the grid cannot be allocated.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
     import numpy as np
     eps = np.linspace(eps_range[0], eps_range[1], resolution)
     eps_prime = np.linspace(eps_prime_range[0], eps_prime_range[1], resolution)
-    workers = min(threads if threads >= 1 else 4, _available_cpus())
-    # whole rounds of blocks per thread, so that no thread is left with one more
     blocks = -(-resolution * resolution // _BLOCK_CELLS)
+    workers = min(threads or 4, _available_cpus(), blocks)
+    # whole rounds of blocks per thread, so that no thread is left with one more
     blocks = min(resolution, workers * -(-blocks // workers))
     bounds = np.linspace(0, resolution, blocks + 1).astype(int)
     F = np.empty((resolution, resolution))
+    tw, tx, ty, tz = seq._unit
 
     def fill(k):
         lo, hi = bounds[k], bounds[k + 1]
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            w = seq._overlap(_products(seq, eps[lo:hi, None], eps_prime[None, :]))[0]
-            np.minimum(np.abs(w), 1.0, out=F[lo:hi])
+            uw, ux, uy, uz = _products(seq, eps[lo:hi, None], eps_prime[None, :])
+            # the first component of PulseSequence._overlap, with the same bits
+            np.minimum(np.abs(tw * uw + tx * ux + ty * uy + tz * uz), 1.0, out=F[lo:hi])
 
-    if workers == 1 or resolution < 2 * workers:
+    if workers == 1:
         for k in range(blocks):
             fill(k)
     else:
@@ -184,7 +209,10 @@ def landscape_csv(grid: LandscapeGrid) -> str:
 
 
 def robust_area(grid: LandscapeGrid, threshold: float) -> float:
-    """Fraction of grid cells with fidelity at or above ``threshold``."""
+    """Fraction of grid cells with fidelity at or above ``threshold``;
+    raises ValueError for a NaN threshold, which no cell meets."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     return float((grid.fidelity >= threshold).mean())
 
 

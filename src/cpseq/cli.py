@@ -234,8 +234,10 @@ def landscape(opts) -> int:
     seq = _sequence(opts)
     try:
         threads = int(os.environ.get("PULSE_THREADS", "0"))
+        if threads < 0:
+            raise ValueError
     except ValueError:
-        raise UsageError("PULSE_THREADS must be an integer (0 = auto)") from None
+        raise UsageError("PULSE_THREADS must be an integer >= 0 (0 = auto)") from None
     try:
         grid = analysis.landscape(seq, opts.eps_range, opts.eps_prime_range, opts.res, threads=threads)
     except ValueError as exc:

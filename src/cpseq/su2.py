@@ -11,10 +11,14 @@ Conventions used throughout the package:
   quaternions, with U^dag V = (w, v), it is min(|w|, 1).
 
 Rotations are real unit quaternions q = (w, x, y, z), U = w I - i (x, y, z) . sigma.
-Only :func:`_half_angle` evaluates a rotation, only :func:`_hamilton`
-multiplies two and only :func:`_fold` runs a product; the rest of the
-package composes through them, and a sequence meets its target only
-through ``PulseSequence._overlap``, the quaternion T^dag U.  These kernels
+:func:`_half_angle` evaluates a rotation, :func:`_hamilton` multiplies two,
+:func:`_fold` runs the partial products of a sequence and :func:`_product`
+its whole product, and a sequence meets its target through
+``PulseSequence._overlap``, the quaternion T^dag U.  The landscape kernel
+(``analysis._products`` and ``analysis.landscape``) writes the first and the
+last of these out, with the same operations in the same order, so that it
+can share one rotation among the pulses of equal angle and take only the
+component of T^dag U that the fidelity needs.  These kernels
 take their components as Python floats or as numpy arrays of any broadcast
 batch shape, alike: on floats they use :mod:`math`, so a single sequence is
 handled without numpy.  numpy is imported only by the functions that take
@@ -27,7 +31,6 @@ is safe.
 from __future__ import annotations
 
 import cmath
-import collections
 import importlib
 import math
 from typing import TYPE_CHECKING
@@ -95,8 +98,13 @@ def _fold(factors):
 
 
 def _product(factors):
-    """The ordered product q_{n-1} ... q_0: the last running product of :func:`_fold`."""
-    return collections.deque(_fold(factors), maxlen=1).pop()
+    """The ordered product q_{n-1} ... q_0 of (w, x, y, z) factors, floats or broadcast
+    planes, starting from q_0 itself; the identity when there are no factors."""
+    factors = iter(factors)
+    acc = next(factors, (1.0, 0.0, 0.0, 0.0))
+    for q in factors:
+        acc = _hamilton(q, acc)
+    return acc
 
 
 def _half_angle(angle, x, y, z, length):

@@ -4,7 +4,15 @@ Every rotation here is the closed-form 2x2 matrix
 cos(|m|/2) I - i sin(|m|/2) (m/|m|) . sigma, and every product is ``@`` in
 a Python loop, one pulse (or one quadrature node) at a time.  Nothing is
 imported from ``cpseq``, so the kernel is never checked against itself.
+
+The per-pulse kernel at the end is the other kind of reference: the
+landscape and ladder arithmetic written out plainly, one rotation evaluated
+per pulse, a fold that starts from the identity and the whole overlap
+quaternion, for tests that require the package's kernel to give its exact
+bits.
 """
+
+import math
 
 import numpy as np
 
@@ -92,3 +100,61 @@ def moments(vectors, subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
                 second[mu] += wi * np.outer(m, coeff)
         V = rotation(m) @ V
     return first, second
+
+
+# ---- the per-pulse kernel --------------------------------------------------
+
+
+def _lib(x):
+    return math if isinstance(x, (float, int)) else np
+
+
+def _hamilton(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy + py * qw + pz * qx - px * qz,
+        pw * qz + pz * qw + px * qy - py * qx,
+    )
+
+
+def _half_angle(angle, x, y, z, length):
+    lib = _lib(angle)
+    half = angle / 2
+    scale = lib.sin(half) / (length + (length == 0.0))
+    return lib.cos(half), x * scale, y * scale, z * scale
+
+
+def per_pulse_overlap(pulses, target, eps, eps_prime) -> tuple:
+    """T^dag U = (w, x, y, z) for the (theta, phi) pulses deformed by (eps, eps'),
+    against the target quaternion (w, x, y, z); floats or broadcast arrays."""
+    stretch = 1.0 + eps
+    r = _lib(stretch).sqrt(stretch * stretch + eps_prime * eps_prime)
+    acc = (1.0, 0.0, 0.0, 0.0)
+    for theta, phi in pulses:
+        acc = _hamilton(_half_angle(theta * r, stretch * math.cos(phi), stretch * math.sin(phi),
+                                    eps_prime, r), acc)
+    w, x, y, z = target
+    return _hamilton((w, -x, -y, -z), acc)
+
+
+def per_pulse_landscape(pulses, target, eps_values, eps_prime_values) -> np.ndarray:
+    """Fidelity cells min(|w|, 1) over the outer product of the two axes."""
+    w = per_pulse_overlap(pulses, target, eps_values[:, None], eps_prime_values[None, :])[0]
+    return np.broadcast_to(np.minimum(np.abs(w), 1.0), (eps_values.size, eps_prime_values.size))
+
+
+def per_pulse_infidelity(pulses, target, eps: float, eps_prime: float) -> float:
+    """1 - F = |v|^2 / (1 + |w|) for T^dag U = (w, v), on Python floats."""
+    w, x, y, z = per_pulse_overlap(pulses, target, eps, eps_prime)
+    return (x * x + y * y + z * z) / (1 + abs(w))
+
+
+def ladder_slope(points) -> float:
+    """Least-squares slope of log f against log s over (s, f) points."""
+    xs, ys = [math.log(s) for s, _ in points], [math.log(f) for _, f in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) * (x - mx) for x in xs))

@@ -101,6 +101,12 @@ def test_robust_area_trivial_thresholds():
     assert robust_area(grid, 0.0) == 1.0
 
 
+def test_robust_area_refuses_a_nan_threshold():
+    grid = landscape(plain(np.pi, 0.0), resolution=3, threads=1)
+    with pytest.raises(ValueError, match="NaN"):
+        robust_area(grid, float("nan"))
+
+
 def test_robust_area_ordering_coarse():
     # the acceptance suite runs the full 201x201 comparison
     target_phi = np.pi / 2
@@ -284,6 +290,24 @@ def test_landscape_thread_pool_is_capped_at_available_cpus(monkeypatch, threads)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(analysis, "_available_cpus", lambda: 3)
     seq = scrofulous(np.pi, 0.0)
-    got = landscape(seq, resolution=41, threads=threads)
+    got = landscape(seq, resolution=257, threads=threads)  # more than four blocks
     assert sizes == [3]
-    assert np.array_equal(got.fidelity, landscape(seq, resolution=41, threads=1).fidelity)
+    assert np.array_equal(got.fidelity, landscape(seq, resolution=257, threads=1).fidelity)
+
+
+@pytest.mark.parametrize("threads", [0, 2, 5000])
+def test_landscape_of_one_block_runs_in_the_calling_thread(monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block grid started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 3)
+    resolution = int(analysis._BLOCK_CELLS ** 0.5)
+    seq = scrofulous(np.pi, 0.0)
+    got = landscape(seq, resolution=resolution, threads=threads)
+    assert np.array_equal(got.fidelity, landscape(seq, resolution=resolution, threads=1).fidelity)
+
+
+def test_landscape_refuses_a_negative_thread_count():
+    with pytest.raises(ValueError, match="threads"):
+        landscape(plain(np.pi, 0.0), resolution=3, threads=-1)

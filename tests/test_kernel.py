@@ -2,8 +2,11 @@
 
 Tolerances are fixed in advance: products 1e-14, landscape cells 1e-13
 (and bitwise against the trace formula), moment integrals 1e-12
-(all max-abs).
+(all max-abs).  Landscape cells and ladder points are also held bitwise to
+the per-pulse kernel in ``loop_reference``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import loop_reference as ref
-from cpseq.analysis import _products, landscape
+from cpseq.analysis import _DIRECTIONS, AXES, DEFAULT_SCALING_LADDER, _infidelities, _ladder, _products, landscape
 from cpseq.error_model import (
     ErrorChannel,
     error_moment_integrals,
     perturbed_propagator,
 )
-from cpseq.sequences import _REGISTRY, PulseSequence, synthesize
+from cpseq.sequences import _REGISTRY, Pulse, PulseSequence, synthesize
 from cpseq.su2 import _product, compose, quaternion, to_matrix
 
 from conftest import theta_for
@@ -88,6 +91,70 @@ def test_landscape_of_a_pulse_free_sequence_is_the_target_overlap():
     grid = landscape(seq, resolution=5, threads=1)
     assert grid.fidelity.shape == (5, 5)
     assert max_abs(grid.fidelity, np.cos(0.5)) <= 1e-15
+
+
+# ---- exact bits of the per-pulse kernel (loop_reference.per_pulse_*) -------------
+
+EXACT_TARGETS = [(1.3, 19.7), (2.9, -20.3)]
+
+
+def pulses_of(seq) -> list[tuple[float, float]]:
+    return [(p.theta, p.phi) for p in seq.pulses]
+
+
+def exact_sequences():
+    """Every family at two targets; a custom sequence that repeats angles at
+    other azimuths and has a zero-angle pulse; and a pulse-free sequence."""
+    for family in SYNTH_FAMILIES:
+        for theta, phi in EXACT_TARGETS:
+            yield f"{family}-{theta}", synthesize(family, theta_for(family, theta), phi)
+    pulses = [Pulse(1.1, 0.3), Pulse(2.0, 4.0), Pulse(1.1, 2.5), Pulse(0.0, 1.0), Pulse(2.0, 0.0),
+              Pulse(1.1, 5.9)]
+    yield "custom", PulseSequence("custom", tuple(pulses), ref.rotation([0.3, -0.2, 0.9]))
+    yield "pulse-free", PulseSequence("custom", (), ref.rotation([0.0, 0.0, 1.0]))
+
+
+EXACT_SEQUENCES = dict(exact_sequences())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", list(EXACT_SEQUENCES))
+def test_landscape_cells_have_the_per_pulse_bits(name, threads):
+    seq = EXACT_SEQUENCES[name]
+    grid = landscape(seq, (-0.3, 0.25), (-0.2, 0.35), resolution=257, threads=threads)
+    want = ref.per_pulse_landscape(pulses_of(seq), seq._unit, grid.eps_values, grid.eps_prime_values)
+    assert np.array_equal(grid.fidelity, want)
+
+
+@pytest.mark.parametrize("name", list(EXACT_SEQUENCES))
+def test_ladder_has_the_per_pulse_bits(name):
+    seq = EXACT_SEQUENCES[name]
+    for axis in AXES:
+        de, dp = _DIRECTIONS[axis]
+        points = [(s, ref.per_pulse_infidelity(pulses_of(seq), seq._unit, de * s, dp * s))
+                  for s in DEFAULT_SCALING_LADDER]
+        assert [_infidelities(seq, de * s, dp * s) for s in DEFAULT_SCALING_LADDER] == [f for _, f in points]
+        kept = [(s, f) for s, f in points if f > 1e-14]
+        if len(kept) < 2:
+            with pytest.raises(ValueError, match="fewer than 2"):
+                _ladder(seq, axis, DEFAULT_SCALING_LADDER)
+            continue
+        slope, _, got, _ = _ladder(seq, axis, DEFAULT_SCALING_LADDER)
+        assert got == kept
+        assert slope == ref.ladder_slope(kept)
+
+
+def test_landscape_working_set_stays_within_16_and_a_half_blocks():
+    # 16.5 arrays of 16,384 float64 cells: what the kernel needed when it
+    # evaluated one rotation per pulse, at that block size
+    seq = synthesize("cis-cccp", 1.3, 0.4)
+    tracemalloc.start()
+    try:
+        grid = landscape(seq, resolution=513, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - grid.fidelity.nbytes <= 2_162_688
 
 
 @pytest.mark.parametrize("family,subdivisions", [
