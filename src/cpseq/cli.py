@@ -5,23 +5,24 @@ the command line accept decimal radians or ``pi`` fractions (``pi``,
 ``pi/2``, ``3pi/4``, ``-pi/3``, ``2*pi/3``).  All outputs are deterministic:
 identical invocations produce identical bytes.  Exit codes: 0 success,
 2 usage or parse failure, 3 verification failure.  Every refusal, the
-parser's own included, writes one JSON document
-``{"error": {"type": ..., "message": ...}}`` to stderr.
+parser's own included, writes one JSON document ``{"error": {"type": ...,
+"message": ...}}`` to stderr.  Each option in ``_OPTIONS`` is given at most
+once, and takes the next argument as its value, even one starting with '-'.
 
 A command imports only what it runs: ``synth`` and ``reduce`` load
 ``sequences`` (with ``su2``) and ``ioutil``; ``verify`` adds
 ``error_model``; ``phase`` and ``scaling`` add ``analysis``; ``landscape``
-adds numpy.
+adds numpy; ``json`` is loaded only to read ``--input``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import re
 import sys
+from functools import partial
+from types import SimpleNamespace
 
 from . import __version__, sequences
 from .ioutil import dumps
@@ -124,21 +125,41 @@ def _output_file(text: str) -> str:
     return text
 
 
-def _add(parser, flag: str, convert=str, default=None, help=None, choices=None, required=False):
-    """Add ``flag``, whose value ``convert`` parses; a refused value raises
-    BadParameter, "Invalid value for '--flag': <reason>"."""
+def _choice(text: str, choices) -> str:
+    if text not in choices:
+        raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+    return text
 
-    def parse(text: str):
-        try:
-            value = convert(text)
-            if choices is not None and value not in choices:
-                raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
-            return value
-        except (ValueError, UsageError) as exc:
-            raise BadParameter(f"Invalid value for '{flag}': {exc}") from None
 
-    parser.add_argument(flag, type=parse, default=default, help=help, required=required,
-                        metavar="{" + ",".join(choices) + "}" if choices else None)
+def _axis(text: str) -> str:
+    from . import analysis
+
+    return _choice(text, analysis.AXES)
+
+
+def _phases(text: str) -> list[float]:
+    return [parse_angle(p) for p in text.split(",") if p.strip()]
+
+
+_SEQUENCE = ("synth", "verify", "landscape", "phase", "scaling")
+_DOCUMENT = ("verify", "landscape", "phase", "scaling")
+
+# flag: (converter, default, the commands that take it, help line)
+_OPTIONS = {
+    "--family": (partial(_choice, choices=sequences._REGISTRY), None, _SEQUENCE,
+                 f"Sequence family: {', '.join(sequences._REGISTRY)}."),
+    "--theta": (_theta, None, _SEQUENCE, "Target rotation angle (radians; pi forms accepted)."),
+    "--phi": (parse_angle, 0.0, _SEQUENCE, "Target axis azimuth (radians; default 0)."),
+    "--winding": (_winding, None, _SEQUENCE, "Winding integers n1,n2,n3 for CORPSE-based families."),
+    "--eps-range": (_range, (-0.1, 0.1), ("landscape",), "Pulse-length strength range lo,hi."),
+    "--eps-prime-range": (_range, (-0.1, 0.1), ("landscape",), "Off-resonance strength range lo,hi."),
+    "--res": (_resolution, 201, ("landscape",), "Samples per axis (default 201)."),
+    "--format": (partial(_choice, choices=("csv", "json")), "csv", ("landscape",), "csv (default) or json."),
+    "--axis": (_axis, "eps", ("scaling",), "Strength axis: eps, eps-prime or diagonal (default eps)."),
+    "--phases": (_phases, None, ("reduce",), "Comma-separated azimuths of xy-plane pi pulses (required)."),
+    "--input": (_input_file, None, _DOCUMENT, "Read the sequence from this JSON file (- for stdin)."),
+    "--output": (_output_file, None, (*_SEQUENCE, "reduce"), "Write the result here instead of stdout."),
+}
 
 
 # ---- commands: each takes the parsed options and returns its exit code --------
@@ -170,6 +191,8 @@ def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequen
 def _sequence(opts) -> sequences.PulseSequence:
     """The sequence read from ``--input``, or synthesized from ``--family``."""
     if opts.input is not None:
+        import json
+
         try:
             if opts.input == "-":
                 doc = json.load(sys.stdin)
@@ -177,7 +200,7 @@ def _sequence(opts) -> sequences.PulseSequence:
                 with open(opts.input, encoding="utf-8") as fh:
                     doc = json.load(fh)
             return sequences.sequence_from_dict(doc)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise _refusal(exc) from None
     if opts.family is None:
         raise UsageError("provide either --input or --family")
@@ -295,12 +318,11 @@ def scaling(opts) -> int:
 
 def reduce(opts) -> int:
     """Collapse a product of xy-plane pi pulses to a single rotation."""
-    values = [parse_angle(p) for p in opts.phases.split(",") if p.strip()]
     try:
-        vector = sequences._reduce(values)
+        vector = sequences._reduce(opts.phases)
     except ValueError as exc:
         raise _refusal(exc) from None
-    if len(values) % 2 == 0:
+    if len(opts.phases) % 2 == 0:
         doc = {"kind": "z-rotation", "vector": list(vector)}
     else:
         doc = {
@@ -313,82 +335,62 @@ def reduce(opts) -> int:
     return 0
 
 
-_COMMANDS = (synth, verify, landscape, phase, scaling, reduce)
+_COMMANDS = {command.__name__: command for command in (synth, verify, landscape, phase, scaling, reduce)}
 
 
-def _options(name: str, parser):
-    """Add the options of command ``name``, importing nothing the command
-    does not."""
-    if name == "reduce":
-        _add(parser, "--phases", required=True,
-             help="Comma-separated azimuths of xy-plane pi pulses, in application order.")
+def _show(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
+
+
+def _help(prog: str, command: str | None) -> str:
+    """The usage of ``command``, or of the program when it is None."""
+    if command is None:
+        rows = [(name, run.__doc__.splitlines()[0]) for name, run in _COMMANDS.items()]
     else:
-        _add(parser, "--family", choices=list(sequences._REGISTRY), help="Sequence family to synthesize.")
-        _add(parser, "--theta", _theta, help="Target rotation angle (radians; pi forms accepted).")
-        _add(parser, "--phi", parse_angle, 0.0, "Target axis azimuth (radians; default 0).")
-        _add(parser, "--winding", _winding, help="Winding integers n1,n2,n3 for CORPSE-based families.")
-    if name == "landscape":
-        _add(parser, "--eps-range", _range, (-0.1, 0.1), "Pulse-length strength range lo,hi.")
-        _add(parser, "--eps-prime-range", _range, (-0.1, 0.1), "Off-resonance strength range lo,hi.")
-        _add(parser, "--res", _resolution, 201, "Samples per axis (default 201).")
-        _add(parser, "--format", default="csv", choices=["csv", "json"], help="Output format (default csv).")
-    if name == "scaling":
-        from . import analysis
-        _add(parser, "--axis", default="eps", choices=list(analysis.AXES),
-             help="Strength axis for the ladder (default eps).")
-    if name not in ("synth", "reduce"):
-        _add(parser, "--input", _input_file,
-             help="Read the sequence from this JSON file instead of synthesizing (- for stdin).")
-    _add(parser, "--output", _output_file, help="Write the result here instead of stdout.")
+        rows = [(flag, line) for flag, (_, _, names, line) in _OPTIONS.items() if command in names]
+    width = max(len(key) for key, _ in rows) + 2
+    lines = [f"usage: {prog} {command or '[--version] COMMAND'} [--help] [--OPTION VALUE]...", "",
+             (_COMMANDS.get(command) or main).__doc__.splitlines()[0], ""]
+    return "\n".join(lines + [f"  {key:<{width}}{line}" for key, line in rows]) + "\n"
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors raise UsageError, so that they take the
-    one error path."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _parser(prog: str, argv: list[str]) -> _Parser:
-    parser = _Parser(prog=prog, description=main.__doc__.splitlines()[0], add_help=False,
-                     allow_abbrev=False)
-    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}",
-                        help="Show the version and exit.")
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-    # Only the command that runs gets a parser, with its options; --help and
-    # an unknown command list them all.
-    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
-    names = [command.__name__ for command in _COMMANDS]
-    for command in _COMMANDS:
-        name = command.__name__
-        if chosen in names and name != chosen:
-            continue
-        summary = command.__doc__.splitlines()[0]
-        sub = commands.add_parser(name, help=summary, description=summary, add_help=False,
-                                  allow_abbrev=False)
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-        sub.set_defaults(command=command)
-        if name == chosen:
-            _options(name, sub)
-    return parser
-
-
-def _values_attached(argv: list[str]) -> list[str]:
-    """``--option value`` as ``--option=value``.  Every option but --help and
-    --version takes the next argument as its value, even when it starts with
-    '-' (``--phi -pi/3``), which argparse would read as an option."""
-    out, rest = [], iter(argv)
-    for arg in rest:
-        if arg == "--":
-            out += [arg, *rest]
-            break
-        value = None
-        if arg.startswith("--") and "=" not in arg and arg not in ("--help", "--version"):
-            value = next(rest, None)
-        out.append(arg if value is None else f"{arg}={value}")
-    return out
+def _parse(argv, prog: str):
+    """The function that ``argv`` runs and its argument; unknown arguments are refused last."""
+    command, given, unknown = None, {}, []
+    args = iter(argv)
+    for arg in args:
+        flag, attached, value = arg.partition("=")
+        if command is None and not arg.startswith("-"):
+            if arg not in _COMMANDS:
+                raise UsageError(f"argument COMMAND: invalid choice: {arg!r} "
+                                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            command = arg
+        elif arg == "--help" or (arg == "--version" and command is None):
+            return _show, _help(prog, command) if arg == "--help" else f"{prog}, version {__version__}\n"
+        elif flag in _OPTIONS and command in _OPTIONS[flag][2]:
+            if flag in given:
+                raise UsageError(f"argument {flag}: given more than once")
+            if not attached and (value := next(args, None)) is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            try:
+                given[flag] = _OPTIONS[flag][0](value)
+            except (ValueError, UsageError) as exc:
+                raise BadParameter(f"Invalid value for '{flag}': {exc}") from None
+        elif arg.startswith("--") and not attached and arg != "--version":
+            # an unknown option takes its value too, and is named with it
+            unknown.append(arg if (value := next(args, None)) is None else f"{arg}={value}")
+        else:
+            unknown.append(arg)
+    if command is None:
+        raise UsageError("the following arguments are required: COMMAND")
+    if command == "reduce" and "--phases" not in given:
+        raise UsageError("the following arguments are required: --phases")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return _COMMANDS[command], SimpleNamespace(**{
+        flag[2:].replace("-", "_"): given.get(flag, default)
+        for flag, (_, default, names, _) in _OPTIONS.items() if command in names})
 
 
 def main(args=None, prog_name=None, standalone_mode=True):
@@ -397,17 +399,12 @@ def main(args=None, prog_name=None, standalone_mode=True):
     Runs the command line ``args`` (``sys.argv[1:]`` by default) and exits
     with its code; with ``standalone_mode=False`` returns the code instead.
     """
-    argv = sys.argv[1:] if args is None else list(args)
     try:
-        opts = _parser(prog_name or "cpseq", argv).parse_args(_values_attached(argv))
-        code = opts.command(opts)
+        run, opts = _parse(sys.argv[1:] if args is None else args, prog_name or "cpseq")
+        code = run(opts)
     except UsageError as exc:
         sys.stderr.write(dumps({"error": {"type": exc.kind, "message": str(exc)}}) + "\n")
         code = 2
-    except SystemExit as exc:  # --help and --version
-        if standalone_mode:
-            raise
-        code = exc.code
     if standalone_mode:
         sys.exit(code)
     return code

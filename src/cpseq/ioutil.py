@@ -5,19 +5,21 @@ but variable-width; output contracts here call for a fixed 17-significant-
 digit rendering and byte-identical output for identical inputs, so this
 module renders documents itself.  Key order is insertion order, separators
 and the two-space indent are fixed, line endings are LF.  Keys and strings
-are escaped by the stdlib's string encoder, non-ASCII kept raw.  A list or
-float array whose items are all floats is rendered in one pass.  numpy
-values are rendered like the Python values they convert to; numpy itself is
-never imported here.
+are escaped as the stdlib's ``encode_basestring`` escapes them (non-ASCII
+kept raw), by a ``str.translate`` table.  A list or float array whose items
+are all floats is rendered in one pass.  numpy values are rendered like the
+Python values they convert to; numpy itself is never imported here.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from json.encoder import encode_basestring
 
 __all__ = ["dumps"]
+
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')})
 
 
 def _render(obj, level: int) -> str:
@@ -29,7 +31,7 @@ def _render(obj, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{pad}{encode_basestring(key)}: {_render(val, level + 1)}" for key, val in obj.items()]
+        items = [f'{pad}"{str.translate(k, _ESCAPES)}": {_render(v, level + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + closing + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -55,7 +57,7 @@ def _render(obj, level: int) -> str:
             raise ValueError(f"cannot serialize non-finite float {obj!r}")
         return format(obj, ".17g")
     if isinstance(obj, str):
-        return encode_basestring(obj)
+        return f'"{obj.translate(_ESCAPES)}"'
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

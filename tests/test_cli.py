@@ -100,8 +100,12 @@ def test_negative_theta_names_the_bound(runner):
     (["synth", "--family", "plain", "--theta", "1", "extra"], "extra"),
     (["bogus"], "bogus"),
     ([], "COMMAND"),
+    (["reduce", "--phases", "pi,foo"], "Invalid value for '--phases': cannot parse angle 'foo'"),
+    (["synth", "--family", "bb1", "--family", "plain", "--theta", "1"], "argument --family: given more than once"),
+    (["synth", "--family", "bb1", "--theta"], "argument --theta: expected one argument"),
 ], ids=["theta", "family", "no-family", "res", "winding", "input-missing", "output-directory", "axis",
-        "no-phases", "abbreviation", "extra-argument", "unknown-command", "no-command"])
+        "no-phases", "abbreviation", "extra-argument", "unknown-command", "no-command", "phases-angle",
+        "repeated-option", "no-value"])
 def test_flag_errors_exit_2_with_one_json_document(runner, tmp_path, args, message):
     args = [a.format(missing=tmp_path / "missing.json", directory=tmp_path) for a in args]
     result = runner.invoke(main, args)
@@ -121,6 +125,18 @@ def test_version_is_the_package_version(runner):
 def test_help_exits_0(runner, args):
     result = invoke(runner, args)
     assert result.exit_code == 0 and "--help" in result.stdout and result.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "landscape", "phase", "scaling", "reduce"])
+def test_help_lists_exactly_the_options_a_command_accepts(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # where reduce --output writes
+    listed = {line.split()[0] for line in invoke(runner, [command, "--help"]).stdout.splitlines()
+              if line.startswith("  --")}
+    for flag in sorted(set(OPTION_VALUES) - {"--bogus"}):
+        # reduce refuses a missing --phases before unrecognized arguments
+        args = [command, flag, "1e999", *(["--phases=1"] if command == "reduce" and flag != "--phases" else [])]
+        stderr = runner.invoke(main, args).stderr
+        assert (flag in listed) == ("unrecognized arguments" not in stderr), (flag, stderr)
 
 
 # the last one is a pi fraction whose coefficient, 1e308, overflows times pi
@@ -325,6 +341,18 @@ def test_verify_malformed_document_exits_2_with_json(runner, tmp_path, text):
     path.write_text(text)
     err = _refused_with_json(invoke(runner, ["verify", "--input", str(path)]))
     assert err["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["verify", "phase"])
+def test_deeply_nested_document_exits_2_with_json(runner, tmp_path, command):
+    # deeper than any interpreter's recursion limit, so that the decoder refuses it
+    text = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    args, stdin = ([str(path)], None) if command == "verify" else (["-"], text)
+    result = invoke(runner, [command, "--input", *args], input=stdin)
+    assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
+    assert _refused_with_json(result)["type"] == "RecursionError"
 
 
 def test_verify_fails_when_pulses_miss_declared_target(runner, tmp_path):
@@ -631,7 +659,8 @@ def test_commands_load_only_what_they_run(args, allowed):
     # that a "from . import" loads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    heavy = {"click", "numpy", "dataclasses", "cpseq.error_model", "cpseq.analysis"} - set(allowed)
+    heavy = {"click", "numpy", "dataclasses", "argparse", "gettext", "locale", "json", "cpseq.error_model",
+             "cpseq.analysis"} - set(allowed)
     code = ("import atexit, runpy, sys; "
             f"atexit.register(lambda: print(sorted({sorted(heavy)!r} & sys.modules.keys()), file=sys.stderr)); "
             "runpy.run_module('cpseq.cli', run_name='__main__')")

@@ -1,4 +1,5 @@
 import json
+from json.encoder import encode_basestring
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ def test_dumps_rejects_non_finite():
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"x": object()})
+    with pytest.raises(TypeError):  # a JSON key is a string
+        dumps({1: 2})
 
 
 def test_dumps_escapes_strings():
@@ -64,6 +67,13 @@ def test_dumps_escapes_control_characters_in_keys_and_strings():
                        | st.dictionaries(st.text(), st.text(), max_size=3)))
 def test_dumps_round_trips_any_text(doc):
     assert json.loads(dumps(doc)) == doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text() | st.text(st.characters(max_codepoint=0x7F)))
+def test_string_escapes_match_the_stdlib_encoder(text):
+    assert dumps(text) == encode_basestring(text)
+    assert dumps({text: 1}) == "{\n  " + encode_basestring(text) + ": 1\n}"
 
 
 def test_dumps_empty_containers():
