@@ -1,7 +1,7 @@
 """Composite pulse synthesis and first-order robustness analysis for SU(2) gates.
 
 The package exports the public names (``__all__``) of ``sequences``,
-``error_model`` and ``analysis``, and ``eig_unitary``, ``rotation`` and
+``error_model`` and ``analysis``, and ``eig_unitary`` and
 ``rotation_generator`` of ``su2``.  Each module is imported when a name
 from it is first used (PEP 562), so ``cpseq.synthesize`` loads ``sequences``
 and ``su2`` alone.  numpy is loaded only where an array is handed out or a
@@ -13,7 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = ("su2", "sequences", "error_model", "analysis", "ioutil", "cli")
-_SU2_EXPORTS = ("eig_unitary", "rotation", "rotation_generator")
+_SU2_EXPORTS = ("eig_unitary", "rotation_generator")
 _EXPORTING = ("sequences", "error_model", "analysis")  # searched in this order
 
 

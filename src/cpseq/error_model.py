@@ -41,8 +41,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .sequences import PulseSequence, _Value
-from .su2 import (_assemble, _bloch, _components, _fold, _hamilton, _lib, _matrix, _product,
-                  _quaternion, compose, quaternion, rotation_generator, to_matrix)
+from .su2 import _bloch, _fold, _hamilton, _lib, _matrix, _product, _quaternion, rotation_generator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,12 +50,8 @@ __all__ = [
     "ErrorChannel",
     "FirstOrderReport",
     "MomentIntegrals",
-    "pulse_error",
-    "interaction_error",
     "first_order_error",
-    "product_error_split",
     "error_moment_integrals",
-    "irreducible_decompose",
     "perturbed_propagator",
     "finite_difference_generator",
 ]
@@ -168,13 +163,6 @@ class MomentIntegrals(_Value):
     def __init__(self, first_moment: np.ndarray, second_moment: np.ndarray):
         super().__init__(first_moment, second_moment)
 
-    @property
-    def second_moment_trace_part(self) -> np.ndarray:
-        """Coefficient triple of integral U^dag H U dt (the contraction
-        second_moment[mu, mu, :]); zero exactly for pulse-length-robust
-        sequences."""
-        return self.second_moment.trace()
-
 
 def _as_vectors(seq) -> list:
     """Rotation vectors of a sequence or of a list of vectors, as float triples."""
@@ -193,11 +181,6 @@ def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
     return e * x, e * y, e * z + channel.epsilon_prime * _lib(x).sqrt(x * x + y * y + z * z)
 
 
-def pulse_error(m, channel: ErrorChannel) -> np.ndarray:
-    """Per-pulse error generator dW = dm . sigma / 2."""
-    return rotation_generator(_assemble(*_deformation(*_components(m), channel)))
-
-
 def _frame_average(x, y, z) -> tuple:
     """A(m) = integral_0^1 O(R(x m)) dx for m = (x, y, z) in closed form (module
     docstring), A(0) = I: nine row-major entries, floats or arrays alike."""
@@ -212,13 +195,6 @@ def _frame_average(x, y, z) -> tuple:
     return (c * nx * nx + sinc, c * nx * ny - k * nz, c * nx * nz + k * ny,
             c * nx * ny + k * nz, c * ny * ny + sinc, c * ny * nz - k * nx,
             c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
-
-
-def interaction_error(m, channel: ErrorChannel) -> np.ndarray:
-    """Toggling-frame averaged per-pulse error generator A(m)^T dm . sigma / 2,
-    exact for every channel and every pulse, z components included."""
-    m = _components(m)
-    return rotation_generator(_assemble(*_transposed(_frame_average(*m), _deformation(*m, channel))))
 
 
 def _transposed(s, d) -> tuple:
@@ -281,33 +257,6 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
     )
 
 
-def product_error_split(seq) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 3-pulse sequence's product-frame error into channel parts.
-
-    Returns (length_part, detuning_part) such that
-
-        U G = eps * R(m3) @ length_part + eps_prime * detuning_part
-
-    holds exactly against the accumulated generator G of the combined
-    channel, for any strengths.  A sequence compensates the pulse-length
-    error iff length_part = 0 and the off-resonance error iff
-    detuning_part = 0.
-    """
-    import numpy as np
-    SIGMA_Z = np.diag([1.0, -1.0])
-    vectors = np.array(_as_vectors(seq))
-    if len(vectors) != 3:
-        raise ValueError(f"product error split needs exactly 3 pulses, got {len(vectors)}")
-    qs = quaternion(vectors)
-    R1, R2, R3 = to_matrix(qs)
-    R21, R32 = to_matrix(compose(qs[1:], qs[:-1]))
-    W1, W2, W3 = rotation_generator(vectors)
-    s1, s2, s3 = (np.sin(np.linalg.norm(m) / 2) for m in vectors)
-    length_part = W3 @ R21 + R2 @ W2 @ R1 + R21 @ W1
-    detuning_part = s3 * SIGMA_Z @ R21 + s2 * R3 @ SIGMA_Z @ R1 + s1 * R32 @ SIGMA_Z
-    return length_part, detuning_part
-
-
 def error_moment_integrals(seq) -> MomentIntegrals:
     """Interaction-picture moment integrals over the whole sequence.
 
@@ -330,24 +279,6 @@ def error_moment_integrals(seq) -> MomentIntegrals:
     # dt * lambda_nu = m_nu, so the linear moment needs no dt.
     second = np.einsum("nv,nmr->mvr", np.array(vectors), shares)
     return MomentIntegrals(first_moment=first, second_moment=second)
-
-
-def irreducible_decompose(mat) -> tuple[float, np.ndarray, np.ndarray]:
-    """Split a real 3x3 tensor into trace, antisymmetric and symmetric
-    traceless parts: mat = (trace/3) I + antisym + sym_traceless, exactly.
-
-    The three parts deform the drive vector as uniform expansion, rigid
-    rotation and torsion respectively, and each has its own sufficient
-    robustness condition on the moment integrals.
-    """
-    import numpy as np
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError("expected a real 3x3 matrix")
-    trace = float(np.trace(mat))
-    antisym = (mat - mat.T) / 2
-    sym_traceless = (mat + mat.T) / 2 - (trace / 3) * np.eye(3)
-    return trace, antisym, sym_traceless
 
 
 def _perturbed_product(vectors, channel: ErrorChannel) -> tuple:

@@ -34,7 +34,6 @@ __all__ = [
     "bb1",
     "alway_jones",
     "scrofulous_in_corpse",
-    "reduce_pi_pulse_product",
     "sequence_to_dict",
     "sequence_from_dict",
     "synthesize",
@@ -221,15 +220,19 @@ def corpse_angles(theta: float, winding: tuple[int, int, int]) -> tuple[float, f
         theta_2 =        -2 kappa + 2 pi n2
         theta_3 = theta/2 - kappa + 2 pi n3
 
-    Raises WindingError if any segment angle comes out negative.
+    Raises WindingError if any segment angle comes out negative or a winding
+    number is too large for a float.
     """
     kappa = math.asin(math.sin(theta / 2) / 2)
     n1, n2, n3 = winding
-    angles = (
-        theta / 2 - kappa + TWO_PI * n1,
-        -2 * kappa + TWO_PI * n2,
-        theta / 2 - kappa + TWO_PI * n3,
-    )
+    try:
+        angles = (
+            theta / 2 - kappa + TWO_PI * n1,
+            -2 * kappa + TWO_PI * n2,
+            theta / 2 - kappa + TWO_PI * n3,
+        )
+    except OverflowError:
+        raise WindingError("CORPSE winding number is too large to convert to a float") from None
     for i, a in enumerate(angles, start=1):
         if a < 0:
             raise WindingError(
@@ -535,7 +538,7 @@ def scrofulous_in_corpse(theta: float, phi: float = 0.0) -> PulseSequence:
     return synthesize("scrofulous-in-corpse", theta, phi)
 
 
-def reduce_pi_pulse_product(phases) -> np.ndarray:
+def _reduce(phases) -> tuple[float, float, float]:
     """Collapse a product of xy-plane pi pulses to a single rotation vector.
 
     ``phases`` lists the pulse azimuths in application order.  An even count
@@ -545,12 +548,6 @@ def reduce_pi_pulse_product(phases) -> np.ndarray:
     phi_last - Theta(preceding pairs).  Both identities are exact, not just
     up to global phase.  Raises ValueError when the result overflows.
     """
-    import numpy as np
-    return np.array(_reduce(phases))
-
-
-def _reduce(phases) -> tuple[float, float, float]:
-    """:func:`reduce_pi_pulse_product` on Python floats."""
     phases = [float(p) for p in phases]
     if not phases:
         raise ValueError("need at least one pulse azimuth")

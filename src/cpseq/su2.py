@@ -21,8 +21,10 @@ can share one rotation among the pulses of equal angle and take only the
 component of T^dag U that the fidelity needs.  These kernels
 take their components as Python floats or as numpy arrays of any broadcast
 batch shape, alike: on floats they use :mod:`math`, so a single sequence is
-handled without numpy.  numpy is imported only by the functions that take
-or return arrays.
+handled without numpy.  :func:`_matrix` turns quaternion planes into 2x2
+matrices.  numpy is imported only by the functions that take or return
+arrays, the three public ones among them: ``rotation_generator``,
+``is_unitary`` and ``eig_unitary``.
 
 All functions are pure; there is no shared mutable state, so concurrent use
 is safe.
@@ -39,10 +41,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "rotation",
-    "quaternion",
-    "compose",
-    "to_matrix",
     "rotation_generator",
     "eig_unitary",
     "is_unitary",
@@ -123,25 +121,10 @@ def _quaternion(x, y, z):
     return _half_angle(angle, x, y, z, angle)
 
 
-def quaternion(m) -> np.ndarray:
-    """Unit quaternions (cos(|m|/2), sin(|m|/2) m/|m|) of R(m) for vectors m (..., 3)."""
-    return _assemble(*_quaternion(*_components(m)))
-
-
-def compose(p, q) -> np.ndarray:
-    """Quaternion of the product P Q (P applied after Q); batch axes broadcast."""
-    return _assemble(*_hamilton(_components(p), _components(q)))
-
-
 def _matrix(w, x, y, z) -> np.ndarray:
     """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast quaternion planes."""
     a = _assemble(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z)
     return a.reshape(a.shape[:-1] + (2, 2))
-
-
-def to_matrix(q) -> np.ndarray:
-    """The 2x2 matrices w I - i (x, y, z) . sigma of quaternions q (..., 4)."""
-    return _matrix(*_components(q))
 
 
 def _bloch(w, x, y, z):
@@ -160,13 +143,8 @@ def _unit_quaternion(T):
             float(-((b - c) * u).real), float(-((a - d) * u).imag))
 
 
-def rotation(m) -> np.ndarray:
-    """SU(2) rotation R(m) = exp(-i m . sigma / 2) as 2x2 matrices, for vectors m (..., 3)."""
-    return _matrix(*_quaternion(*_components(m)))
-
-
 def rotation_generator(m) -> np.ndarray:
-    """Hermitian generator m . sigma / 2, so rotation(m) = expm(-i * generator).
+    """Hermitian generator m . sigma / 2, so R(m) = expm(-i * generator).
 
     A batch of vectors (..., 3) gives a batch of generators (..., 2, 2).
     """

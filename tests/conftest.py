@@ -9,7 +9,9 @@ from unittest import mock
 
 import numpy as np
 
+from cpseq.error_model import _deformation, _frame_average, _transposed
 from cpseq.sequences import _REGISTRY
+from cpseq.su2 import _components, rotation_generator
 
 
 def frob(A, B=None) -> float:
@@ -32,6 +34,18 @@ def random_xy_vector(rng: np.random.Generator, lo: float = 0.05, hi: float = 2 *
     theta = rng.uniform(lo, hi)
     phi = rng.uniform(0, 2 * np.pi)
     return np.array([theta * np.cos(phi), theta * np.sin(phi), 0.0])
+
+
+def pulse_generator(m, channel) -> np.ndarray:
+    """dm . sigma / 2: the channel's deformation of the pulse m, from the package's kernel."""
+    return rotation_generator(_deformation(*_components(m), channel))
+
+
+def averaged_generator(m, channel) -> np.ndarray:
+    """A(m)^T dm . sigma / 2: the package's closed-form toggling-frame average
+    of :func:`pulse_generator`, on the array path."""
+    m = _components(m)
+    return rotation_generator(_transposed(_frame_average(*m), _deformation(*m, channel)))
 
 
 def theta_for(family: str, theta: float) -> float:

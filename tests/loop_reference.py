@@ -57,6 +57,29 @@ def deform(vectors, eps: float, eps_prime: float) -> list[np.ndarray]:
     return [m * (1 + eps) + np.array([0.0, 0.0, eps_prime * np.linalg.norm(m)]) for m in vectors]
 
 
+def product_error_split(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Split a 3-pulse sequence's product-frame error into channel parts.
+
+    Returns (length_part, detuning_part) such that
+
+        U G = eps * R(m3) @ length_part + eps_prime * detuning_part
+
+    holds exactly against the accumulated generator G of the combined
+    channel, for any strengths.  A matrix derivation independent of the
+    package's toggling-frame accumulation.  A sequence compensates the
+    pulse-length error iff length_part = 0 and the off-resonance error iff
+    detuning_part = 0.
+    """
+    if len(vectors) != 3:
+        raise ValueError(f"product error split needs exactly 3 pulses, got {len(vectors)}")
+    R1, R2, R3 = (rotation(m) for m in vectors)
+    W1, W2, W3 = (sum(c * t for c, t in zip(m, TAUS)) for m in vectors)
+    s1, s2, s3 = (np.sin(np.linalg.norm(m) / 2) for m in vectors)
+    length_part = W3 @ R2 @ R1 + R2 @ W2 @ R1 + R2 @ R1 @ W1
+    detuning_part = s3 * SZ @ R2 @ R1 + s2 * R3 @ SZ @ R1 + s1 * R3 @ R2 @ SZ
+    return length_part, detuning_part
+
+
 def fidelity(T, U) -> float:
     return float(min(abs(np.trace(np.conj(T).T @ U)) / 2, 1.0))
 

@@ -13,7 +13,9 @@ from cpseq.analysis import (
     phase_decomposition,
     robust_area,
 )
-from cpseq.sequences import alway_jones, bb1, cis_cccp, corpse, plain, scrofulous, synthesize
+from cpseq.error_model import ErrorChannel, first_order_error
+from cpseq.sequences import (_REGISTRY, Pulse, PulseSequence, alway_jones, bb1, cis_cccp, corpse, plain,
+                             scrofulous, synthesize)
 
 from conftest import frob
 
@@ -238,11 +240,22 @@ def test_phase_plain_pi_pulse():
 
 
 def test_phase_pulse_length_robust_families_have_no_dynamical_phase():
-    for seq in (scrofulous(np.pi, 0.0), bb1(np.pi, 0.0)):
-        rep = phase_decomposition(seq)
-        assert np.max(np.abs(rep.dynamical)) < 1e-8
-        # the whole eigenphase is geometric
-        assert np.allclose(np.abs(rep.geometric), np.pi / 2, atol=1e-8)
+    # Kondo and Bando: cancelling the pulse-length error makes the gate's phase purely geometric
+    for family, row in _REGISTRY.items():
+        if "pulse_length" not in row.declared:
+            continue
+        for theta in filter(row.admits, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, np.pi)):
+            rep = phase_decomposition(synthesize(family, theta, 0.3))
+            assert np.max(np.abs(rep.dynamical)) < 1e-8, (family, theta)
+            # the whole eigenphase -/+ theta/2 is geometric
+            assert np.allclose(np.abs(rep.geometric), theta / 2, atol=1e-8), (family, theta)
+    # the converse fails: pi about x, then pi about y, has no dynamical phase
+    # but the full pulse-length error, its generator (pi, -pi, 0) lying
+    # perpendicular to the cyclic states' Bloch vectors +/-z
+    pulses = (Pulse(np.pi, 0.0), Pulse(np.pi, np.pi / 2))
+    seq = PulseSequence("custom", pulses, PulseSequence("custom", pulses, np.eye(2)).propagator())
+    assert np.max(np.abs(phase_decomposition(seq).dynamical)) < 1e-15
+    assert first_order_error(seq, ErrorChannel.pulse_length(1.0)).pulse_length_norm == pytest.approx(np.pi)
 
 
 def test_phase_additivity_mod_two_pi():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpseq.cli import BadParameter, main, parse_angle
@@ -409,11 +409,13 @@ def test_fuzzed_wire_documents_exit_0_2_or_3(doc):
         assert isinstance(json.loads(result.output)["passed"], bool)
 
 
+# overflows a float, and keeps n1 - n2 + n3 = 0 as cis-cccp requires
+HUGE_WINDING = f"1,{'9' * 400},{'9' * 399}8"
 OPTION_VALUES = {
     "--family": st.sampled_from([*_REGISTRY, "nope", ""]),
     "--theta": st.sampled_from(["1", "pi/2", "-pi", "0", "foo", "nan", "1e308", "3.9"]),
     "--phi": st.sampled_from(["0", "-pi/3", "2pi", "x", "inf"]),
-    "--winding": st.sampled_from(["1,2,1", "1,1,0", "1,2", "a,b,c", "-1,0,0"]),
+    "--winding": st.sampled_from(["1,2,1", "1,1,0", "1,2", "a,b,c", "-1,0,0", HUGE_WINDING]),
     "--input": st.sampled_from(["-", "{document}", "{missing}", "{directory}"]),
     "--output": st.sampled_from(["{directory}", "{file}"]),
     "--eps-range": st.sampled_from(["-0.2,0.1", "0.1,-0.2", "nan,1", "1", "-1e200,1e200"]),
@@ -441,6 +443,8 @@ def command_lines(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(command_lines())
+@example(argv=["synth", "--family", "corpse", "--theta", "1", "--winding", HUGE_WINDING])
+@example(argv=["verify", "--family", "cis-cccp", "--theta=1", f"--winding={HUGE_WINDING}"])
 def test_fuzzed_command_lines_exit_0_2_or_3(tmp_path_factory, argv):
     tmp = tmp_path_factory.mktemp("argv")
     document = tmp / "seq.json"

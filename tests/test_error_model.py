@@ -9,18 +9,14 @@ from cpseq.error_model import (
     error_moment_integrals,
     finite_difference_generator,
     first_order_error,
-    interaction_error,
-    irreducible_decompose,
     perturbed_propagator,
-    product_error_split,
-    pulse_error,
 )
 from cpseq.sequences import (_REGISTRY, Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous,
                              synthesize)
-from cpseq.su2 import rotation
 
-from conftest import CliRunner, frob, random_xy_vector, theta_for
-from loop_reference import SX, SY, SZ, fidelity, interaction_quadrature
+from conftest import CliRunner, averaged_generator, frob, pulse_generator, random_xy_vector, theta_for
+from loop_reference import (SX, SY, SZ, fidelity, interaction_quadrature, product_error_split, rotation,
+                            vectors_of)
 
 
 def random_three_pulse(rng) -> PulseSequence:
@@ -42,52 +38,52 @@ def test_channel_kind_consistency():
     assert ch.epsilon == 0.0 and np.allclose(ch.f_const, 0.0)
 
 
-# ------------------------------------------------------------- pulse_error
+# ------------------------------------------------- per-pulse generator dm
 
 def test_pulse_error_pulse_length_term():
-    got = pulse_error([np.pi, 0, 0], ErrorChannel.pulse_length(0.1))
+    got = pulse_generator([np.pi, 0, 0], ErrorChannel.pulse_length(0.1))
     assert frob(got, 0.1 * np.pi * SX / 2) < 1e-14
 
 
 def test_pulse_error_off_resonance_term():
-    got = pulse_error([np.pi, 0, 0], ErrorChannel.off_resonance(0.1))
+    got = pulse_generator([np.pi, 0, 0], ErrorChannel.off_resonance(0.1))
     assert frob(got, 0.1 * np.pi * SZ / 2) < 1e-14
 
 
 def test_pulse_error_zero_strengths():
-    assert frob(pulse_error([1.2, 0.3, 0], ErrorChannel.combined(0, 0))) == 0.0
+    assert frob(pulse_generator([1.2, 0.3, 0], ErrorChannel.combined(0, 0))) == 0.0
 
 
 def test_pulse_error_general_linear():
     f = np.array([0.1, 0.0, -0.2])
     F = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
     m = np.array([1.0, 2.0, 0.0])
-    got = pulse_error(m, ErrorChannel.general_linear(f, F))
+    got = pulse_generator(m, ErrorChannel.general_linear(f, F))
     v = f + F @ m
     expect = (v[0] * SX + v[1] * SY + v[2] * SZ) / 2
     assert frob(got, expect) < 1e-14
 
 
-# ------------------------------------------------------- interaction_error
+# ----------------------------------------- toggling-frame average A(m)^T dm
 
 def test_interaction_error_full_two_pi_pulse_kills_detuning():
     # sin(|m|/2) vanishes at |m| = 2*pi; cross-check with quadrature
     m = [2 * np.pi, 0, 0]
     ch = ErrorChannel.off_resonance(0.7)
-    closed = interaction_error(m, ch)
+    closed = averaged_generator(m, ch)
     assert frob(closed) < 1e-12
-    quad = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
+    quad = interaction_quadrature(m, pulse_generator(m, ch), nodes=64)
     assert frob(quad) < 1e-12
 
 
 def test_interaction_error_commuting_term_untouched():
-    got = interaction_error([np.pi, 0, 0], ErrorChannel.pulse_length(0.1))
+    got = averaged_generator([np.pi, 0, 0], ErrorChannel.pulse_length(0.1))
     assert frob(got, 0.1 * np.pi * SX / 2) < 1e-14
 
 
 def test_interaction_error_quarter_pulse_detuning():
     # analytic integral of (cos(x theta) sz + sin(x theta) sy) over the pulse
-    got = interaction_error([np.pi / 2, 0, 0], ErrorChannel.off_resonance(1.0))
+    got = averaged_generator([np.pi / 2, 0, 0], ErrorChannel.off_resonance(1.0))
     s = np.sin(np.pi / 4)
     want = s * (np.cos(np.pi / 4) * SZ + np.sin(np.pi / 4) * SY)
     assert frob(got, want) < 1e-14
@@ -100,7 +96,7 @@ def test_quadrature_zero_generator():
 def test_quadrature_matches_closed_form_single_case():
     m = [np.pi / 2, 0, 0]
     got = interaction_quadrature(m, (np.pi / 2) * SZ / 2, nodes=64)
-    want = interaction_error(m, ErrorChannel.off_resonance(1.0))
+    want = averaged_generator(m, ErrorChannel.off_resonance(1.0))
     assert frob(got, want) < 1e-12
 
 
@@ -118,8 +114,8 @@ def test_closed_form_vs_quadrature_200_random():
     for _ in range(200):
         m = random_xy_vector(rng)
         ch = ErrorChannel.combined(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
-        closed = interaction_error(m, ch)
-        quad = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
+        closed = averaged_generator(m, ch)
+        quad = interaction_quadrature(m, pulse_generator(m, ch), nodes=64)
         worst = max(worst, frob(closed, quad))
     assert worst < 1e-10
 
@@ -129,7 +125,7 @@ def test_interaction_error_hermitian():
     for _ in range(50):
         m = random_xy_vector(rng)
         ch = ErrorChannel.combined(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        H = interaction_error(m, ch)
+        H = averaged_generator(m, ch)
         assert frob(H, H.conj().T) <= 1e-12 and abs(np.trace(H)) <= 1e-12
 
 
@@ -148,9 +144,9 @@ def test_interaction_error_general_linear_off_axis_pulse():
     for m, ch in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = interaction_error(m, ch)
+            got = averaged_generator(m, ch)
         assert np.isfinite(got).all()
-        want = interaction_quadrature(m, pulse_error(m, ch), nodes=64)
+        want = interaction_quadrature(m, pulse_generator(m, ch), nodes=64)
         assert frob(got, want) < 1e-13
 
 
@@ -236,7 +232,7 @@ def test_product_split_identity_random():
     for _ in range(30):
         seq = random_three_pulse(rng)
         eps, epsp = rng.uniform(-0.2, 0.2, size=2)
-        length_part, detuning_part = product_error_split(seq)
+        length_part, detuning_part = product_error_split(vectors_of(seq))
         gen = first_order_error(seq, ErrorChannel.combined(eps, epsp)).generator
         lhs = seq.propagator() @ gen
         rhs = eps * rotation(seq.pulses[2].vector) @ length_part + epsp * detuning_part
@@ -244,12 +240,12 @@ def test_product_split_identity_random():
 
 
 def test_product_split_corpse_detuning_part_vanishes():
-    _, detuning_part = product_error_split(corpse(np.pi, 0.0))
+    _, detuning_part = product_error_split(vectors_of(corpse(np.pi, 0.0)))
     assert frob(detuning_part) < 1e-10
 
 
 def test_product_split_scrofulous():
-    length_part, detuning_part = product_error_split(scrofulous(np.pi, 0.0))
+    length_part, detuning_part = product_error_split(vectors_of(scrofulous(np.pi, 0.0)))
     assert frob(length_part) < 1e-10
     # the residual detuning term is NOT the bare off-resonance error of the
     # target, which is why the reverse concatenation fails
@@ -258,19 +254,19 @@ def test_product_split_scrofulous():
 
 def test_product_split_requires_three_pulses():
     with pytest.raises(ValueError):
-        product_error_split(plain(np.pi, 0.0))
+        product_error_split(vectors_of(plain(np.pi, 0.0)))
 
 
 # ------------------------------------------------------ moment integrals
 
 def test_moment_trace_part_scrofulous():
     mom = error_moment_integrals(scrofulous(np.pi, 0.0))
-    assert np.max(np.abs(mom.second_moment_trace_part)) < 1e-8
+    assert np.max(np.abs(mom.second_moment.trace())) < 1e-8
 
 
 def test_moment_trace_part_plain_pulse():
     mom = error_moment_integrals(plain(np.pi, 0.0))
-    assert np.allclose(mom.second_moment_trace_part, [np.pi, 0, 0], atol=1e-10)
+    assert np.allclose(mom.second_moment.trace(), [np.pi, 0, 0], atol=1e-10)
 
 
 def test_moment_first_constant_hamiltonian():
@@ -284,29 +280,6 @@ def test_moment_zero_length_sequence():
     mom = error_moment_integrals(seq)
     assert np.allclose(mom.second_moment, 0.0)
     assert np.allclose(mom.first_moment, np.eye(3))
-
-
-def test_irreducible_decompose_identity():
-    trace, antisym, sym = irreducible_decompose(np.eye(3))
-    assert trace == 3.0 and frob(antisym) == 0.0 and frob(sym) == 0.0
-
-
-def test_irreducible_decompose_antisymmetric():
-    A = np.array([[0, 1, -2], [-1, 0, 3], [2, -3, 0.0]])
-    trace, antisym, sym = irreducible_decompose(A)
-    assert trace == 0.0
-    assert np.allclose(antisym, A) and np.allclose(sym, 0.0)
-
-
-def test_irreducible_decompose_reconstruction():
-    rng = np.random.default_rng(16)
-    for _ in range(50):
-        M = rng.normal(size=(3, 3))
-        trace, antisym, sym = irreducible_decompose(M)
-        back = (trace / 3) * np.eye(3) + antisym + sym
-        assert np.max(np.abs(back - M)) < 1e-14
-        assert np.max(np.abs(antisym + antisym.T)) < 1e-15
-        assert abs(np.trace(sym)) < 1e-14
 
 
 # --------------------------------------------- exact perturbed propagator

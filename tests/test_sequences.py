@@ -15,18 +15,17 @@ from cpseq.sequences import (
     cis_cccp,
     corpse,
     plain,
-    reduce_pi_pulse_product,
     scrofulous,
     scrofulous_in_corpse,
     _REGISTRY,
+    _reduce,
     sequence_from_dict,
     sequence_to_dict,
     synthesize,
 )
-from cpseq.su2 import rotation
 
 from conftest import frob
-from loop_reference import fidelity
+from loop_reference import fidelity, rotation
 
 
 def xy(theta, phi):
@@ -174,6 +173,14 @@ def test_corpse_identity_edge():
 def test_corpse_negative_angle_names_offending_index():
     with pytest.raises(WindingError, match="theta_2"):
         corpse(np.pi, 0.0, (1, 0, 1))
+
+
+def test_corpse_winding_too_large_for_a_float():
+    # n1 - n2 + n3 = 0, so the concatenation accepts it too
+    huge = int("9" * 400)
+    for family in ("corpse", "cis-cccp"):
+        with pytest.raises(WindingError, match="too large"):
+            synthesize(family, 1.0, 0.0, (1, huge, huge - 1))
 
 
 def test_corpse_rejects_out_of_range_angle():
@@ -390,12 +397,12 @@ def test_axis_covariance_by_rigid_shift():
 # -------------------------------------------------------------- reduction
 
 def test_reduce_single_pulse():
-    m = reduce_pi_pulse_product([0.8])
+    m = _reduce([0.8])
     assert np.allclose(m, xy(np.pi, 0.8))
 
 
 def test_reduce_pair_closed_form():
-    m = reduce_pi_pulse_product([0.3, 1.1])
+    m = _reduce([0.3, 1.1])
     assert np.allclose(m, [0, 0, 2 * (1.1 - 0.3 + np.pi)])
     direct = rotation(xy(np.pi, 1.1)) @ rotation(xy(np.pi, 0.3))
     assert frob(rotation(m), direct) < 1e-12
@@ -409,13 +416,13 @@ def test_reduce_matches_direct_product():
         direct = np.eye(2, dtype=complex)
         for p in phases:
             direct = rotation(xy(np.pi, p)) @ direct
-        reduced = rotation(reduce_pi_pulse_product(phases))
+        reduced = rotation(_reduce(phases))
         assert fidelity(direct, reduced) > 1 - 1e-10
 
 
 def test_reduce_empty_rejected():
     with pytest.raises(ValueError):
-        reduce_pi_pulse_product([])
+        _reduce([])
 
 
 # ------------------------------------------------------------ wire format

@@ -6,12 +6,11 @@ from cpseq.su2 import (
     _bloch,
     _fold,
     _half_angle,
+    _hamilton,
+    _matrix,
     _product,
-    compose,
+    _quaternion,
     eig_unitary,
-    quaternion,
-    to_matrix,
-    rotation,
     rotation_generator,
 )
 
@@ -20,6 +19,16 @@ import loop_reference as ref
 from loop_reference import I2, SX, SY, SZ
 
 PAULIS = (SX, SY, SZ)
+
+
+def planes(a):
+    """The components of an array of vectors, unpacked from its last axis."""
+    return tuple(np.moveaxis(np.asarray(a, dtype=float), -1, 0))
+
+
+def rotation(m) -> np.ndarray:
+    """R(m) for vectors m (..., 3) through the kernel: ``_quaternion``, then ``_matrix``."""
+    return _matrix(*_quaternion(*planes(m)))
 
 
 def test_pauli_generator_definition():
@@ -76,7 +85,7 @@ def test_rotation_generator_roundtrip():
 def test_fidelity_self_and_global_phase():
     rng = np.random.default_rng(6)
     a, b = (Pulse(rng.uniform(0.1, 2 * np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(2))
-    U = rotation(b.vector) @ rotation(a.vector)
+    U = ref.rotation(b.vector) @ ref.rotation(a.vector)
     assert abs(PulseSequence("custom", (a, b), U)._fidelity() - 1) < 1e-14
     for _ in range(10):
         alpha = rng.uniform(0, 2 * np.pi)
@@ -133,7 +142,7 @@ def test_eig_unitary_property_random_u2_down_to_near_degeneracy():
         angle = 10 ** rng.uniform(-11, np.log10(np.pi))
         if k % 2:
             angle = 2 * np.pi - angle
-        U = np.exp(1j * rng.uniform(-np.pi, np.pi)) * rotation(angle * axis / np.linalg.norm(axis))
+        U = np.exp(1j * rng.uniform(-np.pi, np.pi)) * ref.rotation(angle * axis / np.linalg.norm(axis))
         (g0, v0), (g1, v1) = eig_unitary(U)
         assert -np.pi < g0 <= g1 <= np.pi
         worst = max(worst,
@@ -166,8 +175,8 @@ def test_eig_unitary_degenerate_keeps_global_phase():
 # ------------------------------------------------------- quaternion kernel
 
 def test_quaternion_of_zero_and_pi_pulse():
-    assert np.array_equal(quaternion([0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(quaternion([np.pi, 0.0, 0.0]), [0.0, 1.0, 0.0, 0.0], atol=1e-16)
+    assert np.array_equal(_quaternion(*planes([0.0, 0.0, 0.0])), [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(_quaternion(*planes([np.pi, 0.0, 0.0])), [0.0, 1.0, 0.0, 0.0], atol=1e-16)
 
 
 def test_axis_angle_broadcasts_and_matches_the_loop():
@@ -179,7 +188,7 @@ def test_axis_angle_broadcasts_and_matches_the_loop():
     q = np.stack(np.broadcast_arrays(*_half_angle(angle, *(length * n.T), length)), axis=-1)
     assert q.shape == (3, 4, 4)
     for i, j in np.ndindex(3, 4):
-        assert frob(to_matrix(q[i, j]), ref.rotation(angle[i, 0] * n[j])) < 1e-15
+        assert frob(_matrix(*q[i, j]), ref.rotation(angle[i, 0] * n[j])) < 1e-15
     assert _half_angle(0.0, 0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
 
 
@@ -200,36 +209,36 @@ def test_product_accepts_a_generator_of_batched_factors():
     # batched factors fold plane by plane, and bit for bit as each column alone
     rng = np.random.default_rng(14)
     ms = rng.normal(size=(5, 3, 2, 3))
-    planes = np.moveaxis(quaternion(ms), -1, 1)
-    full = np.stack(_product(q for q in planes), axis=-1)
+    factors = np.stack(_quaternion(*planes(ms)), axis=1)
+    full = np.stack(_product(q for q in factors), axis=-1)
     for index in np.ndindex(3, 2):
-        column = [q[(slice(None), *index)].tolist() for q in planes]
+        column = [q[(slice(None), *index)].tolist() for q in factors]
         assert full[index].tolist() == list(_product(column))
 
 
 def test_frames_are_the_products_before_each_factor():
     rng = np.random.default_rng(15)
     ms = rng.normal(size=(6, 3))
-    V = list(_fold(quaternion(ms).tolist()))
+    V = list(_fold(zip(*_quaternion(*planes(ms)))))
     assert len(V) == 7 and V[0] == (1.0, 0.0, 0.0, 0.0)
     for i in range(1, 7):
-        assert frob(to_matrix(V[i]), ref.product(ms[:i])) < 1e-14
+        assert frob(_matrix(*V[i]), ref.product(ms[:i])) < 1e-14
 
 
 def test_compose_broadcasts_batch_axes():
     rng = np.random.default_rng(16)
-    p = quaternion(rng.normal(size=(3, 1, 3)))
-    q = quaternion(rng.normal(size=(4, 3)))
-    pq = compose(p, q)
+    p = _quaternion(*planes(rng.normal(size=(3, 1, 3))))
+    q = _quaternion(*planes(rng.normal(size=(4, 3))))
+    pq = np.stack(np.broadcast_arrays(*_hamilton(p, q)), axis=-1)
     assert pq.shape == (3, 4, 4)
-    assert frob(to_matrix(pq[2, 1]), to_matrix(p[2, 0]) @ to_matrix(q[1])) < 1e-14
+    assert frob(_matrix(*pq[2, 1]), _matrix(*(c[2, 0] for c in p)) @ _matrix(*(c[1] for c in q))) < 1e-14
 
 
 def test_rotation_matrix_is_the_adjoint_action():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        q = quaternion(rng.normal(size=3))
-        U, O = to_matrix(q), np.reshape(_bloch(*q), (3, 3))
+        q = _quaternion(*rng.normal(size=3))
+        U, O = _matrix(*q), np.reshape(_bloch(*q), (3, 3))
         for mu in range(3):
             back = U.conj().T @ PAULIS[mu] @ U
             assert frob(back, sum(O[mu, rho] * PAULIS[rho] for rho in range(3))) < 1e-14
