@@ -216,9 +216,9 @@ def robust_area(grid: LandscapeGrid, threshold: float) -> float:
     return float((grid.fidelity >= threshold).mean())
 
 
-def infidelity_scaling(seq: PulseSequence, axis: str,
-                       strengths=DEFAULT_SCALING_LADDER) -> ScalingFit:
-    """Least-squares slope of log(1 - F) against log(strength).
+def infidelity_scaling(seq: PulseSequence, axis: str) -> ScalingFit:
+    """Least-squares slope of log(1 - F) against log(strength) over the
+    strengths of ``DEFAULT_SCALING_LADDER``.
 
     A plain pulse scales quadratically; a sequence whose first-order
     generator vanishes on the chosen axis loses the quadratic term and
@@ -226,7 +226,7 @@ def infidelity_scaling(seq: PulseSequence, axis: str,
     double-precision noise and are dropped with a warning.
     """
     import numpy as np
-    slope, intercept, kept, dropped = _ladder(seq, axis, strengths)
+    slope, intercept, kept, dropped = _ladder(seq, axis)
     if dropped:
         warnings.warn(f"dropping {len(dropped)} ladder point(s) with infidelity below 1e-14 "
                       f"(double-precision floor): {dropped}", RuntimeWarning, stacklevel=2)
@@ -235,18 +235,13 @@ def infidelity_scaling(seq: PulseSequence, axis: str,
                       infidelities=infidelities, dropped=dropped)
 
 
-def _ladder(seq: PulseSequence, axis: str, strengths) -> tuple:
+def _ladder(seq: PulseSequence, axis: str) -> tuple:
     """:func:`infidelity_scaling` on Python floats, without its warning: the slope,
     the intercept, the kept (strength, infidelity) points and the dropped strengths."""
-    strengths = [float(s) for s in strengths]
-    if len(strengths) < 5:
-        raise ValueError("need at least 5 ladder points")
-    if not all(1e-3 - 1e-15 <= s <= 1e-2 + 1e-15 for s in strengths):  # NaN fails too
-        raise ValueError("ladder strengths must lie within [1e-3, 1e-2]")
     if axis not in _DIRECTIONS:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     de, dp = _DIRECTIONS[axis]
-    points = [(s, _infidelities(seq, de * s, dp * s)) for s in strengths]
+    points = [(s, _infidelities(seq, de * s, dp * s)) for s in DEFAULT_SCALING_LADDER]
     kept = [(s, f) for s, f in points if f > 1e-14]
     dropped = tuple(s for s, f in points if not f > 1e-14)
     if len({s for s, _ in kept}) < 2:

@@ -226,7 +226,7 @@ def verify(opts) -> int:
     units = {name: getattr(error_model.ErrorChannel, name)(1.0) for name in ("pulse_length", "off_resonance")}
     channels = {}
     for (name, unit), g in zip(units.items(), error_model._generators(seq, units.values())):
-        norm, fd = error_model._norm(g), error_model._fd_vector(seq, unit, 1e-5)
+        norm, fd = error_model._norm(g), error_model._fd_vector(seq, unit)
         channels[name] = {
             "norm": norm,
             "robust": norm <= tol,
@@ -256,13 +256,7 @@ def landscape(opts) -> int:
 
     seq = _sequence(opts)
     try:
-        threads = int(os.environ.get("PULSE_THREADS", "0"))
-        if threads < 0:
-            raise ValueError
-    except ValueError:
-        raise UsageError("PULSE_THREADS must be an integer >= 0 (0 = auto)") from None
-    try:
-        grid = analysis.landscape(seq, opts.eps_range, opts.eps_prime_range, opts.res, threads=threads)
+        grid = analysis.landscape(seq, opts.eps_range, opts.eps_prime_range, opts.res)
     except ValueError as exc:
         raise _refusal(exc) from None
     except MemoryError as exc:  # numpy's subclass names itself _ArrayMemoryError
@@ -301,7 +295,7 @@ def scaling(opts) -> int:
 
     seq = _sequence(opts)
     try:
-        slope, intercept, kept, dropped = analysis._ladder(seq, opts.axis, analysis.DEFAULT_SCALING_LADDER)
+        slope, intercept, kept, dropped = analysis._ladder(seq, opts.axis)
     except ValueError as exc:
         raise _refusal(exc) from None
     doc = {

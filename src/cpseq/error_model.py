@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .sequences import PulseSequence, _Value
+from .sequences import PulseSequence, _Record, _Value
 from .su2 import _bloch, _fold, _hamilton, _lib, _matrix, _product, _quaternion, rotation_generator
 
 if TYPE_CHECKING:
@@ -64,6 +64,9 @@ GENERAL_LINEAR = "general-linear"
 # Frobenius norm below which a per-unit-strength generator counts as
 # compensated: machine-precision algebra, far below any physical error.
 ROBUST_TOL = 1e-10
+
+# Strength step of the central-difference oracle, finite_difference_generator.
+FD_STEP = 1e-5
 
 
 class ErrorChannel(_Value):
@@ -100,6 +103,12 @@ class ErrorChannel(_Value):
         set_field(self, "f_const", f_const)
         set_field(self, "f_linear", f_linear)
 
+    def _key(self) -> tuple:
+        # the tensors as tuples of floats, so that equal channels are equal and hash alike
+        if self.kind != GENERAL_LINEAR:
+            return super()._key()
+        return self.kind, tuple(self.f_const.tolist()), tuple(map(tuple, self.f_linear.tolist()))
+
     @classmethod
     def pulse_length(cls, epsilon: float) -> "ErrorChannel":
         return cls(PULSE_LENGTH, epsilon=float(epsilon))
@@ -124,7 +133,7 @@ class ErrorChannel(_Value):
                             epsilon_prime=factor * self.epsilon_prime)
 
 
-class FirstOrderReport(_Value):
+class FirstOrderReport(_Record):
     """Accumulated first-order error of a sequence under one channel.
 
     ``generator`` is the Hermitian accumulated error generator at the
@@ -147,7 +156,7 @@ class FirstOrderReport(_Value):
                          robust_to_off_resonance, tolerance)
 
 
-class MomentIntegrals(_Value):
+class MomentIntegrals(_Record):
     """Interaction-picture moments controlling robustness to constant and
     linear error tensors.
 
@@ -294,23 +303,21 @@ def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
     return _matrix(*_perturbed_product(_as_vectors(seq), channel))
 
 
-def _fd_vector(seq, channel: ErrorChannel, step: float) -> tuple:
+def _fd_vector(seq, channel: ErrorChannel) -> tuple:
     """:func:`finite_difference_generator` as its vector, on floats.  With
     U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
     i times it is b . sigma, so the generator vector is 2 b."""
-    if not 0 < step <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
     vectors = _as_vectors(seq)
-    (w, x, y, z), up, um = (_perturbed_product(vectors, channel.scaled(s)) for s in (0.0, step, -step))
-    _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / step for p, m in zip(up, um)])
+    (w, x, y, z), up, um = (_perturbed_product(vectors, channel.scaled(s)) for s in (0.0, FD_STEP, -FD_STEP))
+    _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / FD_STEP for p, m in zip(up, um)])
     return gx, gy, gz
 
 
-def finite_difference_generator(seq, channel: ErrorChannel, step: float = 1e-5) -> np.ndarray:
+def finite_difference_generator(seq, channel: ErrorChannel) -> np.ndarray:
     """Oracle for the accumulated generator by direct differentiation.
 
-    Scales the whole channel by +/- step, central-differences the exact
-    perturbed propagator, and symmetrises i U^dag dU into a Hermitian
-    generator.  Agrees with the analytic accumulation to O(step).
+    Scales the whole channel by +/- ``FD_STEP``, central-differences the
+    exact perturbed propagator, and symmetrises i U^dag dU into a Hermitian
+    generator.  Agrees with the analytic accumulation to O(FD_STEP^2).
     """
-    return rotation_generator(_fd_vector(seq, channel, step))
+    return rotation_generator(_fd_vector(seq, channel))

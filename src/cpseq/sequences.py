@@ -3,11 +3,11 @@
 A pulse sequence is an ordered list of hard (rectangular) pulses, each a
 rotation by theta_i about an axis (cos phi_i, sin phi_i, 0) in the xy-plane,
 applied left to right in time.  The shipped families are the rows of
-``_REGISTRY`` (each with a public function of the same name below); the
-README's family table lists them and a test holds it to the registry.
-:func:`synthesize` builds every family from its row and guarantees that the
-ideal product of the pulses reproduces the declared target.  Concatenated
-families are rows built by :func:`concatenate`.
+``_REGISTRY``, one row and one segments function each; the README's family
+table lists them and a test holds it to the registry.  :func:`synthesize`,
+the only way to build a family, builds it from its row and guarantees that
+the ideal product of the pulses reproduces the declared target.
+Concatenated families are rows built by :func:`concatenate`.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ __all__ = [
     "Pulse",
     "PulseSequence",
     "FAMILIES",
-    "plain",
-    "corpse",
-    "scrofulous",
-    "cis_cccp",
-    "bb1",
-    "alway_jones",
-    "scrofulous_in_corpse",
     "sequence_to_dict",
     "sequence_from_dict",
     "synthesize",
@@ -236,13 +229,17 @@ def corpse_angles(theta: float, winding: tuple[int, int, int]) -> tuple[float, f
     for i, a in enumerate(angles, start=1):
         if a < 0:
             raise WindingError(
-                f"CORPSE segment angle theta_{i} = {a:.6f} is negative; "
+                f"CORPSE segment angle theta_{i} = {a:.6g} is negative; "
                 f"increase winding number n{i}"
             )
     return angles
 
 
 def _corpse_segments(theta, phi, winding):
+    """CORPSE: three collinear pulses, the middle one about the reversed axis
+    phi + pi, cancelling the off-resonance error.  Any winding that leaves
+    every angle nonnegative is valid; for odd n1 + n2 + n3 the product is
+    minus the target, the same gate up to global phase."""
     a1, a2, a3 = corpse_angles(theta, winding)
     return [(a1, phi), (a2, phi + math.pi), (a3, phi)]
 
@@ -260,7 +257,9 @@ def _pure_length_residual(winding: tuple[int, int, int]):
 
 def _corpse_rotations(theta, phi, winding):
     """CORPSE's three rotations reduced mod 2*pi: (theta/2 - kappa, 2 kappa,
-    theta/2 - kappa), all about phi, so each stays within SCROFULOUS's reach."""
+    theta/2 - kappa), all about phi, so each stays within SCROFULOUS's reach.
+    As the outer family of scrofulous-in-corpse they are a negative control:
+    the blocks' residual off-resonance errors stay first order."""
     kappa = math.asin(math.sin(theta / 2) / 2)
     return [(theta / 2 - kappa, phi), (2 * kappa, phi), (theta / 2 - kappa, phi)]
 
@@ -341,11 +340,17 @@ def _scrofulous_segments(theta, phi, winding):
 
 
 def _bb1_segments(theta, phi, winding):
+    """BB1: the target pulse, then the block pi, 2 pi, pi at azimuths phi + c,
+    phi + 3c, phi + c with c = arccos(-theta / (4 pi)); the block multiplies
+    to exactly +I."""
     c = math.acos(-theta / (4 * math.pi))
     return [(theta, phi), (math.pi, phi + c), (TWO_PI, phi + 3 * c), (math.pi, phi + c)]
 
 
 def _alway_jones_segments(theta, phi, winding):
+    """Alway-Jones: the bare pi pulse, the BB1 block against the pulse-length
+    error, then a 4-pulse block against the off-resonance error; both blocks
+    multiply to exactly +I."""
     c, pi = math.acos(-0.25), math.pi
     relative = ((pi, 0.0), (pi, c), (2 * pi, 3 * c), (pi, c), (pi, pi - c), (pi, -c), (pi, pi + c), (pi, c))
     return [(t, p + phi) for t, p in relative]
@@ -458,84 +463,6 @@ def synthesize(family: str, theta: float, phi: float = 0.0,
     if not f >= 1 - 1e-12:  # also refuses a NaN product
         raise SynthesisError(f"{family} synthesis produced a product with fidelity {f!r} to its target")
     return seq
-
-
-def plain(theta: float, phi: float = 0.0) -> PulseSequence:
-    """Single uncompensated pulse implementing the rotation (theta, phi)."""
-    return synthesize("plain", theta, phi)
-
-
-def corpse(theta: float, phi: float = 0.0, winding: tuple[int, int, int] | None = None) -> PulseSequence:
-    """CORPSE: three collinear pulses cancelling the off-resonance error.
-
-    The middle pulse is applied along the reversed axis (phi + pi).  Any
-    integer winding with all segment angles nonnegative is accepted; without
-    one, the registry's default (1, 2, 1) gives the standard long CORPSE.
-    Windings with n1 - n2 + n3 = 0 leave a residual first-order error exactly
-    equal to the pulse-length error of the target rotation itself, which is
-    what the concatenated sequence :func:`cis_cccp` relies on.
-
-    For odd n1 + n2 + n3 the product equals minus the target; the gate is the
-    same up to global phase.
-    """
-    return synthesize("corpse", theta, phi, winding)
-
-
-def scrofulous(theta: float, phi: float = 0.0) -> PulseSequence:
-    """SCROFULOUS: a pi pulse sandwiched between two identical pulses.
-
-    Cancels the pulse-length error to first order.  Solvable for rotation
-    angles up to about 3.83 rad; beyond that SynthesisError is raised.
-    """
-    return synthesize("scrofulous", theta, phi)
-
-
-def cis_cccp(theta: float, phi: float = 0.0, winding: tuple[int, int, int] | None = None) -> PulseSequence:
-    """CORPSE-in-SCROFULOUS concatenation: robust against both errors.
-
-    Each of the three SCROFULOUS pulses is replaced by a CORPSE with the
-    given winding (shared by all three constituents; the registry's default
-    is (1, 1, 0)).  The winding must satisfy n1 - n2 + n3 = 0 so that each
-    CORPSE's residual first-order error is exactly the pulse-length error of
-    its own target, which the outer SCROFULOUS structure then cancels.
-    """
-    return synthesize("cis-cccp", theta, phi, winding)
-
-
-def bb1(theta: float, phi: float = 0.0) -> PulseSequence:
-    """BB1: target pulse followed by an identity-valued compensation block.
-
-    The block is pi, 2*pi, pi at azimuths (phi + c, phi + 3c, phi + c) with
-    c = arccos(-theta / (4*pi)); it multiplies to exactly +I at zero error
-    and cancels the pulse-length error of the target pulse to first order.
-    """
-    return synthesize("bb1", theta, phi)
-
-
-def alway_jones(phi_axis: float = 0.0) -> PulseSequence:
-    """Eight-pulse pi rotation robust against both errors.
-
-    Applies the bare pi pulse, then a 3-pulse block compensating the
-    pulse-length error (the BB1 block) and a 4-pulse block compensating the
-    off-resonance error.  Both blocks multiply to +I at zero error.  The
-    construction only exists for rotation angle pi; the axis is free.
-    """
-    return synthesize("alway-jones", math.pi, phi_axis)
-
-
-def scrofulous_in_corpse(theta: float, phi: float = 0.0) -> PulseSequence:
-    """Reverse concatenation: three SCROFULOUS blocks composing a CORPSE.
-
-    Negative control.  The CORPSE segment rotations, reduced mod 2*pi so
-    each block target stays within the SCROFULOUS domain, are
-    (theta/2 - kappa, 2 kappa, theta/2 - kappa), all about the same axis;
-    their product is exactly the target rotation.  Each block cancels its
-    own pulse-length error, so the whole sequence is pulse-length robust,
-    but the blocks' residual off-resonance errors do not combine into
-    anything the outer CORPSE structure can remove: the off-resonance
-    channel stays first order.
-    """
-    return synthesize("scrofulous-in-corpse", theta, phi)
 
 
 def _reduce(phases) -> tuple[float, float, float]:

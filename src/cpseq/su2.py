@@ -52,11 +52,11 @@ def _lib(x):
     return math if isinstance(x, (float, int)) else importlib.import_module("numpy")
 
 
-def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check U^dag U = I within ``tol`` (operator norm)."""
+def is_unitary(U: np.ndarray) -> bool:
+    """Check U^dag U = I within 1e-12 (operator norm)."""
     import numpy as np
     U = np.asarray(U, dtype=complex)
-    return U.shape == (2, 2) and np.linalg.norm(U.conj().T @ U - np.eye(2), ord=2) <= tol
+    return U.shape == (2, 2) and np.linalg.norm(U.conj().T @ U - np.eye(2), ord=2) <= 1e-12
 
 
 def _components(q) -> list:

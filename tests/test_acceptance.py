@@ -7,13 +7,7 @@ import warnings
 
 import numpy as np
 
-from cpseq.analysis import (
-    fidelity_under_error,
-    infidelity_scaling,
-    landscape,
-    phase_decomposition,
-    robust_area,
-)
+from cpseq.analysis import infidelity_scaling, landscape, phase_decomposition, robust_area
 from cpseq.error_model import (
     ErrorChannel,
     error_moment_integrals,
@@ -21,16 +15,7 @@ from cpseq.error_model import (
     first_order_error,
     perturbed_propagator,
 )
-from cpseq.sequences import (
-    _reduce,
-    alway_jones,
-    bb1,
-    cis_cccp,
-    corpse,
-    plain,
-    scrofulous,
-    scrofulous_in_corpse,
-)
+from cpseq.sequences import _reduce, synthesize
 
 from conftest import averaged_generator, frob, pulse_generator, random_xy_vector
 from loop_reference import SX, SY, fidelity, interaction_quadrature, rotation
@@ -56,8 +41,9 @@ def test_criterion_01_product_exactness():
         phi = rng.uniform(0, 2 * np.pi)
         theta = rng.uniform(0.05, 2 * np.pi - 0.05)
         theta_s = rng.uniform(0.15, 3.7)  # SCROFULOUS-solvable range
-        for seq in (plain(theta, phi), corpse(theta, phi), bb1(theta, phi),
-                    scrofulous(theta_s, phi), cis_cccp(theta_s, phi), alway_jones(phi)):
+        for family, angle in (("plain", theta), ("corpse", theta), ("bb1", theta),
+                              ("scrofulous", theta_s), ("cis-cccp", theta_s), ("alway-jones", np.pi)):
+            seq = synthesize(family, angle, phi)
             worst = max(worst, 1 - fidelity(seq.propagator(), seq.target))
     report(1, f"ideal products match targets (worst 1-F = {worst:.2e} <= 1e-11)",
            worst <= 1e-11)
@@ -71,14 +57,14 @@ def test_criterion_02_channel_cancellation():
     for theta, phi in samples:
         theta_s = min(theta, 3.7)
         worst["corpse"] = max(worst["corpse"], first_order_error(
-            corpse(theta, phi), UNIT_DETUNING).off_resonance_norm)
+            synthesize("corpse", theta, phi), UNIT_DETUNING).off_resonance_norm)
         worst["scrofulous"] = max(worst["scrofulous"], first_order_error(
-            scrofulous(theta_s, phi), UNIT_LENGTH).pulse_length_norm)
+            synthesize("scrofulous", theta_s, phi), UNIT_LENGTH).pulse_length_norm)
         worst["bb1"] = max(worst["bb1"], first_order_error(
-            bb1(theta, phi), UNIT_LENGTH).pulse_length_norm)
-        rep = first_order_error(cis_cccp(theta_s, phi), UNIT_LENGTH)
+            synthesize("bb1", theta, phi), UNIT_LENGTH).pulse_length_norm)
+        rep = first_order_error(synthesize("cis-cccp", theta_s, phi), UNIT_LENGTH)
         worst["cis"] = max(worst["cis"], rep.pulse_length_norm, rep.off_resonance_norm)
-        rep = first_order_error(alway_jones(phi), UNIT_LENGTH)
+        rep = first_order_error(synthesize("alway-jones", np.pi, phi), UNIT_LENGTH)
         worst["aj"] = max(worst["aj"], rep.pulse_length_norm, rep.off_resonance_norm)
     ok = (worst["corpse"] <= 1e-10 and worst["scrofulous"] <= 1e-10
           and worst["bb1"] <= 1e-10 and worst["cis"] <= 1e-9 and worst["aj"] <= 1e-9)
@@ -94,7 +80,7 @@ def test_criterion_03_corpse_residual_identity():
         for _ in range(10):
             theta = rng.uniform(0.1, 2 * np.pi - 0.1)
             phi = rng.uniform(0, 2 * np.pi)
-            rep = first_order_error(corpse(theta, phi, winding), UNIT_LENGTH)
+            rep = first_order_error(synthesize("corpse", theta, phi, winding), UNIT_LENGTH)
             want = theta * (np.cos(phi) * SX + np.sin(phi) * SY) / 2
             worst = max(worst, frob(rep.generator, want))
     report(3, f"CORPSE residual equals the target's own pulse-length error "
@@ -116,19 +102,19 @@ def test_criterion_04_closed_form_matches_quadrature():
 
 def test_criterion_05_finite_difference_oracle():
     families = {
-        "plain": plain(np.pi, 0.0),
-        "corpse": corpse(np.pi, 0.0),
-        "scrofulous": scrofulous(np.pi, 0.0),
-        "bb1": bb1(np.pi, 0.0),
-        "cis-cccp": cis_cccp(np.pi, np.pi / 2),
-        "alway-jones": alway_jones(0.0),
+        "plain": synthesize("plain", np.pi, 0.0),
+        "corpse": synthesize("corpse", np.pi, 0.0),
+        "scrofulous": synthesize("scrofulous", np.pi, 0.0),
+        "bb1": synthesize("bb1", np.pi, 0.0),
+        "cis-cccp": synthesize("cis-cccp", np.pi, np.pi / 2),
+        "alway-jones": synthesize("alway-jones", np.pi, 0.0),
     }
     worst = 0.0
     for seq in families.values():
         rep = first_order_error(seq, ErrorChannel.combined(0, 0))
         for channel, coeff in ((UNIT_LENGTH, rep.pulse_length_coefficient),
                                (UNIT_DETUNING, rep.off_resonance_coefficient)):
-            fd = finite_difference_generator(seq, channel, step=1e-5)
+            fd = finite_difference_generator(seq, channel)
             worst = max(worst, frob(fd, coeff))
     report(5, f"analytic generators match central-difference oracle at step 1e-5 "
               f"(worst {worst:.2e} <= 1e-4)", worst <= 1e-4)
@@ -138,10 +124,10 @@ def test_criterion_06_landscape_area_ordering():
     phi = np.pi / 2  # target exp(-i pi sigma_y / 2)
     start = time.perf_counter()
     grids = {
-        "plain": landscape(plain(np.pi, phi), resolution=201, threads=1),
-        "corpse": landscape(corpse(np.pi, phi), resolution=201, threads=1),
-        "scrofulous": landscape(scrofulous(np.pi, phi), resolution=201, threads=1),
-        "cis-cccp": landscape(cis_cccp(np.pi, phi), resolution=201, threads=1),
+        "plain": landscape(synthesize("plain", np.pi, phi), resolution=201, threads=1),
+        "corpse": landscape(synthesize("corpse", np.pi, phi), resolution=201, threads=1),
+        "scrofulous": landscape(synthesize("scrofulous", np.pi, phi), resolution=201, threads=1),
+        "cis-cccp": landscape(synthesize("cis-cccp", np.pi, phi), resolution=201, threads=1),
     }
     elapsed = time.perf_counter() - start
     areas = {name: robust_area(g, 1 - 1e-4) for name, g in grids.items()}
@@ -157,11 +143,11 @@ def test_criterion_06_landscape_area_ordering():
 def test_criterion_07_scaling_exponents():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        plain_eps = infidelity_scaling(plain(np.pi, 0.0), "eps").slope
-        plain_det = infidelity_scaling(plain(np.pi, 0.0), "eps-prime").slope
-        scrof = infidelity_scaling(scrofulous(np.pi, 0.0), "eps").slope
-        corpse_det = infidelity_scaling(corpse(np.pi, 0.0, (1, 2, 1)), "eps-prime").slope
-        cis = cis_cccp(np.pi, np.pi / 2)
+        plain_eps = infidelity_scaling(synthesize("plain", np.pi, 0.0), "eps").slope
+        plain_det = infidelity_scaling(synthesize("plain", np.pi, 0.0), "eps-prime").slope
+        scrof = infidelity_scaling(synthesize("scrofulous", np.pi, 0.0), "eps").slope
+        corpse_det = infidelity_scaling(synthesize("corpse", np.pi, 0.0, (1, 2, 1)), "eps-prime").slope
+        cis = synthesize("cis-cccp", np.pi, np.pi / 2)
         cis_eps = infidelity_scaling(cis, "eps").slope
         cis_det = infidelity_scaling(cis, "eps-prime").slope
     ok = (abs(plain_eps - 2.0) <= 0.1 and abs(plain_det - 2.0) <= 0.1
@@ -173,10 +159,10 @@ def test_criterion_07_scaling_exponents():
 
 def test_criterion_08_geometric_phase_claim():
     worst = 0.0
-    for seq in (scrofulous(np.pi, 0.0), bb1(np.pi, 0.0), cis_cccp(np.pi, np.pi / 2),
-                alway_jones(0.0)):
+    for seq in (synthesize("scrofulous", np.pi, 0.0), synthesize("bb1", np.pi, 0.0),
+                synthesize("cis-cccp", np.pi, np.pi / 2), synthesize("alway-jones", np.pi, 0.0)):
         worst = max(worst, float(np.max(np.abs(phase_decomposition(seq).dynamical))))
-    rep = phase_decomposition(plain(np.pi, 0.0))
+    rep = phase_decomposition(synthesize("plain", np.pi, 0.0))
     plain_ok = np.allclose(rep.dynamical, [-np.pi / 2, np.pi / 2], atol=1e-10)
     report(8, f"pulse-length-robust families have vanishing dynamical phase "
               f"(worst |gamma_d| = {worst:.2e} <= 1e-8) and the plain pi pulse gives "
@@ -184,7 +170,7 @@ def test_criterion_08_geometric_phase_claim():
 
 
 def test_criterion_09_pi_pulse_appendix():
-    seq = alway_jones(0.0)
+    seq = synthesize("alway-jones", np.pi, 0.0)
     length_block = [p.vector for p in seq.pulses[1:4]]
     detuning_block = [p.vector for p in seq.pulses[4:8]]
 
@@ -221,7 +207,7 @@ def test_criterion_09_pi_pulse_appendix():
 
 
 def test_criterion_10_reverse_concatenation_not_robust():
-    rep = first_order_error(scrofulous_in_corpse(np.pi, 0.0), ErrorChannel.combined(0, 0))
+    rep = first_order_error(synthesize("scrofulous-in-corpse", np.pi, 0.0), ErrorChannel.combined(0, 0))
     combined_norm = float(np.hypot(rep.pulse_length_norm, rep.off_resonance_norm))
     report(10, f"SCROFULOUS-inside-CORPSE keeps a first-order error "
                f"(combined norm {combined_norm:.3f} > 1e-3)", combined_norm > 1e-3)
@@ -229,7 +215,7 @@ def test_criterion_10_reverse_concatenation_not_robust():
 
 def test_criterion_11_moment_integrals():
     worst_trace = 0.0
-    for seq in (scrofulous(np.pi, 0.0), bb1(np.pi, 0.0)):
+    for seq in (synthesize("scrofulous", np.pi, 0.0), synthesize("bb1", np.pi, 0.0)):
         mom = error_moment_integrals(seq)
         worst_trace = max(worst_trace, float(np.max(np.abs(mom.second_moment.trace()))))
     report(11, f"second-moment trace part vanishes for pulse-length-robust families "

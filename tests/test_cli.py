@@ -517,23 +517,6 @@ def test_landscape_range_too_large_to_evaluate_exits_2_with_json(fmt):
     assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
 
 
-def test_landscape_respects_thread_env(runner, tmp_path):
-    args = ["landscape", "--family", "scrofulous", "--theta", "pi", "--res", "31"]
-    base = invoke(runner, args, env={"PULSE_THREADS": "1"}).output
-    multi = invoke(runner, args, env={"PULSE_THREADS": "3"}).output
-    assert base == multi
-
-
-@pytest.mark.parametrize("value", ["-1", "two"])
-def test_landscape_refuses_a_thread_count_below_0(runner, value):
-    args = ["landscape", "--family", "bb1", "--theta", "1", "--res", "11"]
-    result = invoke(runner, args, env={"PULSE_THREADS": value})
-    assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
-    assert _refused_with_json(result) == {
-        "type": "UsageError", "message": "PULSE_THREADS must be an integer >= 0 (0 = auto)"}
-    assert result.stdout == ""
-
-
 # ------------------------------------------------------------------ phase
 
 def test_phase_scrofulous_dynamical_vanishes(runner):

@@ -11,8 +11,7 @@ from cpseq.error_model import (
     first_order_error,
     perturbed_propagator,
 )
-from cpseq.sequences import (_REGISTRY, Pulse, PulseSequence, bb1, cis_cccp, corpse, plain, scrofulous,
-                             synthesize)
+from cpseq.sequences import _REGISTRY, Pulse, PulseSequence, synthesize
 
 from conftest import CliRunner, averaged_generator, frob, pulse_generator, random_xy_vector, theta_for
 from loop_reference import (SX, SY, SZ, fidelity, interaction_quadrature, product_error_split, rotation,
@@ -153,12 +152,12 @@ def test_interaction_error_general_linear_off_axis_pulse():
 # -------------------------------------------------------- accumulation
 
 def test_first_order_single_pulse():
-    rep = first_order_error(plain(np.pi, 0.0), ErrorChannel.pulse_length(1.0))
+    rep = first_order_error(synthesize("plain", np.pi, 0.0), ErrorChannel.pulse_length(1.0))
     assert frob(rep.generator, np.pi * SX / 2) < 1e-12
 
 
 def test_first_order_corpse_detuning_cancels():
-    rep = first_order_error(corpse(np.pi, 0.0), ErrorChannel.off_resonance(1.0))
+    rep = first_order_error(synthesize("corpse", np.pi, 0.0), ErrorChannel.off_resonance(1.0))
     assert frob(rep.generator) < 1e-10
     assert rep.robust_to_off_resonance and not rep.robust_to_pulse_length
 
@@ -167,7 +166,7 @@ def test_first_order_corpse_residual_is_target_pulse_length_error():
     rng = np.random.default_rng(11)
     for winding in ((1, 1, 0), (1, 2, 1)):
         theta, phi = rng.uniform(0.2, 2 * np.pi - 0.2), rng.uniform(0, 2 * np.pi)
-        rep = first_order_error(corpse(theta, phi, winding), ErrorChannel.pulse_length(1.0))
+        rep = first_order_error(synthesize("corpse", theta, phi, winding), ErrorChannel.pulse_length(1.0))
         target_error = theta * (np.cos(phi) * SX + np.sin(phi) * SY) / 2
         assert frob(rep.generator, target_error) < 1e-10
 
@@ -192,12 +191,12 @@ def test_first_order_generator_hermitian():
 # a pulse-length error commutes with its pulse: no toggling-frame rotation
 
 def test_commuting_accumulation_plain_pulse():
-    got = first_order_error(plain(np.pi, 0.0), ErrorChannel.pulse_length(1.0)).generator
+    got = first_order_error(synthesize("plain", np.pi, 0.0), ErrorChannel.pulse_length(1.0)).generator
     assert frob(got, np.pi * SX / 2) < 1e-14
 
 
 def test_commuting_accumulation_scrofulous_cancels():
-    got = first_order_error(scrofulous(np.pi, 0.0), ErrorChannel.pulse_length(1.0)).generator
+    got = first_order_error(synthesize("scrofulous", np.pi, 0.0), ErrorChannel.pulse_length(1.0)).generator
     assert frob(got) < 1e-10
 
 
@@ -240,12 +239,12 @@ def test_product_split_identity_random():
 
 
 def test_product_split_corpse_detuning_part_vanishes():
-    _, detuning_part = product_error_split(vectors_of(corpse(np.pi, 0.0)))
+    _, detuning_part = product_error_split(vectors_of(synthesize("corpse", np.pi, 0.0)))
     assert frob(detuning_part) < 1e-10
 
 
 def test_product_split_scrofulous():
-    length_part, detuning_part = product_error_split(vectors_of(scrofulous(np.pi, 0.0)))
+    length_part, detuning_part = product_error_split(vectors_of(synthesize("scrofulous", np.pi, 0.0)))
     assert frob(length_part) < 1e-10
     # the residual detuning term is NOT the bare off-resonance error of the
     # target, which is why the reverse concatenation fails
@@ -254,24 +253,24 @@ def test_product_split_scrofulous():
 
 def test_product_split_requires_three_pulses():
     with pytest.raises(ValueError):
-        product_error_split(vectors_of(plain(np.pi, 0.0)))
+        product_error_split(vectors_of(synthesize("plain", np.pi, 0.0)))
 
 
 # ------------------------------------------------------ moment integrals
 
 def test_moment_trace_part_scrofulous():
-    mom = error_moment_integrals(scrofulous(np.pi, 0.0))
+    mom = error_moment_integrals(synthesize("scrofulous", np.pi, 0.0))
     assert np.max(np.abs(mom.second_moment.trace())) < 1e-8
 
 
 def test_moment_trace_part_plain_pulse():
-    mom = error_moment_integrals(plain(np.pi, 0.0))
+    mom = error_moment_integrals(synthesize("plain", np.pi, 0.0))
     assert np.allclose(mom.second_moment.trace(), [np.pi, 0, 0], atol=1e-10)
 
 
 def test_moment_first_constant_hamiltonian():
     # a single pulse about x leaves tau_x untouched: first row is (1, 0, 0)
-    mom = error_moment_integrals(plain(np.pi, 0.0))
+    mom = error_moment_integrals(synthesize("plain", np.pi, 0.0))
     assert np.allclose(mom.first_moment[0], [1, 0, 0], atol=1e-12)
 
 
@@ -285,13 +284,13 @@ def test_moment_zero_length_sequence():
 # --------------------------------------------- exact perturbed propagator
 
 def test_perturbed_propagator_zero_error_is_ideal():
-    seq = corpse(1.1, 0.3)
+    seq = synthesize("corpse", 1.1, 0.3)
     U = perturbed_propagator(seq, ErrorChannel.combined(0.0, 0.0))
     assert fidelity(U, seq.target) > 1 - 1e-12
 
 
 def test_perturbed_propagator_plain_pulse_closed_forms():
-    seq = plain(np.pi, 0.0)
+    seq = synthesize("plain", np.pi, 0.0)
     eps = 0.07
     got = perturbed_propagator(seq, ErrorChannel.pulse_length(eps))
     assert frob(got, rotation([np.pi * (1 + eps), 0, 0])) < 1e-14
@@ -308,40 +307,35 @@ def test_perturbed_vector_general_linear():
 # ------------------------------------------------------ finite differences
 
 def test_fd_oracle_compensated_channel():
-    got = finite_difference_generator(corpse(np.pi, 0.0), ErrorChannel.off_resonance(1.0), step=1e-5)
+    got = finite_difference_generator(synthesize("corpse", np.pi, 0.0), ErrorChannel.off_resonance(1.0))
     assert frob(got) < 1e-4
 
 
 def test_fd_oracle_plain_pulse():
-    got = finite_difference_generator(plain(np.pi, 0.0), ErrorChannel.pulse_length(1.0), step=1e-5)
+    got = finite_difference_generator(synthesize("plain", np.pi, 0.0), ErrorChannel.pulse_length(1.0))
     assert frob(got, np.pi * SX / 2) < 1e-4
 
 
 def test_fd_oracle_concatenated_both_channels():
-    seq = cis_cccp(np.pi, np.pi / 2)
+    seq = synthesize("cis-cccp", np.pi, np.pi / 2)
     for ch in (ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0),
                ErrorChannel.combined(1.0, 1.0)):
-        assert frob(finite_difference_generator(seq, ch, step=1e-5)) < 1e-4
+        assert frob(finite_difference_generator(seq, ch)) < 1e-4
 
 
 def test_fd_oracle_matches_analytic_on_bb1():
-    seq = bb1(1.7, 0.4)
+    seq = synthesize("bb1", 1.7, 0.4)
     rep = first_order_error(seq, ErrorChannel.off_resonance(1.0))
-    got = finite_difference_generator(seq, ErrorChannel.off_resonance(1.0), step=1e-5)
+    got = finite_difference_generator(seq, ErrorChannel.off_resonance(1.0))
     assert frob(got, rep.generator) < 1e-4
 
 
 def test_fd_oracle_general_linear_channel():
     rng = np.random.default_rng(55)
-    for seq in (corpse(1.3, 0.4), scrofulous(2.1, 1.0)):
+    for seq in (synthesize("corpse", 1.3, 0.4), synthesize("scrofulous", 2.1, 1.0)):
         ch = ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3),
                                          rng.uniform(-0.2, 0.2, (3, 3)))
         analytic = first_order_error(seq, ch).generator
-        fd = finite_difference_generator(seq, ch, step=1e-5)
+        fd = finite_difference_generator(seq, ch)
         assert frob(analytic, fd) < 1e-4
         assert frob(analytic, analytic.conj().T) <= 1e-12 and abs(np.trace(analytic)) <= 1e-12
-
-
-def test_fd_oracle_step_validation():
-    with pytest.raises(ValueError):
-        finite_difference_generator(plain(np.pi, 0), ErrorChannel.pulse_length(1.0), step=0.1)

@@ -137,9 +137,9 @@ def test_ladder_has_the_per_pulse_bits(name):
         kept = [(s, f) for s, f in points if f > 1e-14]
         if len(kept) < 2:
             with pytest.raises(ValueError, match="fewer than 2"):
-                _ladder(seq, axis, DEFAULT_SCALING_LADDER)
+                _ladder(seq, axis)
             continue
-        slope, _, got, _ = _ladder(seq, axis, DEFAULT_SCALING_LADDER)
+        slope, _, got, _ = _ladder(seq, axis)
         assert got == kept
         assert slope == ref.ladder_slope(kept)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cpseq.cli import main
 from cpseq.error_model import ErrorChannel, first_order_error
-from cpseq import sequences
 from cpseq.ioutil import dumps
 from cpseq.sequences import (
     _REGISTRY,
@@ -89,11 +88,10 @@ def test_family_without_default_winding_refuses_one(family):
 
 @pytest.mark.parametrize("family", list(_REGISTRY))
 def test_family_function_default_winding_is_the_registry_row(family):
-    fn = getattr(sequences, family.replace("-", "_"))
-    params = inspect.signature(fn).parameters
-    assert "winding" not in params or params["winding"].default is None
-    # alway_jones reads the 1.0 as its axis azimuth
-    assert fn(1.0).winding == _REGISTRY[family].winding
+    # synthesize is the one function that builds a family; without a winding it takes the row's
+    assert inspect.signature(synthesize).parameters["winding"].default is None
+    theta = np.pi if family == "alway-jones" else 1.0
+    assert synthesize(family, theta).winding == _REGISTRY[family].winding
 
 
 def test_alway_jones_refuses_theta_other_than_pi():

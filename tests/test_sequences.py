@@ -10,14 +10,8 @@ from cpseq.sequences import (
     PulseSequence,
     SynthesisError,
     WindingError,
-    alway_jones,
-    bb1,
-    cis_cccp,
-    corpse,
-    plain,
-    scrofulous,
-    scrofulous_in_corpse,
     _REGISTRY,
+    _Value,
     _reduce,
     sequence_from_dict,
     sequence_to_dict,
@@ -43,7 +37,7 @@ def test_pulse_azimuth_stays_below_two_pi():
     # -1e-300 % 2pi rounds to 2pi itself, which a wire round trip turned into 0
     for phi in (-1e-300, -1e-17, -0.0):
         assert Pulse(1.0, phi).phi == 0.0
-    seq = plain(1.0, -1e-300)
+    seq = synthesize("plain", 1.0, -1e-300)
     assert sequence_from_dict(sequence_to_dict(seq)).pulses == seq.pulses
 
 
@@ -74,22 +68,29 @@ def test_error_channel_equality_and_hash_are_by_fields():
     assert ErrorChannel.off_resonance(0.1) != ErrorChannel.pulse_length(0.1)
     assert len({a, ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1)}) == 2
     assert pickle.loads(pickle.dumps(a)) == a
+    # tensors compare by their entries, not as arrays
+    g = ErrorChannel.general_linear([1, 0, 0])
+    assert g == ErrorChannel.general_linear([1.0, 0.0, 0.0], np.zeros((3, 3)))
+    assert hash(g) == hash(ErrorChannel.general_linear([1, 0, 0]))
+    assert g != ErrorChannel.general_linear([0, 1, 0]) and g != ErrorChannel.general_linear([1, 0, 0], np.eye(3))
+    assert len({g, ErrorChannel.general_linear([1, 0, 0]), ErrorChannel.general_linear()}) == 2
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_sequences_compare_by_identity():
-    seq = bb1(1.0, 0.3)
-    assert seq == seq and seq != bb1(1.0, 0.3) and hash(seq) == hash(seq)
+    seq = synthesize("bb1", 1.0, 0.3)
+    assert seq == seq and seq != synthesize("bb1", 1.0, 0.3) and hash(seq) == hash(seq)
     copy = pickle.loads(pickle.dumps(seq))
     assert copy.pulses == seq.pulses and frob(copy.target, seq.target) == 0
 
 
 def _records():
-    seq = plain(1.0, 0.3)
+    seq = synthesize("plain", 1.0, 0.3)
     return {
         "Pulse": seq.pulses[0],
         "PulseSequence": seq,
         "_Family": _REGISTRY["bb1"],
-        "ErrorChannel": ErrorChannel.combined(0.1, 0.2),
+        "ErrorChannel": ErrorChannel.general_linear([0.1, 0.0, 0.2], np.eye(3)),
         "FirstOrderReport": first_order_error(seq, ErrorChannel.pulse_length(0.1)),
         "MomentIntegrals": error_moment_integrals(seq),
         "LandscapeGrid": analysis.landscape(seq, resolution=3),
@@ -110,6 +111,15 @@ def test_records_are_immutable(kind):
     for name in fields:
         with pytest.raises(AttributeError):
             delattr(record, name)
+
+
+@pytest.mark.parametrize("kind", list(_records()))
+def test_records_compare_by_value_or_by_identity(kind):
+    record, twin = _records()[kind], _records()[kind]
+    assert record == record and hash(record) == hash(record)
+    # values (and the registry's shared rows) equal their twins; records holding arrays only themselves
+    by_value = isinstance(record, _Value) or record is twin
+    assert (record == twin) is by_value and (hash(record) == hash(twin)) is by_value
 
 
 # ------------------------------------------------------------------ plain
@@ -133,25 +143,25 @@ def test_sequence_target_quaternion_must_have_unit_norm():
 
 
 def test_plain_pi_about_y():
-    seq = plain(np.pi, np.pi / 2)
+    seq = synthesize("plain", np.pi, np.pi / 2)
     assert frob(seq.target, rotation([0, np.pi, 0])) < 1e-15
     assert len(seq) == 1
 
 
 def test_plain_identity():
-    seq = plain(0.0, 0.0)
+    seq = synthesize("plain", 0.0, 0.0)
     assert fidelity(seq.target, np.eye(2)) > 1 - 1e-15
 
 
 def test_plain_half_pulse():
-    seq = plain(np.pi / 2, 0.0)
+    seq = synthesize("plain", np.pi / 2, 0.0)
     assert frob(seq.target, rotation([np.pi / 2, 0, 0])) < 1e-15
 
 
 # ----------------------------------------------------------------- corpse
 
 def test_corpse_standard_winding_angles():
-    seq = corpse(np.pi, 0.0, (1, 2, 1))
+    seq = synthesize("corpse", np.pi, 0.0, (1, 2, 1))
     angles = [p.theta for p in seq.pulses]
     assert np.allclose(angles, [7 * np.pi / 3, 11 * np.pi / 3, 7 * np.pi / 3], atol=1e-12)
     assert abs(seq.pulses[1].phi - np.pi) < 1e-12
@@ -159,20 +169,26 @@ def test_corpse_standard_winding_angles():
 
 
 def test_corpse_short_winding_angles():
-    seq = corpse(np.pi, 0.0, (1, 1, 0))
+    seq = synthesize("corpse", np.pi, 0.0, (1, 1, 0))
     assert np.allclose([p.theta for p in seq.pulses],
                        [7 * np.pi / 3, 5 * np.pi / 3, np.pi / 3], atol=1e-12)
 
 
 def test_corpse_identity_edge():
-    seq = corpse(0.0, 0.0, (0, 0, 0))
+    seq = synthesize("corpse", 0.0, 0.0, (0, 0, 0))
     assert all(p.theta == 0.0 for p in seq.pulses)
     assert fidelity(seq.propagator(), np.eye(2)) > 1 - 1e-15
 
 
 def test_corpse_negative_angle_names_offending_index():
     with pytest.raises(WindingError, match="theta_2"):
-        corpse(np.pi, 0.0, (1, 0, 1))
+        synthesize("corpse", np.pi, 0.0, (1, 0, 1))
+
+
+def test_corpse_refusal_shows_the_negative_angle():
+    # theta_2 = -2 kappa is -1.2e-16 at theta = 2 pi, which a fixed six-decimal format shows as -0.000000
+    with pytest.raises(WindingError, match=r"theta_2 = -1\.22465e-16 is negative; increase winding number n2"):
+        synthesize("corpse", 2 * np.pi, 0.0, (0, 0, 0))
 
 
 def test_corpse_winding_too_large_for_a_float():
@@ -185,13 +201,13 @@ def test_corpse_winding_too_large_for_a_float():
 
 def test_corpse_rejects_out_of_range_angle():
     with pytest.raises(ValueError):
-        corpse(2 * np.pi + 0.1, 0.0)
+        synthesize("corpse", 2 * np.pi + 0.1, 0.0)
 
 
 # ------------------------------------------------------------- scrofulous
 
 def test_scrofulous_pi_known_solution():
-    seq = scrofulous(np.pi, 0.0)
+    seq = synthesize("scrofulous", np.pi, 0.0)
     th = [p.theta for p in seq.pulses]
     ph = [p.phi for p in seq.pulses]
     assert np.allclose(th, [np.pi, np.pi, np.pi], atol=1e-9)
@@ -202,7 +218,7 @@ def test_scrofulous_pi_known_solution():
 
 def test_scrofulous_constraint_residual():
     for theta in (0.4, 1.0, np.pi, 3.2):
-        seq = scrofulous(theta, 0.7)
+        seq = synthesize("scrofulous", theta, 0.7)
         th1, ph1, ph2 = seq.pulses[0].theta, seq.pulses[0].phi, seq.pulses[1].phi
         assert abs(th1 * np.cos(ph1 - ph2) + np.pi / 2) < 1e-10
         assert abs(seq.pulses[1].theta - np.pi) < 1e-12
@@ -210,8 +226,8 @@ def test_scrofulous_constraint_residual():
 
 
 def test_scrofulous_axis_shift():
-    base = scrofulous(np.pi, 0.0)
-    shifted = scrofulous(np.pi, np.pi / 2)
+    base = synthesize("scrofulous", np.pi, 0.0)
+    shifted = synthesize("scrofulous", np.pi, np.pi / 2)
     assert np.allclose([p.theta for p in shifted.pulses], [p.theta for p in base.pulses], atol=1e-9)
     deltas = [(s.phi - b.phi) % (2 * np.pi) for s, b in zip(shifted.pulses, base.pulses)]
     assert np.allclose(deltas, np.pi / 2, atol=1e-9)
@@ -220,21 +236,21 @@ def test_scrofulous_axis_shift():
 def test_scrofulous_branch_choice():
     # deterministic branch: first azimuth leads the target azimuth by (0, pi)
     for theta in (0.5, 2.0, 3.0):
-        seq = scrofulous(theta, 1.0)
+        seq = synthesize("scrofulous", theta, 1.0)
         lead = (seq.pulses[0].phi - 1.0) % (2 * np.pi)
         assert 0 < lead < np.pi
 
 
 def test_scrofulous_unsolvable_angle():
     with pytest.raises(SynthesisError):
-        scrofulous(3.9, 0.0)
+        synthesize("scrofulous", 3.9, 0.0)
 
 
 def test_scrofulous_domain_validation():
     with pytest.raises(ValueError):
-        scrofulous(0.0, 0.0)
+        synthesize("scrofulous", 0.0, 0.0)
     with pytest.raises(ValueError):
-        scrofulous(2 * np.pi, 0.0)
+        synthesize("scrofulous", 2 * np.pi, 0.0)
 
 
 # sin(x)/x has its first positive minimum where tan x = x, and there equals
@@ -248,7 +264,7 @@ def test_scrofulous_across_domain_down_to_small_angles():
     rng = np.random.default_rng(21)
     for theta in np.geomspace(1e-6, 3.83, 41):
         phi = rng.uniform(0, 2 * np.pi)
-        seq = scrofulous(theta, phi)
+        seq = synthesize("scrofulous", theta, phi)
         th1, ph1, ph2 = seq.pulses[0].theta, seq.pulses[0].phi, seq.pulses[1].phi
         assert abs(np.sin(th1) / th1 - 2 / np.pi * np.cos(theta / 2)) < 1e-13
         assert abs(th1 * np.cos(ph1 - ph2) + np.pi / 2) < 1e-10
@@ -258,17 +274,17 @@ def test_scrofulous_across_domain_down_to_small_angles():
 
 def test_scrofulous_refuses_just_above_domain_edge():
     assert 3.83 < SCROFULOUS_EDGE < 3.84
-    seq = scrofulous(SCROFULOUS_EDGE - 1e-6, 0.3)
+    seq = synthesize("scrofulous", SCROFULOUS_EDGE - 1e-6, 0.3)
     assert fidelity(seq.propagator(), seq.target) > 1 - 1e-12
     for theta in (SCROFULOUS_EDGE + 1e-9, SCROFULOUS_EDGE + 1e-6, 3.85):
         with pytest.raises(SynthesisError, match="has no root"):
-            scrofulous(theta, 0.3)
+            synthesize("scrofulous", theta, 0.3)
 
 
 # --------------------------------------------------------------- cis-cccp
 
 def test_cis_cccp_shape_and_product():
-    seq = cis_cccp(np.pi, np.pi / 2)
+    seq = synthesize("cis-cccp", np.pi, np.pi / 2)
     assert len(seq) == 9
     assert fidelity(seq.propagator(), seq.target) > 1 - 1e-11
     assert frob(seq.target, rotation([0, np.pi, 0])) < 1e-15
@@ -278,31 +294,31 @@ def test_cis_cccp_domain_validation():
     # theta = 0 would divide by sin(0) in the SCROFULOUS angle solve
     for theta in (0.0, -1.0, 2 * np.pi, 7.0):
         with pytest.raises(ValueError, match=r"must lie in \(0, 2\*pi\)"):
-            cis_cccp(theta, 0.0)
+            synthesize("cis-cccp", theta, 0.0)
 
 
 def test_cis_cccp_rejects_bad_winding():
     with pytest.raises(WindingError):
-        cis_cccp(np.pi, 0.0, (2, 1, 0))
+        synthesize("cis-cccp", np.pi, 0.0, (2, 1, 0))
 
 
 def test_cis_cccp_accepts_constraint_windings():
     for winding in ((1, 1, 0), (1, 2, 1), (0, 1, 1)):
-        seq = cis_cccp(1.5, 0.3, winding)
+        seq = synthesize("cis-cccp", 1.5, 0.3, winding)
         assert fidelity(seq.propagator(), seq.target) > 1 - 1e-11
 
 
 # -------------------------------------------------------------------- bb1
 
 def test_bb1_pi_azimuth():
-    seq = bb1(np.pi, 0.0)
+    seq = synthesize("bb1", np.pi, 0.0)
     assert abs(seq.pulses[1].phi - np.arccos(-0.25)) < 1e-12
     assert abs(seq.pulses[2].phi - 3 * np.arccos(-0.25)) < 1e-12
     assert np.allclose([p.theta for p in seq.pulses], [np.pi, np.pi, 2 * np.pi, np.pi])
 
 
 def test_bb1_half_pi_azimuth():
-    seq = bb1(np.pi / 2, 0.0)
+    seq = synthesize("bb1", np.pi / 2, 0.0)
     assert abs(seq.pulses[1].phi - np.arccos(-1 / 8)) < 1e-12
 
 
@@ -310,21 +326,21 @@ def test_bb1_product_exact():
     rng = np.random.default_rng(21)
     for _ in range(10):
         theta, phi = rng.uniform(0.1, 2 * np.pi), rng.uniform(0, 2 * np.pi)
-        seq = bb1(theta, phi)
+        seq = synthesize("bb1", theta, phi)
         assert fidelity(seq.propagator(), seq.target) > 1 - 1e-12
 
 
 # ------------------------------------------------------------ alway-jones
 
 def test_alway_jones_structure():
-    seq = alway_jones(0.0)
+    seq = synthesize("alway-jones", np.pi, 0.0)
     assert len(seq) == 8
     assert frob(seq.target, rotation([np.pi, 0, 0])) < 1e-15
     assert fidelity(seq.propagator(), seq.target) > 1 - 1e-12
 
 
 def test_alway_jones_subproducts_are_identity():
-    seq = alway_jones(0.0)
+    seq = synthesize("alway-jones", np.pi, 0.0)
     for block in (seq.pulses[1:4], seq.pulses[4:8]):
         U = np.eye(2, dtype=complex)
         for p in block:
@@ -334,8 +350,8 @@ def test_alway_jones_subproducts_are_identity():
 
 def test_alway_jones_axis_covariance():
     phi = 1.3
-    seq = alway_jones(phi)
-    base = alway_jones(0.0)
+    seq = synthesize("alway-jones", np.pi, phi)
+    base = synthesize("alway-jones", np.pi, 0.0)
     shifted = np.eye(2, dtype=complex)
     for p in base.pulses:
         shifted = rotation(xy(p.theta, p.phi + phi)) @ shifted
@@ -345,7 +361,7 @@ def test_alway_jones_axis_covariance():
 # --------------------------------------------------------- reverse fixture
 
 def test_scrofulous_in_corpse_negative_control():
-    seq = scrofulous_in_corpse(np.pi, 0.0)
+    seq = synthesize("scrofulous-in-corpse", np.pi, 0.0)
     assert len(seq) == 9
     assert fidelity(seq.propagator(), seq.target) > 1 - 1e-12
     rep = first_order_error(seq, ErrorChannel.combined(0, 0))
@@ -361,8 +377,9 @@ def test_product_exactness_random_sample():
         phi = rng.uniform(0, 2 * np.pi)
         theta = rng.uniform(0.1, 2 * np.pi - 0.1)
         theta_s = rng.uniform(0.15, 3.7)
-        for seq in (plain(theta, phi), corpse(theta, phi), bb1(theta, phi),
-                    scrofulous(theta_s, phi), cis_cccp(theta_s, phi), alway_jones(phi)):
+        for family, angle in (("plain", theta), ("corpse", theta), ("bb1", theta),
+                              ("scrofulous", theta_s), ("cis-cccp", theta_s), ("alway-jones", np.pi)):
+            seq = synthesize(family, angle, phi)
             assert fidelity(seq.propagator(), seq.target) > 1 - 1e-11
 
 
@@ -372,22 +389,22 @@ def test_channel_cancellation_random_sample():
         phi = rng.uniform(0, 2 * np.pi)
         theta = rng.uniform(0.1, 2 * np.pi - 0.1)
         theta_s = rng.uniform(0.15, 3.7)
-        assert first_order_error(corpse(theta, phi),
+        assert first_order_error(synthesize("corpse", theta, phi),
                                  ErrorChannel.combined(0, 0)).off_resonance_norm < 1e-10
-        assert first_order_error(scrofulous(theta_s, phi),
+        assert first_order_error(synthesize("scrofulous", theta_s, phi),
                                  ErrorChannel.combined(0, 0)).pulse_length_norm < 1e-10
-        assert first_order_error(bb1(theta, phi),
+        assert first_order_error(synthesize("bb1", theta, phi),
                                  ErrorChannel.combined(0, 0)).pulse_length_norm < 1e-10
-        rep = first_order_error(cis_cccp(theta_s, phi), ErrorChannel.combined(0, 0))
+        rep = first_order_error(synthesize("cis-cccp", theta_s, phi), ErrorChannel.combined(0, 0))
         assert rep.pulse_length_norm < 1e-9 and rep.off_resonance_norm < 1e-9
 
 
 def test_axis_covariance_by_rigid_shift():
     rng = np.random.default_rng(24)
     phi = rng.uniform(0, 2 * np.pi)
-    for maker, theta in ((corpse, 1.4), (scrofulous, 1.4), (bb1, 1.4), (cis_cccp, 1.4)):
-        seq = maker(theta, phi)
-        base = maker(theta, 0.0)
+    for family in ("corpse", "scrofulous", "bb1", "cis-cccp"):
+        seq = synthesize(family, 1.4, phi)
+        base = synthesize(family, 1.4, 0.0)
         shifted = np.eye(2, dtype=complex)
         for p in base.pulses:
             shifted = rotation(xy(p.theta, p.phi + phi)) @ shifted
@@ -428,7 +445,7 @@ def test_reduce_empty_rejected():
 # ------------------------------------------------------------ wire format
 
 def test_sequence_roundtrip_through_dict():
-    seq = cis_cccp(1.1, 0.6)
+    seq = synthesize("cis-cccp", 1.1, 0.6)
     doc = sequence_to_dict(seq)
     assert doc["family"] == "cis-cccp"
     assert doc["winding"] == [1, 1, 0]
