@@ -16,7 +16,7 @@ import os
 import warnings
 from typing import TYPE_CHECKING
 
-from .error_model import ErrorChannel, _generators
+from .error_model import _UNIT_LENGTH, _generators
 from .sequences import PulseSequence, _Record
 from .su2 import _eig, _lib, _product, _wrap
 
@@ -281,7 +281,7 @@ def _phases(seq: PulseSequence) -> tuple:
     pairs = _eig(0.0, *seq._product())
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
-    gx, gy, gz = _generators(seq, (ErrorChannel.pulse_length(1.0),))[0] if seq.pulses else (0.0, 0.0, 0.0)
+    gx, gy, gz = _generators(seq, (_UNIT_LENGTH,))[0] if seq.pulses else (0.0, 0.0, 0.0)
     rows = []
     for gamma, (a, b) in pairs:
         ab = a.conjugate() * b

@@ -222,8 +222,8 @@ def verify(opts) -> int:
 
     seq = _sequence(opts)
     row = sequences._REGISTRY.get(seq.family)  # None for a "custom" document
-    tol, declared = (row.tolerance, row.declared) if row else (1e-10, ())
-    units = {name: getattr(error_model.ErrorChannel, name)(1.0) for name in ("pulse_length", "off_resonance")}
+    tol, declared = (row.tolerance, row.declared) if row else (error_model.ROBUST_TOL, ())
+    units = {"pulse_length": error_model._UNIT_LENGTH, "off_resonance": error_model._UNIT_DETUNING}
     channels = {}
     for (name, unit), g in zip(units.items(), error_model._generators(seq, units.values())):
         norm, fd = error_model._norm(g), error_model._fd_vector(seq, unit)

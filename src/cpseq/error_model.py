@@ -1,14 +1,19 @@
 """First-order systematic error analysis for pulse sequences.
 
-A systematic error deforms every pulse the same way.  The two errors native
-to NMR-style control are modelled on the rotation vector m of each pulse:
+A systematic error deforms every pulse the same way.  A channel is one pair
+(f, F), a constant vector and a constant 3x3 tensor, and deforms the rotation
+vector m of each pulse by
 
-- pulse-length error, strength eps:        dm = eps * m
-- off-resonance error, strength eps_prime: dm = eps_prime * |m| * e_z
+    dm = |m| f + F m,
 
-so the per-pulse error generator is dW = eps * W + eps_prime * |m| sigma_z/2
-with W = m . sigma / 2.  A general channel dm_mu = f_mu + f_mu_nu m_nu with
-constant tensors is also supported.
+a constant error per unit rotation angle plus an error linear in the pulse.
+The two errors native to NMR-style control are
+
+- pulse-length error, strength eps:         (f, F) = (0, eps I),        dm = eps * m
+- off-resonance error, strength eps_prime:  (f, F) = (eps_prime e_z, 0), dm = eps_prime * |m| * e_z
+
+and a combined channel is their sum.  The per-pulse error generator is
+dW = dm . sigma / 2, the first-order change of W = m . sigma / 2.
 
 To first order the perturbed sequence equals U (1 - i G) where G is the
 accumulated error generator
@@ -56,11 +61,6 @@ __all__ = [
     "finite_difference_generator",
 ]
 
-PULSE_LENGTH = "pulse-length"
-OFF_RESONANCE = "off-resonance"
-COMBINED = "combined"
-GENERAL_LINEAR = "general-linear"
-
 # Frobenius norm below which a per-unit-strength generator counts as
 # compensated: machine-precision algebra, far below any physical error.
 ROBUST_TOL = 1e-10
@@ -70,67 +70,42 @@ FD_STEP = 1e-5
 
 
 class ErrorChannel(_Value):
-    """A systematic error specification.
+    """A systematic error: every pulse m deforms by dm = |m| f + F m.
 
-    Use the classmethod constructors; they enforce that each kind carries
-    only its own strengths.  ``general_linear`` channels ignore
-    (epsilon, epsilon_prime) and deform pulses as dm = f_const + f_linear @ m.
+    ``f_const`` is f, three floats, and ``f_linear`` is F, three rows of three
+    floats; both default to zero.  Arrays are taken as well and stored as
+    float tuples, so channels compare and hash by their entries.  The
+    constructors give pulse_length(eps) = (0, eps I), off_resonance(eps') =
+    (eps' e_z, 0) and combined(eps, eps') = (eps' e_z, eps I).  A channel's
+    accumulated generator is Theta first^T f + second : F in the moments of
+    :class:`MomentIntegrals`, Theta the sequence's total rotation angle.
     """
 
-    __slots__ = ("kind", "epsilon", "epsilon_prime", "f_const", "f_linear")
+    __slots__ = ("f_const", "f_linear")
 
-    def __init__(self, kind: str, epsilon: float = 0.0, epsilon_prime: float = 0.0,
-                 f_const: np.ndarray | None = None, f_linear: np.ndarray | None = None):
-        if kind not in (PULSE_LENGTH, OFF_RESONANCE, COMBINED, GENERAL_LINEAR):
-            raise ValueError(f"unknown error channel kind {kind!r}")
-        if kind == PULSE_LENGTH and epsilon_prime != 0.0:
-            raise ValueError("pulse-length channel carries only epsilon")
-        if kind == OFF_RESONANCE and epsilon != 0.0:
-            raise ValueError("off-resonance channel carries only epsilon_prime")
-        if kind == GENERAL_LINEAR:
-            import numpy as np
-            f_const = np.zeros(3) if f_const is None else np.asarray(f_const, dtype=float)
-            f_linear = np.zeros((3, 3)) if f_linear is None else np.asarray(f_linear, dtype=float)
-            if f_const.shape != (3,) or f_linear.shape != (3, 3):
-                raise ValueError("general-linear channel needs f_const (3,) and f_linear (3, 3)")
-            epsilon = epsilon_prime = 0.0
-        elif f_const is not None or f_linear is not None:
-            raise ValueError("tensor fields are only valid on a general-linear channel")
-        set_field = object.__setattr__  # written out: an error analysis builds a dozen channels
-        set_field(self, "kind", kind)
-        set_field(self, "epsilon", epsilon)
-        set_field(self, "epsilon_prime", epsilon_prime)
-        set_field(self, "f_const", f_const)
-        set_field(self, "f_linear", f_linear)
-
-    def _key(self) -> tuple:
-        # the tensors as tuples of floats, so that equal channels are equal and hash alike
-        if self.kind != GENERAL_LINEAR:
-            return super()._key()
-        return self.kind, tuple(self.f_const.tolist()), tuple(map(tuple, self.f_linear.tolist()))
+    def __init__(self, f_const=(0.0, 0.0, 0.0), f_linear=((0.0, 0.0, 0.0),) * 3):
+        f, F = tuple(map(float, f_const)), tuple([tuple(map(float, row)) for row in f_linear])
+        if len(f) != 3 or [len(row) for row in F] != [3, 3, 3]:
+            raise ValueError("an error channel needs f_const of 3 floats and f_linear of 3x3 floats")
+        set_field = object.__setattr__  # written out: callers build a channel per analysis call
+        set_field(self, "f_const", f)
+        set_field(self, "f_linear", F)
 
     @classmethod
     def pulse_length(cls, epsilon: float) -> "ErrorChannel":
-        return cls(PULSE_LENGTH, epsilon=float(epsilon))
+        return cls.combined(epsilon, 0.0)
 
     @classmethod
     def off_resonance(cls, epsilon_prime: float) -> "ErrorChannel":
-        return cls(OFF_RESONANCE, epsilon_prime=float(epsilon_prime))
+        return cls.combined(0.0, epsilon_prime)
 
     @classmethod
     def combined(cls, epsilon: float, epsilon_prime: float) -> "ErrorChannel":
-        return cls(COMBINED, epsilon=float(epsilon), epsilon_prime=float(epsilon_prime))
+        return cls((0.0, 0.0, epsilon_prime), ((epsilon, 0.0, 0.0), (0.0, epsilon, 0.0), (0.0, 0.0, epsilon)))
 
-    @classmethod
-    def general_linear(cls, f_const=None, f_linear=None) -> "ErrorChannel":
-        return cls(GENERAL_LINEAR, f_const=f_const, f_linear=f_linear)
 
-    def scaled(self, factor: float) -> "ErrorChannel":
-        """Channel with every strength multiplied by ``factor``."""
-        if self.kind == GENERAL_LINEAR:
-            return ErrorChannel.general_linear(factor * self.f_const, factor * self.f_linear)
-        return ErrorChannel(self.kind, epsilon=factor * self.epsilon,
-                            epsilon_prime=factor * self.epsilon_prime)
+# The unit channels whose generators every report carries, built once.
+_UNIT_LENGTH, _UNIT_DETUNING = ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0)
 
 
 class FirstOrderReport(_Record):
@@ -163,8 +138,14 @@ class MomentIntegrals(_Record):
     ``first_moment[mu, rho]`` is the tau_rho coefficient of
     integral_0^1 U(t)^dag tau_mu U(t) dt; ``second_moment[mu, nu, rho]``
     likewise for integral_0^1 U(t)^dag tau_mu U(t) lambda_nu(t) dt, where
-    lambda(t) is the piecewise-constant drive vector.  Vanishing first
-    moment kills constant errors; vanishing second moment kills linear ones.
+    lambda(t) is the piecewise-constant drive vector.  A channel (f, F) has
+    the accumulated generator vector
+
+        g_rho = Theta sum_mu first[mu, rho] f_mu + sum_mu,nu F[mu, nu] second[mu, nu, rho],
+
+    g = Theta first^T f + second : F with Theta the total rotation angle, so
+    a vanishing first moment kills every constant error f and a vanishing
+    second moment every linear one F.
     """
 
     __slots__ = ("first_moment", "second_moment")
@@ -182,12 +163,12 @@ def _as_vectors(seq) -> list:
 
 
 def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
-    """The channel's deformation dm of m = (x, y, z), floats or arrays alike."""
-    if channel.kind == GENERAL_LINEAR:
-        f, F = channel.f_const.tolist(), channel.f_linear.tolist()
-        return tuple(f[i] + F[i][0] * x + F[i][1] * y + F[i][2] * z for i in range(3))
-    e = channel.epsilon
-    return e * x, e * y, e * z + channel.epsilon_prime * _lib(x).sqrt(x * x + y * y + z * z)
+    """The channel's deformation dm = |m| f + F m of m = (x, y, z), floats or
+    arrays alike; the products are written out."""
+    (f0, f1, f2), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = channel.f_const, channel.f_linear
+    angle = _lib(x).sqrt(x * x + y * y + z * z)
+    return (angle * f0 + a0 * x + a1 * y + a2 * z, angle * f1 + b0 * x + b1 * y + b2 * z,
+            angle * f2 + c0 * x + c1 * y + c2 * z)
 
 
 def _frame_average(x, y, z) -> tuple:
@@ -251,8 +232,7 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
     pulse-length and off-resonance channels, accumulated together with the
     requested channel's generator.
     """
-    c_len, c_det, gen = _generators(seq, (ErrorChannel.pulse_length(1.0),
-                                          ErrorChannel.off_resonance(1.0), channel))
+    c_len, c_det, gen = _generators(seq, (_UNIT_LENGTH, _UNIT_DETUNING, channel))
     n_len, n_det = _norm(c_len), _norm(c_det)
     return FirstOrderReport(
         generator=rotation_generator(gen),
@@ -290,9 +270,10 @@ def error_moment_integrals(seq) -> MomentIntegrals:
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 
-def _perturbed_product(vectors, channel: ErrorChannel) -> tuple:
-    """Quaternion of the ordered product of R(m_i + dm_i), on floats."""
-    return _product(_quaternion(*(a + b for a, b in zip(m, _deformation(*m, channel))))
+def _perturbed_product(vectors, channel: ErrorChannel, strength: float = 1.0) -> tuple:
+    """Quaternion of the ordered product of R(m_i + strength dm_i), on floats:
+    dm is linear in the channel, so scaling it scales the channel."""
+    return _product(_quaternion(*(a + strength * b for a, b in zip(m, _deformation(*m, channel))))
                     for m in vectors)
 
 
@@ -308,7 +289,7 @@ def _fd_vector(seq, channel: ErrorChannel) -> tuple:
     U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
     i times it is b . sigma, so the generator vector is 2 b."""
     vectors = _as_vectors(seq)
-    (w, x, y, z), up, um = (_perturbed_product(vectors, channel.scaled(s)) for s in (0.0, FD_STEP, -FD_STEP))
+    (w, x, y, z), up, um = (_perturbed_product(vectors, channel, s) for s in (0.0, FD_STEP, -FD_STEP))
     _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / FD_STEP for p, m in zip(up, um)])
     return gx, gy, gz
 

@@ -12,6 +12,7 @@ from cpseq.error_model import (
     perturbed_propagator,
 )
 from cpseq.sequences import _REGISTRY, Pulse, PulseSequence, synthesize
+from cpseq.su2 import rotation_generator
 
 from conftest import CliRunner, averaged_generator, frob, pulse_generator, random_xy_vector, theta_for
 from loop_reference import (SX, SY, SZ, fidelity, interaction_quadrature, product_error_split, rotation,
@@ -26,15 +27,15 @@ def random_three_pulse(rng) -> PulseSequence:
 
 # ---------------------------------------------------------------- channels
 
-def test_channel_kind_consistency():
-    with pytest.raises(ValueError):
-        ErrorChannel("pulse-length", epsilon=0.1, epsilon_prime=0.2)
-    with pytest.raises(ValueError):
-        ErrorChannel("off-resonance", epsilon=0.1)
-    with pytest.raises(ValueError):
-        ErrorChannel("combined", f_const=np.ones(3))
-    ch = ErrorChannel.general_linear(f_linear=0.1 * np.eye(3))
-    assert ch.epsilon == 0.0 and np.allclose(ch.f_const, 0.0)
+def test_channel_shape_check():
+    for f, F in ((np.ones(2), np.eye(3)), (np.ones(4), np.eye(3)), (np.ones(3), np.eye(4)),
+                 (np.ones(3), np.ones((3, 2))), (np.ones(3), np.ones((2, 3)))):
+        with pytest.raises(ValueError):
+            ErrorChannel(f, F)
+    ch = ErrorChannel(f_linear=0.1 * np.eye(3))
+    assert ch.f_const == (0.0, 0.0, 0.0) and ch.f_linear == ((0.1, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.1))
+    assert {type(v) for v in (*ch.f_const, *sum(ch.f_linear, ()))} == {float}
+    assert ch == ErrorChannel.pulse_length(0.1)
 
 
 # ------------------------------------------------- per-pulse generator dm
@@ -57,8 +58,8 @@ def test_pulse_error_general_linear():
     f = np.array([0.1, 0.0, -0.2])
     F = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
     m = np.array([1.0, 2.0, 0.0])
-    got = pulse_generator(m, ErrorChannel.general_linear(f, F))
-    v = f + F @ m
+    got = pulse_generator(m, ErrorChannel(f, F))
+    v = np.linalg.norm(m) * f + F @ m
     expect = (v[0] * SX + v[1] * SY + v[2] * SZ) / 2
     assert frob(got, expect) < 1e-14
 
@@ -133,12 +134,12 @@ def test_interaction_error_general_linear_off_axis_pulse():
     # sinc limit |m| -> 0 and whole turns, where the closed form must neither
     # warn nor leave a NaN
     rng = np.random.default_rng(43)
-    cases = [(np.array([0.0, 0.0, np.pi]), ErrorChannel.general_linear(f_const=[0.5, 0, 0]))]
+    cases = [(np.array([0.0, 0.0, np.pi]), ErrorChannel(f_const=[0.5, 0, 0]))]
     lengths = [0.0, 1e-300, 1e-9, 2 * np.pi - 1e-9, 2 * np.pi, 2 * np.pi + 1e-9, 4 * np.pi,
                4 * np.pi + 1e-9]
     for length in lengths + list(rng.uniform(0.1, 8.0, 200)):
         direction = rng.normal(size=3)
-        ch = ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3)))
+        ch = ErrorChannel(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3)))
         cases.append((length * direction / np.linalg.norm(direction), ch))
     for m, ch in cases:
         with warnings.catch_warnings():
@@ -209,7 +210,7 @@ def test_no_library_path_runs_a_quadrature(monkeypatch):
         interaction_quadrature([1.0, 0.0, 0.0], SX / 2, nodes=64)
     rng = np.random.default_rng(57)
     channels = (ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1),
-                ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))))
+                ErrorChannel(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))))
     tilted = rng.normal(scale=2.0, size=(3, 3))
     runner = CliRunner()
     for family in _REGISTRY:
@@ -217,7 +218,6 @@ def test_no_library_path_runs_a_quadrature(monkeypatch):
         for vectors in (seq, tilted):
             for ch in channels:
                 first_order_error(vectors, ch)
-            first_order_error(vectors, ErrorChannel.general_linear(f_linear=0.1 * np.eye(3)))
             error_moment_integrals(vectors)
         theta = [] if family == "alway-jones" else ["--theta", "1.3"]
         result = runner.invoke(main, ["verify", "--family", family, *theta], catch_exceptions=False)
@@ -274,6 +274,24 @@ def test_moment_first_constant_hamiltonian():
     assert np.allclose(mom.first_moment[0], [1, 0, 0], atol=1e-12)
 
 
+def test_generator_is_the_moment_contraction():
+    # g = Theta first^T f + second : F for any channel (f, F), Theta the total rotation
+    rng = np.random.default_rng(59)
+    for family, row in _REGISTRY.items():
+        lo, hi, _ = row.domain
+        for theta in [t for t in (0.5, 1.0, 2.0, np.pi) if lo < t <= hi or t == lo == hi]:
+            seq = synthesize(family, theta, 0.3)
+            f, F = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 3))
+            mom = error_moment_integrals(seq)
+            total = sum(p.theta for p in seq.pulses)
+            g = total * mom.first_moment.T @ f + np.einsum("mn,mnr->r", F, mom.second_moment)
+            got = first_order_error(seq, ErrorChannel(f, F)).generator
+            assert frob(got, rotation_generator(g)) < 1e-13, (family, theta)
+    # a constant error is a rate per unit rotation, so CORPSE cancels a constant z error
+    assert ErrorChannel([0, 0, 1]) == ErrorChannel.off_resonance(1.0)
+    assert frob(first_order_error(synthesize("corpse", np.pi, 0.0), ErrorChannel([0, 0, 1])).generator) < 1e-13
+
+
 def test_moment_zero_length_sequence():
     seq = PulseSequence("custom", (Pulse(0.0, 0.0),), np.eye(2, dtype=complex))
     mom = error_moment_integrals(seq)
@@ -299,9 +317,9 @@ def test_perturbed_propagator_plain_pulse_closed_forms():
 
 
 def test_perturbed_vector_general_linear():
-    # m + f + F m = (1.15, 2.1, 0) for m = (1, 2, 0)
-    ch = ErrorChannel.general_linear([0.1, 0, 0], 0.05 * np.eye(3))
-    assert frob(perturbed_propagator([[1, 2, 0]], ch), rotation([1.15, 2.1, 0.0])) < 1e-14
+    # m + |m| f + F m = (1.05 + 0.1 sqrt(5), 2.1, 0) for m = (1, 2, 0)
+    ch = ErrorChannel([0.1, 0, 0], 0.05 * np.eye(3))
+    assert frob(perturbed_propagator([[1, 2, 0]], ch), rotation([1.05 + 0.1 * np.sqrt(5), 2.1, 0.0])) < 1e-14
 
 
 # ------------------------------------------------------ finite differences
@@ -331,10 +349,11 @@ def test_fd_oracle_matches_analytic_on_bb1():
 
 
 def test_fd_oracle_general_linear_channel():
+    # the analytic generator and the oracle meet on a general channel for every family
     rng = np.random.default_rng(55)
-    for seq in (synthesize("corpse", 1.3, 0.4), synthesize("scrofulous", 2.1, 1.0)):
-        ch = ErrorChannel.general_linear(rng.uniform(-0.3, 0.3, 3),
-                                         rng.uniform(-0.2, 0.2, (3, 3)))
+    seqs = [synthesize("corpse", 1.3, 0.4)] + [synthesize(family, theta_for(family, 2.1), 1.0) for family in _REGISTRY]
+    for seq in seqs:
+        ch = ErrorChannel(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.2, 0.2, (3, 3)))
         analytic = first_order_error(seq, ch).generator
         fd = finite_difference_generator(seq, ch)
         assert frob(analytic, fd) < 1e-4

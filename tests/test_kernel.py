@@ -51,8 +51,8 @@ def test_perturbed_propagator_matches_loop(family):
             got = perturbed_propagator(seq, ErrorChannel.combined(eps, eps_prime))
             assert max_abs(got, ref.product(ref.deform(vectors, eps, eps_prime))) <= 1e-14
         f, F = rng.normal(scale=0.05, size=3), rng.normal(scale=0.05, size=(3, 3))
-        got = perturbed_propagator(seq, ErrorChannel.general_linear(f, F))
-        want = ref.product([m + f + F @ m for m in vectors])
+        got = perturbed_propagator(seq, ErrorChannel(f, F))
+        want = ref.product([m + np.linalg.norm(m) * f + F @ m for m in vectors])
         assert max_abs(got, want) <= 1e-14
 
 

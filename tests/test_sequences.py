@@ -63,17 +63,18 @@ def test_pulse_equality_and_hash_are_by_angles():
 
 def test_error_channel_equality_and_hash_are_by_fields():
     a = ErrorChannel.pulse_length(0.1)
-    assert a == ErrorChannel("pulse-length", epsilon=0.1) and hash(a) == hash(ErrorChannel.pulse_length(0.1))
-    assert a != ErrorChannel.pulse_length(0.2) and a != ErrorChannel.combined(0.1, 0.0)
+    assert a == ErrorChannel(f_linear=0.1 * np.eye(3)) and hash(a) == hash(ErrorChannel.pulse_length(0.1))
+    # a channel is its (f, F) pair, whichever constructor made it
+    assert a != ErrorChannel.pulse_length(0.2) and a == ErrorChannel.combined(0.1, 0.0)
     assert ErrorChannel.off_resonance(0.1) != ErrorChannel.pulse_length(0.1)
     assert len({a, ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1)}) == 2
     assert pickle.loads(pickle.dumps(a)) == a
     # tensors compare by their entries, not as arrays
-    g = ErrorChannel.general_linear([1, 0, 0])
-    assert g == ErrorChannel.general_linear([1.0, 0.0, 0.0], np.zeros((3, 3)))
-    assert hash(g) == hash(ErrorChannel.general_linear([1, 0, 0]))
-    assert g != ErrorChannel.general_linear([0, 1, 0]) and g != ErrorChannel.general_linear([1, 0, 0], np.eye(3))
-    assert len({g, ErrorChannel.general_linear([1, 0, 0]), ErrorChannel.general_linear()}) == 2
+    g = ErrorChannel([1, 0, 0])
+    assert g == ErrorChannel([1.0, 0.0, 0.0], np.zeros((3, 3)))
+    assert hash(g) == hash(ErrorChannel([1, 0, 0]))
+    assert g != ErrorChannel([0, 1, 0]) and g != ErrorChannel([1, 0, 0], np.eye(3))
+    assert len({g, ErrorChannel([1, 0, 0]), ErrorChannel()}) == 2
     assert pickle.loads(pickle.dumps(g)) == g
 
 
@@ -90,7 +91,7 @@ def _records():
         "Pulse": seq.pulses[0],
         "PulseSequence": seq,
         "_Family": _REGISTRY["bb1"],
-        "ErrorChannel": ErrorChannel.general_linear([0.1, 0.0, 0.2], np.eye(3)),
+        "ErrorChannel": ErrorChannel([0.1, 0.0, 0.2], np.eye(3)),
         "FirstOrderReport": first_order_error(seq, ErrorChannel.pulse_length(0.1)),
         "MomentIntegrals": error_moment_integrals(seq),
         "LandscapeGrid": analysis.landscape(seq, resolution=3),
