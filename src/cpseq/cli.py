@@ -4,10 +4,19 @@ Subcommands: synth, verify, landscape, phase, scaling, reduce.  Angles on
 the command line accept decimal radians or ``pi`` fractions (``pi``,
 ``pi/2``, ``3pi/4``, ``-pi/3``, ``2*pi/3``).  All outputs are deterministic:
 identical invocations produce identical bytes.  Exit codes: 0 success,
-2 usage or parse failure, 3 verification failure.  Every refusal, the
-parser's own included, writes one JSON document ``{"error": {"type": ...,
-"message": ...}}`` to stderr.  Each option in ``_OPTIONS`` is given at most
-once, and takes the next argument as its value, even one starting with '-'.
+2 usage or parse failure, 3 verification failure.  Each option in
+``_OPTIONS`` is given at most once, and takes the next argument as its
+value, even one starting with '-'.
+
+Every command, ``--help`` and ``--version`` included, returns ``(result,
+exit code)`` and writes nothing: the result is a JSON document or, for CSV
+and usage text, a string.  ``main`` alone renders the result, writes it to
+stdout or ``--output``, and refuses: an exception in ``_REFUSALS``
+(``UsageError``, ``ValueError``, ``OSError``, ``RecursionError``,
+``MemoryError``, ``SynthesisError``) raised while parsing, running,
+rendering or writing becomes one JSON document ``{"error": {"type": ...,
+"message": ...}}`` on stderr and exit 2.  Any other exception is a bug and
+propagates.
 
 A command imports only what it runs: ``synth`` and ``reduce`` load
 ``sequences`` (with ``su2``) and ``ioutil``; ``verify`` adds
@@ -34,21 +43,16 @@ _PI_FORM = re.compile(
 
 
 class UsageError(Exception):
-    """A refusal: ``main`` writes it as one JSON error document and exits 2.
-    ``kind`` is the document's type, the class name unless given."""
-
-    def __init__(self, message: str, kind: str | None = None):
-        super().__init__(message)
-        self.kind = kind or type(self).__name__
+    """A command line that cannot run as given."""
 
 
 class BadParameter(UsageError):
     """A command-line value that does not parse."""
 
 
-def _refusal(exc: Exception) -> UsageError:
-    """A library error as a refusal, typed by its class name."""
-    return UsageError(str(exc), type(exc).__name__)
+# What ``main`` refuses.  MemoryError: a --res grid too large to allocate;
+# RecursionError: an --input document nested too deeply to decode.
+_REFUSALS = (UsageError, ValueError, OSError, RecursionError, MemoryError, sequences.SynthesisError)
 
 
 def parse_angle(text: str) -> float:
@@ -162,18 +166,7 @@ _OPTIONS = {
 }
 
 
-# ---- commands: each takes the parsed options and returns its exit code --------
-
-
-def _emit(text: str, output: str | None):
-    if not output:
-        sys.stdout.write(text + "\n")
-        return
-    try:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        raise _refusal(exc) from None
+# ---- commands: each takes the parsed options and returns (result, exit code) ---
 
 
 def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequences.PulseSequence:
@@ -182,10 +175,7 @@ def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequen
         if lo != hi:
             raise UsageError(f"--theta is required for family {family!r}")
         theta = lo  # a one-point domain needs no --theta
-    try:
-        return sequences.synthesize(family, theta, phi, winding)
-    except (sequences.SynthesisError, ValueError) as exc:
-        raise _refusal(exc) from None
+    return sequences.synthesize(family, theta, phi, winding)
 
 
 def _sequence(opts) -> sequences.PulseSequence:
@@ -193,30 +183,25 @@ def _sequence(opts) -> sequences.PulseSequence:
     if opts.input is not None:
         import json
 
-        try:
-            if opts.input == "-":
-                doc = json.load(sys.stdin)
-            else:
-                with open(opts.input, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            return sequences.sequence_from_dict(doc)
-        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-            raise _refusal(exc) from None
+        if opts.input == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(opts.input, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        return sequences.sequence_from_dict(doc)
     if opts.family is None:
         raise UsageError("provide either --input or --family")
     return _synthesize(opts.family, opts.theta, opts.phi, opts.winding)
 
 
-def synth(opts) -> int:
+def synth(opts):
     """Synthesize a pulse sequence and emit it as JSON."""
     if opts.family is None:
         raise UsageError("--family is required")
-    seq = _synthesize(opts.family, opts.theta, opts.phi, opts.winding)
-    _emit(dumps(sequences.sequence_to_dict(seq)), opts.output)
-    return 0
+    return sequences.sequence_to_dict(_synthesize(opts.family, opts.theta, opts.phi, opts.winding)), 0
 
 
-def verify(opts) -> int:
+def verify(opts):
     """Check first-order robustness claims; exit 3 when a declared channel fails."""
     from . import error_model
 
@@ -246,35 +231,26 @@ def verify(opts) -> int:
         "channels": channels,
         "passed": passed,
     }
-    _emit(dumps(doc), opts.output)
-    return 0 if passed else 3
+    return doc, 0 if passed else 3
 
 
-def landscape(opts) -> int:
+def landscape(opts):
     """Sample the fidelity landscape over an error-strength rectangle."""
     from . import analysis
 
-    seq = _sequence(opts)
-    try:
-        grid = analysis.landscape(seq, opts.eps_range, opts.eps_prime_range, opts.res)
-    except ValueError as exc:
-        raise _refusal(exc) from None
-    except MemoryError as exc:  # numpy's subclass names itself _ArrayMemoryError
-        raise UsageError(str(exc), "MemoryError") from None
+    grid = analysis.landscape(_sequence(opts), opts.eps_range, opts.eps_prime_range, opts.res)
     if opts.format == "csv":
-        _emit(analysis.landscape_csv(grid), opts.output)
-    else:
-        doc = {
-            "family": grid.family,
-            "eps": grid.eps_values,
-            "eps_prime": grid.eps_prime_values,
-            "fidelity": grid.fidelity,
-        }
-        _emit(dumps(doc), opts.output)
-    return 0
+        return analysis.landscape_csv(grid), 0
+    doc = {
+        "family": grid.family,
+        "eps": grid.eps_values,
+        "eps_prime": grid.eps_prime_values,
+        "fidelity": grid.fidelity,
+    }
+    return doc, 0
 
 
-def phase(opts) -> int:
+def phase(opts):
     """Report total, dynamical and geometric phases of the cyclic states."""
     from . import analysis
 
@@ -285,19 +261,15 @@ def phase(opts) -> int:
         "degenerate": degenerate,
         "states": [{"total": t, "dynamical": d, "geometric": g} for t, d, g in rows],
     }
-    _emit(dumps(doc), opts.output)
-    return 0
+    return doc, 0
 
 
-def scaling(opts) -> int:
+def scaling(opts):
     """Fit the log-log infidelity slope along one strength axis."""
     from . import analysis
 
     seq = _sequence(opts)
-    try:
-        slope, intercept, kept, dropped = analysis._ladder(seq, opts.axis)
-    except ValueError as exc:
-        raise _refusal(exc) from None
+    slope, intercept, kept, dropped = analysis._ladder(seq, opts.axis)
     doc = {
         "family": seq.family,
         "axis": opts.axis,
@@ -306,16 +278,12 @@ def scaling(opts) -> int:
         "points": [{"strength": s, "infidelity": f} for s, f in kept],
         "dropped": list(dropped),
     }
-    _emit(dumps(doc), opts.output)
-    return 0
+    return doc, 0
 
 
-def reduce(opts) -> int:
+def reduce(opts):
     """Collapse a product of xy-plane pi pulses to a single rotation."""
-    try:
-        vector = sequences._reduce(opts.phases)
-    except ValueError as exc:
-        raise _refusal(exc) from None
+    vector = sequences._reduce(opts.phases)
     if len(opts.phases) % 2 == 0:
         doc = {"kind": "z-rotation", "vector": list(vector)}
     else:
@@ -325,16 +293,10 @@ def reduce(opts) -> int:
             "phi": sequences._azimuth(math.atan2(vector[1], vector[0])),
             "vector": list(vector),
         }
-    _emit(dumps(doc), opts.output)
-    return 0
+    return doc, 0
 
 
 _COMMANDS = {command.__name__: command for command in (synth, verify, landscape, phase, scaling, reduce)}
-
-
-def _show(text: str) -> int:
-    sys.stdout.write(text)
-    return 0
 
 
 def _help(prog: str, command: str | None) -> str:
@@ -346,11 +308,12 @@ def _help(prog: str, command: str | None) -> str:
     width = max(len(key) for key, _ in rows) + 2
     lines = [f"usage: {prog} {command or '[--version] COMMAND'} [--help] [--OPTION VALUE]...", "",
              (_COMMANDS.get(command) or main).__doc__.splitlines()[0], ""]
-    return "\n".join(lines + [f"  {key:<{width}}{line}" for key, line in rows]) + "\n"
+    return "\n".join(lines + [f"  {key:<{width}}{line}" for key, line in rows])
 
 
 def _parse(argv, prog: str):
-    """The function that ``argv`` runs and its argument; unknown arguments are refused last."""
+    """The command that ``argv`` runs, bound to its options, and its ``--output``;
+    unknown arguments are refused last."""
     command, given, unknown = None, {}, []
     args = iter(argv)
     for arg in args:
@@ -361,7 +324,8 @@ def _parse(argv, prog: str):
                                  f"(choose from {', '.join(map(repr, _COMMANDS))})")
             command = arg
         elif arg == "--help" or (arg == "--version" and command is None):
-            return _show, _help(prog, command) if arg == "--help" else f"{prog}, version {__version__}\n"
+            text = _help(prog, command) if arg == "--help" else f"{prog}, version {__version__}"
+            return (lambda: (text, 0)), None
         elif flag in _OPTIONS and command in _OPTIONS[flag][2]:
             if flag in given:
                 raise UsageError(f"argument {flag}: given more than once")
@@ -382,9 +346,9 @@ def _parse(argv, prog: str):
         raise UsageError("the following arguments are required: --phases")
     if unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    return _COMMANDS[command], SimpleNamespace(**{
-        flag[2:].replace("-", "_"): given.get(flag, default)
-        for flag, (_, default, names, _) in _OPTIONS.items() if command in names})
+    opts = SimpleNamespace(**{flag[2:].replace("-", "_"): given.get(flag, default)
+                              for flag, (_, default, names, _) in _OPTIONS.items() if command in names})
+    return partial(_COMMANDS[command], opts), opts.output
 
 
 def main(args=None, prog_name=None, standalone_mode=True):
@@ -394,10 +358,17 @@ def main(args=None, prog_name=None, standalone_mode=True):
     with its code; with ``standalone_mode=False`` returns the code instead.
     """
     try:
-        run, opts = _parse(sys.argv[1:] if args is None else args, prog_name or "cpseq")
-        code = run(opts)
-    except UsageError as exc:
-        sys.stderr.write(dumps({"error": {"type": exc.kind, "message": str(exc)}}) + "\n")
+        run, output = _parse(sys.argv[1:] if args is None else args, prog_name or "cpseq")
+        result, code = run()
+        text = result if isinstance(result, str) else dumps(result)
+        if output:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
+    except _REFUSALS as exc:
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__  # numpy's is a subclass
+        sys.stderr.write(dumps({"error": {"type": kind, "message": str(exc)}}) + "\n")
         code = 2
     if standalone_mode:
         sys.exit(code)

@@ -289,7 +289,8 @@ def _fd_vector(seq, channel: ErrorChannel) -> tuple:
     U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
     i times it is b . sigma, so the generator vector is 2 b."""
     vectors = _as_vectors(seq)
-    (w, x, y, z), up, um = (_perturbed_product(vectors, channel, s) for s in (0.0, FD_STEP, -FD_STEP))
+    w, x, y, z = _product(_quaternion(*m) for m in vectors)
+    up, um = (_perturbed_product(vectors, channel, s) for s in (FD_STEP, -FD_STEP))
     _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / FD_STEP for p, m in zip(up, um)])
     return gx, gy, gz
 

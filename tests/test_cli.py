@@ -400,8 +400,12 @@ def wire_documents(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wire_documents())
+# the generator norm overflows to inf, which the report cannot render
+@example(doc={"family": "custom", "target": {"theta": 1, "phi": 0},
+              "pulses": [{"theta": 1e154, "phi": 0}, {"theta": 1e154, "phi": 0}]})
 def test_fuzzed_wire_documents_exit_0_2_or_3(doc):
     result = CliRunner().invoke(main, ["verify", "--input", "-"], input=json.dumps(doc))
+    assert result.exception is None, result.exception
     assert result.exit_code in (0, 2, 3), result.output
     if result.exit_code == 2:
         assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
@@ -623,6 +627,18 @@ def test_large_azimuth_keeps_cancellation(runner, args):
     else:
         assert doc["target"]["phi"] == 1e12  # the wire document keeps the raw azimuth
         assert all(0 <= p["phi"] < 2 * np.pi for p in doc["pulses"])
+
+
+def test_an_exception_outside_the_refusals_propagates(runner, monkeypatch):
+    # only the refusal tuple becomes exit 2; anything else is a bug and must surface
+    from cpseq import analysis
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a refusal")
+
+    monkeypatch.setattr(analysis, "_ladder", broken)
+    with pytest.raises(TypeError, match="a bug, not a refusal"):
+        invoke(runner, ["scaling", "--family", "plain", "--theta", "1"])
 
 
 def test_landscape_unallocatable_grid_exits_2_with_json(runner, monkeypatch):
