@@ -16,9 +16,9 @@ import os
 import warnings
 from typing import TYPE_CHECKING
 
-from .error_model import _UNIT_LENGTH, _generators
+from .error_model import _UNITS, _generators
 from .sequences import PulseSequence, _Record
-from .su2 import _eig, _lib, _product, _wrap
+from .su2 import _eig, _half_angle, _lib, _product, _wrap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,6 +42,9 @@ AXES = tuple(_DIRECTIONS)
 
 DEFAULT_SCALING_LADDER = (1e-3, 2e-3, 4e-3, 8e-3, 1e-2)
 
+# Ladder points with 1 - F at or below this are dropped from the scaling fit.
+_LADDER_FLOOR = 1e-14
+
 # Landscape cells per row block: small enough that a block's planes, and the
 # rotations it keeps for each distinct pulse angle, stay in cache while its
 # pulses are composed, and that the kept rotations add nothing to a grid's
@@ -50,30 +53,24 @@ _BLOCK_CELLS = 8192
 
 
 class LandscapeGrid(_Record):
-    """Sampled fidelity over an (eps, eps_prime) rectangle.
-
-    ``fidelity[i, j]`` belongs to (eps_values[i], eps_prime_values[j]).
+    """Sampled fidelity of a ``family``'s sequence over an (eps, eps_prime)
+    rectangle: ``fidelity[i, j]`` belongs to (eps_values[i], eps_prime_values[j]).
     """
 
     __slots__ = ("eps_values", "eps_prime_values", "fidelity", "family")
 
-    def __init__(self, eps_values: np.ndarray, eps_prime_values: np.ndarray, fidelity: np.ndarray,
-                 family: str):
-        super().__init__(eps_values, eps_prime_values, fidelity, family)
-
 
 class ScalingFit(_Record):
-    """Log-log fit of infidelity against error strength along one axis."""
+    """Log-log fit log(1 - F) = slope log(s) + intercept of infidelity against
+    error strength s along one ``axis``: the kept ``strengths`` with their
+    ``infidelities``, and the strengths ``dropped`` at the floor."""
 
     __slots__ = ("axis", "slope", "intercept", "strengths", "infidelities", "dropped")
 
-    def __init__(self, axis: str, slope: float, intercept: float, strengths: np.ndarray,
-                 infidelities: np.ndarray, dropped: tuple[float, ...]):
-        super().__init__(axis, slope, intercept, strengths, infidelities, dropped)
-
 
 class PhaseReport(_Record):
-    """Total, dynamical and geometric phases of the two cyclic states.
+    """``total``, ``dynamical`` and ``geometric`` phases of the two cyclic
+    ``states``, the columns of an array.
 
     States are sorted by ascending total phase; all phases are reduced
     mod 2*pi into (-pi, pi].  ``degenerate`` marks targets proportional to
@@ -81,10 +78,6 @@ class PhaseReport(_Record):
     """
 
     __slots__ = ("total", "dynamical", "geometric", "states", "degenerate")
-
-    def __init__(self, total: np.ndarray, dynamical: np.ndarray, geometric: np.ndarray,
-                 states: np.ndarray, degenerate: bool):
-        super().__init__(total, dynamical, geometric, states, degenerate)
 
 
 def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> float:
@@ -100,24 +93,23 @@ def _products(seq: PulseSequence, eps, eps_prime) -> tuple:
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
     the same r for every pulse.  So cos(theta r / 2), sin(theta r / 2) / r and
-    eps' sin(theta r / 2) / r are evaluated once per distinct pulse angle
-    theta (exact ``==``), and each pulse adds only its two azimuth terms,
-    with the operations of :func:`su2._half_angle` in its order: every cell
-    has the bits of a rotation evaluated per pulse.  Pulses are composed one
+    eps' sin(theta r / 2) / r come from one :func:`su2._half_angle` call per
+    distinct pulse angle theta (exact ``==``), the half-angle formula's one
+    home, and each pulse adds only its two azimuth terms: every cell has the
+    bits of a rotation evaluated per pulse.  Pulses are composed one
     at a time, so memory is a few arrays the size of the strengths per
     distinct angle, and any block of cells is bitwise what a larger grid gives."""
     stretch = 1.0 + eps
     lib = _lib(stretch)
     r = lib.sqrt(stretch * stretch + eps_prime * eps_prime)
-    length = r + (r == 0.0)  # length 1 stands in for a zero axis, as in su2._half_angle
+    length = r + (r == 0.0)  # length 1 stands in for a zero axis, as in su2._quaternion
     rotations = {}
 
     def factor(p):
         rotation = rotations.get(p.theta)
         if rotation is None:
-            half = p.theta * r / 2
-            scale = lib.sin(half) / length
-            rotation = rotations[p.theta] = (lib.cos(half), scale, eps_prime * scale)
+            cos_half, scale = _half_angle(p.theta * r, length)
+            rotation = rotations[p.theta] = (cos_half, scale, eps_prime * scale)
         cos_half, scale, z = rotation
         return cos_half, (stretch * math.cos(p.phi)) * scale, (stretch * math.sin(p.phi)) * scale, z
 
@@ -222,13 +214,13 @@ def infidelity_scaling(seq: PulseSequence, axis: str) -> ScalingFit:
 
     A plain pulse scales quadratically; a sequence whose first-order
     generator vanishes on the chosen axis loses the quadratic term and
-    comes out quartic or steeper.  Points with 1 - F below 1e-14 sit in
-    double-precision noise and are dropped with a warning.
+    comes out quartic or steeper.  Points with 1 - F at or below
+    ``_LADDER_FLOOR`` are dropped with a warning.
     """
     import numpy as np
     slope, intercept, kept, dropped = _ladder(seq, axis)
     if dropped:
-        warnings.warn(f"dropping {len(dropped)} ladder point(s) with infidelity below 1e-14 "
+        warnings.warn(f"dropping {len(dropped)} ladder point(s) with infidelity below {_LADDER_FLOOR:g} "
                       f"(double-precision floor): {dropped}", RuntimeWarning, stacklevel=2)
     kept_strengths, infidelities = (np.array(column) for column in zip(*kept))
     return ScalingFit(axis=axis, slope=slope, intercept=intercept, strengths=kept_strengths,
@@ -242,8 +234,8 @@ def _ladder(seq: PulseSequence, axis: str) -> tuple:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     de, dp = _DIRECTIONS[axis]
     points = [(s, _infidelities(seq, de * s, dp * s)) for s in DEFAULT_SCALING_LADDER]
-    kept = [(s, f) for s, f in points if f > 1e-14]
-    dropped = tuple(s for s, f in points if not f > 1e-14)
+    kept = [(s, f) for s, f in points if f > _LADDER_FLOOR]
+    dropped = tuple(s for s, f in points if not f > _LADDER_FLOOR)
     if len({s for s, _ in kept}) < 2:
         raise ValueError("fewer than 2 ladder points resolve above the precision floor")
     # the least-squares line through the points (log s, log f)
@@ -281,7 +273,7 @@ def _phases(seq: PulseSequence) -> tuple:
     pairs = _eig(0.0, *seq._product())
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
-    gx, gy, gz = _generators(seq, (_UNIT_LENGTH,))[0] if seq.pulses else (0.0, 0.0, 0.0)
+    gx, gy, gz = _generators(seq, (_UNITS["pulse_length"],))[0] if seq.pulses else (0.0, 0.0, 0.0)
     rows = []
     for gamma, (a, b) in pairs:
         ab = a.conjugate() * b

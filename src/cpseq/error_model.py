@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .sequences import PulseSequence, _Record, _Value
+from .sequences import ROBUST_TOL, PulseSequence, _Record, _Value
 from .su2 import _bloch, _fold, _hamilton, _lib, _matrix, _product, _quaternion, rotation_generator
 
 if TYPE_CHECKING:
@@ -60,10 +60,6 @@ __all__ = [
     "perturbed_propagator",
     "finite_difference_generator",
 ]
-
-# Frobenius norm below which a per-unit-strength generator counts as
-# compensated: machine-precision algebra, far below any physical error.
-ROBUST_TOL = 1e-10
 
 # Strength step of the central-difference oracle, finite_difference_generator.
 FD_STEP = 1e-5
@@ -105,30 +101,24 @@ class ErrorChannel(_Value):
 
 
 # The unit channels whose generators every report carries, built once.
-_UNIT_LENGTH, _UNIT_DETUNING = ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0)
+_UNITS = {"pulse_length": ErrorChannel.pulse_length(1.0), "off_resonance": ErrorChannel.off_resonance(1.0)}
 
 
 class FirstOrderReport(_Record):
     """Accumulated first-order error of a sequence under one channel.
 
     ``generator`` is the Hermitian accumulated error generator at the
-    channel's strengths.  The two coefficient matrices are the per-unit
-    strength generators of the pulse-length and off-resonance channels
-    (properties of the sequence alone); robustness flags compare their
-    Frobenius norms against ``tolerance``.
+    channel's strengths.  ``pulse_length_coefficient`` and
+    ``off_resonance_coefficient`` are the per-unit strength generators of
+    the two unit channels (properties of the sequence alone), and
+    ``pulse_length_norm`` and ``off_resonance_norm`` their Frobenius norms;
+    ``robust_to_pulse_length`` and ``robust_to_off_resonance`` compare those
+    norms against ``tolerance``.
     """
 
     __slots__ = ("generator", "pulse_length_coefficient", "off_resonance_coefficient",
                  "pulse_length_norm", "off_resonance_norm", "robust_to_pulse_length",
                  "robust_to_off_resonance", "tolerance")
-
-    def __init__(self, generator: np.ndarray, pulse_length_coefficient: np.ndarray,
-                 off_resonance_coefficient: np.ndarray, pulse_length_norm: float,
-                 off_resonance_norm: float, robust_to_pulse_length: bool,
-                 robust_to_off_resonance: bool, tolerance: float):
-        super().__init__(generator, pulse_length_coefficient, off_resonance_coefficient,
-                         pulse_length_norm, off_resonance_norm, robust_to_pulse_length,
-                         robust_to_off_resonance, tolerance)
 
 
 class MomentIntegrals(_Record):
@@ -149,9 +139,6 @@ class MomentIntegrals(_Record):
     """
 
     __slots__ = ("first_moment", "second_moment")
-
-    def __init__(self, first_moment: np.ndarray, second_moment: np.ndarray):
-        super().__init__(first_moment, second_moment)
 
 
 def _as_vectors(seq) -> list:
@@ -222,7 +209,10 @@ def _generators(seq, channels) -> list:
 def _norm(g) -> float:
     """Frobenius norm |g| / sqrt(2) of the generator g . sigma / 2."""
     gx, gy, gz = g
-    return math.sqrt((gx * gx + gy * gy + gz * gz) / 2)
+    square = gx * gx + gy * gy + gz * gz
+    if square == math.inf:  # a component above about 1e154 overflows its square; hypot does not
+        return math.hypot(gx, gy, gz) / math.sqrt(2)
+    return math.sqrt(square / 2)
 
 
 def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL) -> FirstOrderReport:
@@ -232,7 +222,7 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
     pulse-length and off-resonance channels, accumulated together with the
     requested channel's generator.
     """
-    c_len, c_det, gen = _generators(seq, (_UNIT_LENGTH, _UNIT_DETUNING, channel))
+    c_len, c_det, gen = _generators(seq, (*_UNITS.values(), channel))
     n_len, n_det = _norm(c_len), _norm(c_det)
     return FirstOrderReport(
         generator=rotation_generator(gen),

@@ -34,6 +34,10 @@ __all__ = [
 
 TWO_PI = 2 * math.pi
 
+# The registry rows' default verify tolerance, the Frobenius norm below which a unit
+# channel's generator counts as compensated: machine-precision algebra, far below any physical error.
+ROBUST_TOL = 1e-10
+
 # Location of the first positive minimum of sin(x)/x; right edge of the
 # bracket used for the SCROFULOUS angle equation.
 _SINC_ARGMIN = 4.4934094579090641
@@ -61,15 +65,22 @@ def _xy(theta: float, phi: float) -> tuple[float, float, float]:
 
 class _Record:
     """Base of the package's immutable records.  The fields are the
-    ``__slots__``, set once by ``__init__``; assigning or deleting one raises
-    AttributeError.  Records compare by identity unless they derive from
-    :class:`_Value`."""
+    ``__slots__``, set once by ``__init__``, which takes them by position or
+    by name and raises TypeError for an unknown, missing or repeated one;
+    assigning or deleting a field raises AttributeError.  Records compare by
+    identity unless they derive from :class:`_Value`."""
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **fields):
+        names = self.__slots__
+        # the fields not given by position must be given by name, each once
+        if len(values) > len(names) or fields.keys() != set(names[len(values):]):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once, "
+                            f"got {len(values)} by position and {tuple(fields)} by name")
+        fields.update(zip(names, values))
+        for name in names:
+            object.__setattr__(self, name, fields[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -361,7 +372,7 @@ def _alway_jones_segments(theta, phi, winding):
 
 class _Family(collections.namedtuple(
         "_Family", "name segments domain refusal winding declared tolerance length_residual",
-        defaults=(None, (), 1e-10, None))):
+        defaults=(None, (), ROBUST_TOL, None))):
     """One registry row: everything the package states about a family.
 
     - ``segments``: (theta, phi, winding) -> raw [(theta_i, phi_i), ...];

@@ -11,20 +11,19 @@ Conventions used throughout the package:
   quaternions, with U^dag V = (w, v), it is min(|w|, 1).
 
 Rotations are real unit quaternions q = (w, x, y, z), U = w I - i (x, y, z) . sigma.
-:func:`_half_angle` evaluates a rotation, :func:`_hamilton` multiplies two,
-:func:`_fold` runs the partial products of a sequence and :func:`_product`
-its whole product, and a sequence meets its target through
-``PulseSequence._overlap``, the quaternion T^dag U.  The landscape kernel
-(``analysis._products`` and ``analysis.landscape``) writes the first and the
-last of these out, with the same operations in the same order, so that it
-can share one rotation among the pulses of equal angle and take only the
-component of T^dag U that the fidelity needs.  These kernels
-take their components as Python floats or as numpy arrays of any broadcast
-batch shape, alike: on floats they use :mod:`math`, so a single sequence is
-handled without numpy.  :func:`_matrix` turns quaternion planes into 2x2
-matrices.  numpy is imported only by the functions that take or return
-arrays, the three public ones among them: ``rotation_generator``,
-``is_unitary`` and ``eig_unitary``.
+:func:`_half_angle`, the one home of the half-angle formula, evaluates every
+rotation (``analysis._products`` shares one per distinct pulse angle),
+:func:`_hamilton` multiplies two, :func:`_fold` runs the partial products of
+a sequence and :func:`_product` its whole product, and a sequence meets its
+target through ``PulseSequence._overlap``, the quaternion T^dag U.  Only the
+w component of that overlap is written out, in ``analysis.landscape``, with
+the same operations in the same order: routing the grid through ``_overlap``
+cost 3-50% of grid time.  These kernels take their components as Python
+floats or as numpy arrays of any broadcast batch shape, alike: on floats
+they use :mod:`math`, so a single sequence is handled without numpy.
+:func:`_matrix` turns quaternion planes into 2x2 matrices.  numpy is
+imported only by the functions that take or return arrays, the three public
+ones among them: ``rotation_generator``, ``is_unitary`` and ``eig_unitary``.
 
 All functions are pure; there is no shared mutable state, so concurrent use
 is safe.
@@ -66,14 +65,6 @@ def _components(q) -> list:
     return [q[..., k] for k in range(q.shape[-1])]
 
 
-def _assemble(*planes) -> np.ndarray:
-    """Array whose last axis runs over ``planes``, stored plane-major so that
-    batched products read and write contiguous planes."""
-    import numpy as np
-    a = np.array(np.broadcast_arrays(*planes))
-    return a.transpose(tuple(range(1, a.ndim)) + (0,))
-
-
 def _hamilton(p, q):
     """Hamilton product of (w, x, y, z) tuples of floats or arrays: the quaternion of P Q."""
     pw, px, py, pz = p
@@ -105,26 +96,28 @@ def _product(factors):
     return acc
 
 
-def _half_angle(angle, x, y, z, length):
-    """Unit quaternion (cos(angle/2), sin(angle/2) (x, y, z)/length) of the rotation
-    by ``angle`` about the axis (x, y, z) of norm ``length``, floats or arrays
-    alike; a zero axis must come with a zero angle."""
+def _half_angle(angle, length):
+    """(cos(angle/2), sin(angle/2)/length), floats or arrays alike: the rotation by
+    ``angle`` about an axis v of norm ``length`` is the unit quaternion
+    (cos(angle/2), v sin(angle/2)/length).  ``length`` must be nonzero."""
     lib = _lib(angle)
     half = angle / 2
-    scale = lib.sin(half) / (length + (length == 0.0))  # length 1 stands in for a zero axis
-    return lib.cos(half), x * scale, y * scale, z * scale
+    return lib.cos(half), lib.sin(half) / length
 
 
 def _quaternion(x, y, z):
     """(w, x, y, z) of R(m) for m = (x, y, z), floats or arrays alike."""
     angle = _lib(x).sqrt(x * x + y * y + z * z)
-    return _half_angle(angle, x, y, z, angle)
+    w, scale = _half_angle(angle, angle + (angle == 0.0))  # length 1 stands in for a zero axis
+    return w, x * scale, y * scale, z * scale
 
 
 def _matrix(w, x, y, z) -> np.ndarray:
     """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast quaternion planes."""
-    a = _assemble(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z)
-    return a.reshape(a.shape[:-1] + (2, 2))
+    import numpy as np
+    # np.array and a transposed view, not np.stack, which cost 4-5 us more per 2x2 matrix
+    a = np.array(np.broadcast_arrays(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z))
+    return a.transpose(*range(1, a.ndim), 0).reshape(a.shape[1:] + (2, 2))
 
 
 def _bloch(w, x, y, z):

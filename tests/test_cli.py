@@ -400,7 +400,7 @@ def wire_documents(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wire_documents())
-# the generator norm overflows to inf, which the report cannot render
+# the generator's squared norm overflows a float
 @example(doc={"family": "custom", "target": {"theta": 1, "phi": 0},
               "pulses": [{"theta": 1e154, "phi": 0}, {"theta": 1e154, "phi": 0}]})
 def test_fuzzed_wire_documents_exit_0_2_or_3(doc):
@@ -411,6 +411,14 @@ def test_fuzzed_wire_documents_exit_0_2_or_3(doc):
         assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
     else:
         assert isinstance(json.loads(result.output)["passed"], bool)
+
+
+@pytest.mark.parametrize("theta,norm", [(1e154, 1.414213562373095e+154), (1.3e154, 1.8384776310850232e+154)])
+def test_verify_reports_a_generator_norm_whose_square_overflows(runner, theta, norm):
+    doc = {"pulses": [{"theta": theta, "phi": 0}] * 2, "target": {"theta": 0, "phi": 0}}
+    result = invoke(runner, ["verify", "--input", "-"], input=json.dumps(doc))
+    assert result.exit_code == 3, result.stderr
+    assert json.loads(result.output)["channels"]["pulse_length"]["norm"] == pytest.approx(norm, rel=1e-12)
 
 
 # overflows a float, and keeps n1 - n2 + n3 = 0 as cis-cccp requires

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from cpseq.cli import main
 from cpseq.error_model import (
     ErrorChannel,
+    _norm,
     error_moment_integrals,
     finite_difference_generator,
     first_order_error,
@@ -170,6 +172,12 @@ def test_first_order_corpse_residual_is_target_pulse_length_error():
         rep = first_order_error(synthesize("corpse", theta, phi, winding), ErrorChannel.pulse_length(1.0))
         target_error = theta * (np.cos(phi) * SX + np.sin(phi) * SY) / 2
         assert frob(rep.generator, target_error) < 1e-10
+
+
+def test_norm_survives_a_square_that_overflows():
+    assert _norm((3.0, 4.0, 12.0)) == math.sqrt(169.0 / 2)  # a finite square keeps its formula
+    assert _norm((2e154, 0.0, 0.0)) == 2e154 / math.sqrt(2)
+    assert _norm((-1e308, 1e308, 1e308)) == pytest.approx(1e308 * math.sqrt(1.5), rel=1e-15)
 
 
 def test_first_order_linearity_in_strengths():

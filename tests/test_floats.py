@@ -48,9 +48,10 @@ def test_half_angle_and_product_are_one_kernel(ulps, rotations):
     floats, planes = [], []
     for angle, (x, y, z) in rotations:
         length = math.sqrt(x * x + y * y + z * z)
-        angle = angle if length else 0.0
-        floats.append(_half_angle(angle, x, y, z, length))
-        planes.append(_half_angle(*(np.array([v]) for v in (angle, x, y, z, length))))
+        angle, length = (angle, length) if length else (0.0, 1.0)  # a zero axis turns by nothing
+        for quaternions, pair in ((floats, (angle, length)), (planes, (np.array([angle]), np.array([length])))):
+            w, scale = _half_angle(*pair)
+            quaternions.append((w, x * scale, y * scale, z * scale))
         assert ulp_gap(floats[-1], planes[-1]) <= ulps
     assert ulp_gap(_product(floats), _product(planes)) <= ulps
 

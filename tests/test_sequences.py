@@ -1,3 +1,4 @@
+import inspect
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ from cpseq.sequences import (
     SynthesisError,
     WindingError,
     _REGISTRY,
+    _Record,
     _Value,
     _reduce,
     sequence_from_dict,
@@ -121,6 +123,45 @@ def test_records_compare_by_value_or_by_identity(kind):
     # values (and the registry's shared rows) equal their twins; records holding arrays only themselves
     by_value = isinstance(record, _Value) or record is twin
     assert (record == twin) is by_value and (hash(record) == hash(twin)) is by_value
+
+
+# the result records, whose constructor is _Record.__init__ over their slots
+_FROM_SLOTS = ("FirstOrderReport", "MomentIntegrals", "LandscapeGrid", "ScalingFit", "PhaseReport")
+
+
+def _fields(record) -> tuple:
+    """The names a record's constructor takes, in order."""
+    cls = type(record)
+    return cls.__slots__ if cls.__init__ is _Record.__init__ else tuple(inspect.signature(cls).parameters)
+
+
+def test_result_records_are_built_from_their_slots():
+    records = _records()
+    assert tuple(kind for kind, record in records.items() if type(record).__init__ is _Record.__init__) == _FROM_SLOTS
+
+
+@pytest.mark.parametrize("kind", list(_records()))
+def test_records_build_from_keywords_as_from_positions(kind):
+    record = _records()[kind]
+    names = _fields(record)
+    values = [getattr(record, name) for name in names]
+    by_position, by_keyword = type(record)(*values), type(record)(**dict(zip(names, values)))
+    for name in dict.fromkeys([*names, *type(record).__slots__]):
+        a, b = getattr(by_position, name), getattr(by_keyword, name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
+
+
+@pytest.mark.parametrize("kind", _FROM_SLOTS)
+def test_record_refuses_an_unknown_missing_or_repeated_field(kind):
+    record = _records()[kind]
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    first, *rest = fields
+    for values, named in [((), {**fields, "unknown": 0.0}),  # unknown
+                          ((), {name: fields[name] for name in rest}),  # missing
+                          ((fields[first],), fields),  # repeated
+                          ((*fields.values(), 0.0), {})]:  # one position too many
+        with pytest.raises(TypeError):
+            type(record)(*values, **named)
 
 
 # ------------------------------------------------------------------ plain

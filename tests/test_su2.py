@@ -185,11 +185,12 @@ def test_axis_angle_broadcasts_and_matches_the_loop():
     n = rng.normal(size=(4, 3))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     length = rng.uniform(0.5, 2.0, size=4)
-    q = np.stack(np.broadcast_arrays(*_half_angle(angle, *(length * n.T), length)), axis=-1)
+    w, scale = _half_angle(angle, length)
+    q = np.stack(np.broadcast_arrays(w, *(c * scale for c in length * n.T)), axis=-1)
     assert q.shape == (3, 4, 4)
     for i, j in np.ndindex(3, 4):
         assert frob(_matrix(*q[i, j]), ref.rotation(angle[i, 0] * n[j])) < 1e-15
-    assert _half_angle(0.0, 0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
+    assert _half_angle(0.0, 1.0) == (1.0, 0.0)
 
 
 def test_rotation_of_a_batch_matches_the_loop():
