@@ -6,7 +6,14 @@ the command line accept decimal radians or ``pi`` fractions (``pi``,
 identical invocations produce identical bytes.  Exit codes: 0 success,
 2 usage or parse failure, 3 verification failure.  Each option in
 ``_OPTIONS`` is given at most once, and takes the next argument as its
-value, even one starting with '-'.
+value, even one starting with '-'.  ``--input`` excludes the sequence
+options ``--family``, ``--theta``, ``--phi`` and ``--winding``.
+
+An option's value is converted, not judged: the library function or the
+``open()`` that uses it refuses it, with its own message.  The converters
+check only what no library function sees: that an angle parses and is
+finite, the shape of a winding, a strength range or a phase list, and the
+``--format`` name.
 
 Every command, ``--help`` and ``--version`` included, returns ``(result,
 exit code)`` and writes nothing: the result is a JSON document or, for CSV
@@ -27,7 +34,6 @@ adds numpy; ``json`` is loaded only to read ``--input``.
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
 from functools import partial
@@ -76,13 +82,6 @@ def parse_angle(text: str) -> float:
 # ---- option values: each raises ValueError with the reason it refuses ----------
 
 
-def _theta(text: str) -> float:
-    angle = parse_angle(text)
-    if angle < 0:
-        raise ValueError(f"theta must be nonnegative, got {text!r}")
-    return angle
-
-
 def _winding(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
@@ -105,40 +104,10 @@ def _range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _resolution(text: str) -> int:
-    try:
-        res = int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not a valid integer") from None
-    if res < 2:
-        raise ValueError(f"{res} is not in the range x>=2.")
-    return res
-
-
-def _input_file(text: str) -> str:
-    if text == "-":  # stdin
-        return text
-    if not os.path.exists(text):
-        raise ValueError(f"File {text!r} does not exist.")
-    return _output_file(text)
-
-
-def _output_file(text: str) -> str:
-    if os.path.isdir(text):
-        raise ValueError(f"File {text!r} is a directory.")
-    return text
-
-
 def _choice(text: str, choices) -> str:
     if text not in choices:
         raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
     return text
-
-
-def _axis(text: str) -> str:
-    from . import analysis
-
-    return _choice(text, analysis.AXES)
 
 
 def _phases(text: str) -> list[float]:
@@ -150,19 +119,18 @@ _DOCUMENT = ("verify", "landscape", "phase", "scaling")
 
 # flag: (converter, default, the commands that take it, help line)
 _OPTIONS = {
-    "--family": (partial(_choice, choices=sequences._REGISTRY), None, _SEQUENCE,
-                 f"Sequence family: {', '.join(sequences._REGISTRY)}."),
-    "--theta": (_theta, None, _SEQUENCE, "Target rotation angle (radians; pi forms accepted)."),
+    "--family": (str, None, _SEQUENCE, f"Sequence family: {', '.join(sequences._REGISTRY)}."),
+    "--theta": (parse_angle, None, _SEQUENCE, "Target rotation angle (radians; pi forms accepted)."),
     "--phi": (parse_angle, 0.0, _SEQUENCE, "Target axis azimuth (radians; default 0)."),
     "--winding": (_winding, None, _SEQUENCE, "Winding integers n1,n2,n3 for CORPSE-based families."),
     "--eps-range": (_range, (-0.1, 0.1), ("landscape",), "Pulse-length strength range lo,hi."),
     "--eps-prime-range": (_range, (-0.1, 0.1), ("landscape",), "Off-resonance strength range lo,hi."),
-    "--res": (_resolution, 201, ("landscape",), "Samples per axis (default 201)."),
+    "--res": (int, 201, ("landscape",), "Samples per axis (default 201)."),
     "--format": (partial(_choice, choices=("csv", "json")), "csv", ("landscape",), "csv (default) or json."),
-    "--axis": (_axis, "eps", ("scaling",), "Strength axis: eps, eps-prime or diagonal (default eps)."),
+    "--axis": (str, "eps", ("scaling",), "Strength axis: eps, eps-prime or diagonal (default eps)."),
     "--phases": (_phases, None, ("reduce",), "Comma-separated azimuths of xy-plane pi pulses (required)."),
-    "--input": (_input_file, None, _DOCUMENT, "Read the sequence from this JSON file (- for stdin)."),
-    "--output": (_output_file, None, (*_SEQUENCE, "reduce"), "Write the result here instead of stdout."),
+    "--input": (str, None, _DOCUMENT, "Read the sequence from this JSON file (- for stdin)."),
+    "--output": (str, None, (*_SEQUENCE, "reduce"), "Write the result here instead of stdout."),
 }
 
 
@@ -170,8 +138,9 @@ _OPTIONS = {
 
 
 def _synthesize(family: str, theta: float | None, phi: float, winding) -> sequences.PulseSequence:
-    if theta is None:
-        lo, hi, _ = sequences._REGISTRY[family].domain
+    row = sequences._REGISTRY.get(family)  # None: synthesize refuses the name
+    if theta is None and row is not None:
+        lo, hi, _ = row.domain
         if lo != hi:
             raise UsageError(f"--theta is required for family {family!r}")
         theta = lo  # a one-point domain needs no --theta
@@ -207,14 +176,14 @@ def verify(opts):
 
     seq = _sequence(opts)
     row = sequences._REGISTRY.get(seq.family)  # None for a "custom" document
-    tol, declared = (row.tolerance, row.declared) if row else (sequences.ROBUST_TOL, ())
+    declared = row.declared if row else ()
     units = error_model._UNITS
     channels = {}
     for (name, unit), g in zip(units.items(), error_model._generators(seq, units.values())):
         norm, fd = error_model._norm(g), error_model._fd_vector(seq, unit)
         channels[name] = {
             "norm": norm,
-            "robust": norm <= tol,
+            "robust": norm <= sequences.ROBUST_TOL,
             "declared": name in declared,
             "fd_gap": error_model._norm([a - b for a, b in zip(g, fd)]),
         }
@@ -227,7 +196,7 @@ def verify(opts):
         "family": seq.family,
         "pulses": len(seq),
         "product_fidelity": product_fidelity,
-        "tolerance": tol,
+        "tolerance": sequences.ROBUST_TOL,
         "channels": channels,
         "passed": passed,
     }
@@ -344,6 +313,8 @@ def _parse(argv, prog: str):
         raise UsageError("the following arguments are required: COMMAND")
     if command == "reduce" and "--phases" not in given:
         raise UsageError("the following arguments are required: --phases")
+    if "--input" in given and (flags := [f for f in ("--family", "--theta", "--phi", "--winding") if f in given]):
+        raise UsageError(f"provide either --input or --family, not --input with {flags[0]}")
     if unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
     opts = SimpleNamespace(**{flag[2:].replace("-", "_"): given.get(flag, default)

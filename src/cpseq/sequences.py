@@ -34,8 +34,8 @@ __all__ = [
 
 TWO_PI = 2 * math.pi
 
-# The registry rows' default verify tolerance, the Frobenius norm below which a unit
-# channel's generator counts as compensated: machine-precision algebra, far below any physical error.
+# verify's tolerance, the Frobenius norm below which a unit channel's generator
+# counts as compensated: machine-precision algebra, far below any physical error.
 ROBUST_TOL = 1e-10
 
 # Location of the first positive minimum of sin(x)/x; right edge of the
@@ -371,8 +371,8 @@ def _alway_jones_segments(theta, phi, winding):
 
 
 class _Family(collections.namedtuple(
-        "_Family", "name segments domain refusal winding declared tolerance length_residual",
-        defaults=(None, (), ROBUST_TOL, None))):
+        "_Family", "name segments domain refusal winding declared length_residual",
+        defaults=(None, (), None))):
     """One registry row: everything the package states about a family.
 
     - ``segments``: (theta, phi, winding) -> raw [(theta_i, phi_i), ...];
@@ -380,7 +380,6 @@ class _Family(collections.namedtuple(
     - ``refusal``: what a theta outside the domain is told;
     - ``winding``: the default winding; None refuses any winding;
     - ``declared``: the channels cancelled to first order;
-    - ``tolerance``: verify's bound on the first-order norms;
     - ``length_residual``: raises WindingError unless the family's only
       first-order residual is the pulse-length error of its own target;
       None when no winding gives that.
@@ -405,7 +404,7 @@ def concatenate(outer: _Family, inner: _Family, **row) -> _Family:
     cancels pulse-length error, the concatenation cancels what either one
     cancels.  Any other pairing cancels only what the inner sequence
     cancels.  ``row`` gives the remaining fields (name, domain, refusal,
-    winding, tolerance).
+    winding).
     """
     both = inner.length_residual is not None and "pulse_length" in outer.declared
 
@@ -430,12 +429,12 @@ _REGISTRY = {row.name: row for row in (
     _SCROFULOUS,
     concatenate(_SCROFULOUS, _CORPSE, name="cis-cccp", domain=(0.0, TWO_PI, "()"),
                 refusal="CORPSE-in-SCROFULOUS rotation angle must lie in (0, 2*pi)",
-                winding=(1, 1, 0), tolerance=1e-9),
+                winding=(1, 1, 0)),
     _Family("bb1", _bb1_segments, (0.0, TWO_PI, "(]"), "BB1 rotation angle must lie in (0, 2*pi]",
             declared=("pulse_length",)),
     _Family("alway-jones", _alway_jones_segments, (math.pi, math.pi, "[]"),
             "alway-jones only implements pi rotations; theta must be pi",
-            declared=("pulse_length", "off_resonance"), tolerance=1e-9),
+            declared=("pulse_length", "off_resonance")),
     concatenate(_Family("corpse-rotations", _corpse_rotations, (0.0, TWO_PI, "[]"), ""), _SCROFULOUS,
                 name="scrofulous-in-corpse", domain=(0.0, TWO_PI, "()"),
                 refusal="rotation angle must lie in (0, 2*pi)"),

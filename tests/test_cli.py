@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpseq.analysis import AXES
 from cpseq.cli import BadParameter, main, parse_angle
 from cpseq.sequences import _REGISTRY, FAMILIES, sequence_to_dict, synthesize
 
@@ -81,20 +82,22 @@ def test_values_starting_with_a_minus_sign_parse(runner, args, expected):
 
 def test_negative_theta_names_the_bound(runner):
     err = _refused_with_json(runner.invoke(main, ["synth", "--family", "plain", "--theta", "-pi"]))
-    assert err == {"type": "BadParameter", "message": "Invalid value for '--theta': theta must be nonnegative, got '-pi'"}
+    assert err == {"type": "ValueError", "message": "plain rotation angle must lie in [0, inf), got -3.141592653589793"}
 
 
 @pytest.mark.parametrize("args,message", [
     (["synth", "--family", "plain", "--theta", "foo"], "Invalid value for '--theta': cannot parse angle 'foo'"),
-    (["synth", "--family", "nope", "--theta", "1"], "Invalid value for '--family': 'nope' is not one of"),
+    (["synth", "--family", "nope", "--theta", "1"], "unknown sequence family 'nope'"),
+    (["synth", "--family", "nope"], "unknown sequence family 'nope'"),
     (["synth", "--theta", "1"], "--family is required"),
-    (["landscape", "--family", "plain", "--theta", "1", "--res", "1"], "Invalid value for '--res': 1 is not"),
+    (["landscape", "--family", "plain", "--theta", "1", "--res", "1"], "resolution must be at least 2"),
+    (["landscape", "--family", "plain", "--theta", "1", "--res", "-3"], "resolution must be at least 2"),
     (["synth", "--family", "corpse", "--theta", "1", "--winding", "1,2"],
      "Invalid value for '--winding': winding must have exactly three entries"),
-    (["verify", "--input", "{missing}"], "Invalid value for '--input': File"),
-    (["synth", "--family", "plain", "--theta", "1", "--output", "{directory}"],
-     "Invalid value for '--output': File"),
-    (["scaling", "--family", "plain", "--theta", "1", "--axis", "x"], "Invalid value for '--axis'"),
+    (["verify", "--input", "{missing}"], "No such file or directory"),
+    (["verify", "--input", "{directory}"], "Is a directory"),
+    (["synth", "--family", "plain", "--theta", "1", "--output", "{directory}"], "Is a directory"),
+    (["scaling", "--family", "plain", "--theta", "1", "--axis", "x"], "axis must be one of"),
     (["reduce"], "--phases"),
     (["synth", "--fam", "plain", "--theta", "1"], "--fam"),  # no abbreviations
     (["synth", "--family", "plain", "--theta", "1", "extra"], "extra"),
@@ -103,9 +106,10 @@ def test_negative_theta_names_the_bound(runner):
     (["reduce", "--phases", "pi,foo"], "Invalid value for '--phases': cannot parse angle 'foo'"),
     (["synth", "--family", "bb1", "--family", "plain", "--theta", "1"], "argument --family: given more than once"),
     (["synth", "--family", "bb1", "--theta"], "argument --theta: expected one argument"),
-], ids=["theta", "family", "no-family", "res", "winding", "input-missing", "output-directory", "axis",
-        "no-phases", "abbreviation", "extra-argument", "unknown-command", "no-command", "phases-angle",
-        "repeated-option", "no-value"])
+    (["verify", "--input", "{missing}", "--family", "bb1"], "provide either --input or --family"),
+], ids=["theta", "family", "family-without-theta", "no-family", "res", "res-negative", "winding", "input-missing",
+        "input-directory", "output-directory", "axis", "no-phases", "abbreviation", "extra-argument",
+        "unknown-command", "no-command", "phases-angle", "repeated-option", "no-value", "input-with-family"])
 def test_flag_errors_exit_2_with_one_json_document(runner, tmp_path, args, message):
     args = [a.format(missing=tmp_path / "missing.json", directory=tmp_path) for a in args]
     result = runner.invoke(main, args)
@@ -468,6 +472,71 @@ def test_fuzzed_command_lines_exit_0_2_or_3(tmp_path_factory, argv):
         assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
     else:
         assert result.stderr == ""
+
+
+# values refused whatever the rest of the command line holds
+BAD_VALUES = {
+    "--family": st.sampled_from(["nope", "", "custom", "BB1"]),
+    "--theta": st.sampled_from(["-1", "-pi", "foo", "nan", "1e308"]),
+    "--phi": st.sampled_from(["x", "inf"]),
+    "--winding": st.sampled_from(["1,2", "a,b,c", "1,2,1,0"]),
+    "--eps-range": st.sampled_from(["0.1,-0.2", "nan,1", "1", "-1e200,1e200"]),
+    "--res": st.sampled_from(["1", "0", "-3", "x"]),
+    "--format": st.sampled_from(["xml", ""]),
+    "--axis": st.sampled_from(["x", "", "EPS"]),
+    "--phases": st.sampled_from(["", "nan", "1.7e308,-1.7e308"]),
+    "--input": st.sampled_from(["{missing}", "{directory}"]),
+    "--output": st.sampled_from(["{directory}", "{nowhere}"]),
+}
+
+
+@st.composite
+def one_bad_value_lines(draw):
+    """A command with a valid value for every option it is given, then one or
+    two of those values replaced by a bad one."""
+    command = draw(st.sampled_from(["synth", "verify", "landscape", "phase", "scaling", "reduce"]))
+    options = {}
+    if command == "reduce":
+        options["--phases"] = draw(st.sampled_from(["0.3,1.1", "-pi/2,pi", "pi/4"]))
+    elif command != "synth" and draw(st.booleans()):
+        options["--input"] = "{document}"
+    else:
+        family = draw(st.sampled_from(list(_REGISTRY)))
+        row = _REGISTRY[family]
+        options["--family"] = family
+        if row.domain[0] != row.domain[1] or draw(st.booleans()):  # a one-point domain needs no --theta
+            options["--theta"] = repr(theta_for(family, draw(st.floats(0.5, 3.5))))
+        if draw(st.booleans()):
+            options["--phi"] = draw(st.sampled_from(["0", "-pi/3", "7.5"]))
+        if row.winding is not None and draw(st.booleans()):
+            options["--winding"] = ",".join(map(str, row.winding))
+    if command == "landscape":
+        options["--res"] = draw(st.sampled_from(["2", "3"]))
+        options["--format"] = draw(st.sampled_from(["csv", "json"]))
+        if draw(st.booleans()):
+            options["--eps-range"] = "-0.2,0.1"
+    if command == "scaling":
+        options["--axis"] = draw(st.sampled_from(AXES))
+    if draw(st.booleans()):
+        options["--output"] = "{file}"
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=2, unique=True)):
+        options[flag] = draw(BAD_VALUES[flag])
+    return [command, *(part for flag, value in options.items() for part in (flag, value))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(one_bad_value_lines())
+def test_a_bad_value_in_a_valid_command_line_exits_2_with_one_json_document(tmp_path_factory, argv):
+    # each value is refused where it is used: the library, open() or the option's converter
+    tmp = tmp_path_factory.mktemp("argv")
+    document = tmp / "seq.json"
+    document.write_text(json.dumps(sequence_to_dict(synthesize("bb1", 1.0, 0.3))))
+    paths = {"document": document, "missing": tmp / "missing.json", "directory": tmp,
+             "nowhere": tmp / "missing" / "out.json", "file": tmp / "out.json"}
+    result = CliRunner().invoke(main, [a.format(**paths) for a in argv])
+    assert result.exception is None, result.exception
+    assert result.exit_code == 2 and result.stdout == "", result.output
+    assert set(json.loads(result.stderr)) == {"error"}  # exactly one document
 
 
 # -------------------------------------------------------------- landscape

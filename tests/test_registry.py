@@ -16,6 +16,7 @@ from cpseq.ioutil import dumps
 from cpseq.sequences import (
     _REGISTRY,
     FAMILIES,
+    ROBUST_TOL,
     Pulse,
     PulseSequence,
     SynthesisError,
@@ -128,7 +129,7 @@ def test_synth_wire_verify_round_trip(family, data):
     result = CliRunner().invoke(main, ["verify", "--input", "-"], input=text)
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["tolerance"] == row.tolerance
+    assert report["tolerance"] == ROBUST_TOL
     for name, channel in report["channels"].items():
         assert channel["declared"] == (name in row.declared)
         assert channel["robust"] or not channel["declared"]
