@@ -82,13 +82,13 @@ class PhaseReport(_Record):
 
 def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> float:
     """Exact gate fidelity of the deformed sequence against its target."""
-    return min(abs(seq._overlap(_products(seq, float(eps), float(eps_prime)))[0]), 1.0)
+    return min(abs(seq._overlap(_products(seq._terms(), float(eps), float(eps_prime)))[0]), 1.0)
 
 
-def _products(seq: PulseSequence, eps, eps_prime) -> tuple:
-    """Quaternion (w, x, y, z) of the product deformed by combined errors,
-    elementwise over the broadcast strengths: Python floats for one cell,
-    arrays for a grid.
+def _products(terms, eps, eps_prime) -> tuple:
+    """Quaternion (w, x, y, z) of the product of pulses given by their
+    ``PulseSequence._terms``, deformed by combined errors, elementwise over the
+    broadcast strengths: Python floats for one cell, arrays for a grid.
 
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
@@ -105,21 +105,22 @@ def _products(seq: PulseSequence, eps, eps_prime) -> tuple:
     length = r + (r == 0.0)  # length 1 stands in for a zero axis, as in su2._quaternion
     rotations = {}
 
-    def factor(p):
-        rotation = rotations.get(p.theta)
+    def factor(term):
+        theta, cos_phi, sin_phi = term
+        rotation = rotations.get(theta)
         if rotation is None:
-            cos_half, scale = _half_angle(p.theta * r, length)
-            rotation = rotations[p.theta] = (cos_half, scale, eps_prime * scale)
+            cos_half, scale = _half_angle(theta * r, length)
+            rotation = rotations[theta] = (cos_half, scale, eps_prime * scale)
         cos_half, scale, z = rotation
-        return cos_half, (stretch * math.cos(p.phi)) * scale, (stretch * math.sin(p.phi)) * scale, z
+        return cos_half, (stretch * cos_phi) * scale, (stretch * sin_phi) * scale, z
 
-    return _product(map(factor, seq.pulses))
+    return _product(map(factor, terms))
 
 
 def _infidelities(seq: PulseSequence, eps, eps_prime):
     """1 - F under combined errors without cancellation, floats or arrays alike:
     with T^dag U = (w, v), 1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
-    w, x, y, z = seq._overlap(_products(seq, eps, eps_prime))
+    w, x, y, z = seq._overlap(_products(seq._terms(), eps, eps_prime))
     return (x * x + y * y + z * z) / (1 + abs(w))
 
 
@@ -160,13 +161,14 @@ def landscape(seq: PulseSequence,
     bounds = np.linspace(0, resolution, blocks + 1).astype(int)
     F = np.empty((resolution, resolution))
     tw, tx, ty, tz = seq._unit
+    terms = seq._terms()  # the memo is filled here, so that no worker thread writes it
 
     def fill(k):
         lo, hi = bounds[k], bounds[k + 1]
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            uw, ux, uy, uz = _products(seq, eps[lo:hi, None], eps_prime[None, :])
+            uw, ux, uy, uz = _products(terms, eps[lo:hi, None], eps_prime[None, :])
             # the first component of PulseSequence._overlap, with the same bits
             np.minimum(np.abs(tw * uw + tx * ux + ty * uy + tz * uz), 1.0, out=F[lo:hi])
 

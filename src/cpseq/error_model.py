@@ -149,6 +149,14 @@ def _as_vectors(seq) -> list:
     return vs
 
 
+def _vectors_and_shares(seq) -> tuple:
+    """:func:`_as_vectors` and their :func:`_shares`, which a sequence keeps in its memo."""
+    vectors = _as_vectors(seq)
+    if not isinstance(seq, PulseSequence):
+        return vectors, _shares(vectors)
+    return vectors, seq._memoized("shares", lambda: _shares(vectors))
+
+
 def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
     """The channel's deformation dm = |m| f + F m of m = (x, y, z), floats or
     arrays alike; the products are written out."""
@@ -197,8 +205,7 @@ def _shares(vectors) -> list:
 def _generators(seq, channels) -> list:
     """Accumulated generator vectors sum_i O(V_{i-1})^T A(m_i)^T dm_i of a
     sequence, one float triple per channel."""
-    vectors = _as_vectors(seq)
-    shares = _shares(vectors)
+    vectors, shares = _vectors_and_shares(seq)
     gs = []
     for channel in channels:
         terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(vectors, shares)]
@@ -248,30 +255,31 @@ def error_moment_integrals(seq) -> MomentIntegrals:
     the identity and the second moment vanishes.
     """
     import numpy as np
-    vectors = _as_vectors(seq)
+    vectors, shares = _vectors_and_shares(seq)
     angles = np.array([math.sqrt(x * x + y * y + z * z) for x, y, z in vectors])
     total_angle = angles.sum()
     if total_angle == 0.0:
         return MomentIntegrals(first_moment=np.eye(3), second_moment=np.zeros((3, 3, 3)))
-    shares = np.array(_shares(vectors)).reshape(-1, 3, 3)
+    shares = np.array(shares).reshape(-1, 3, 3)
     first = np.einsum("n,nmr->mr", angles / total_angle, shares)
     # dt * lambda_nu = m_nu, so the linear moment needs no dt.
     second = np.einsum("nv,nmr->mvr", np.array(vectors), shares)
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 
-def _perturbed_product(vectors, channel: ErrorChannel, strength: float = 1.0) -> tuple:
-    """Quaternion of the ordered product of R(m_i + strength dm_i), on floats:
-    dm is linear in the channel, so scaling it scales the channel."""
-    return _product(_quaternion(*(a + strength * b for a, b in zip(m, _deformation(*m, channel))))
-                    for m in vectors)
+def _perturbed_products(vectors, channel: ErrorChannel, strengths=(1.0,)) -> list:
+    """Quaternions of the ordered products of R(m_i + s dm_i), one per strength s,
+    on floats: dm is linear in the channel, so scaling it scales the channel, and
+    each pulse's dm is computed once for all strengths."""
+    pulses = [(m, _deformation(*m, channel)) for m in vectors]
+    return [_product(_quaternion(*(a + s * b for a, b in zip(m, dm))) for m, dm in pulses) for s in strengths]
 
 
 def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
     """Exact (non-perturbative) propagator of the deformed sequence under any
     channel: the ordered product of R(m_i + dm_i), as the finite-difference
     oracle computes it."""
-    return _matrix(*_perturbed_product(_as_vectors(seq), channel))
+    return _matrix(*_perturbed_products(_as_vectors(seq), channel)[0])
 
 
 def _fd_vector(seq, channel: ErrorChannel) -> tuple:
@@ -279,8 +287,8 @@ def _fd_vector(seq, channel: ErrorChannel) -> tuple:
     U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
     i times it is b . sigma, so the generator vector is 2 b."""
     vectors = _as_vectors(seq)
-    w, x, y, z = _product(_quaternion(*m) for m in vectors)
-    up, um = (_perturbed_product(vectors, channel, s) for s in (FD_STEP, -FD_STEP))
+    w, x, y, z = seq._product() if isinstance(seq, PulseSequence) else _product(_quaternion(*m) for m in vectors)
+    up, um = _perturbed_products(vectors, channel, (FD_STEP, -FD_STEP))
     _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / FD_STEP for p, m in zip(up, um)])
     return gx, gy, gz
 

@@ -79,8 +79,8 @@ class _Record:
             raise TypeError(f"{type(self).__name__} takes each of the fields {names} once, "
                             f"got {len(values)} by position and {tuple(fields)} by name")
         fields.update(zip(names, values))
-        for name in names:
-            object.__setattr__(self, name, fields[name])
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -165,10 +165,15 @@ class PulseSequence(_Record):
     reads back as its SU(2) matrix.
     ``theta``/``phi``/``winding`` record the synthesis parameters when the
     sequence came from a synthesizer.  The underscored methods work on Python
-    floats, the public ones return arrays.
+    floats, the public ones return arrays.  The slot ``_memo`` keeps, on Python
+    floats, each pulse's (theta, cos phi, sin phi), the rotation vectors, the
+    ideal product and ``error_model._shares``: each entry is written once, on
+    first use, from the immutable pulses, with the bits a recomputation gives
+    (threads racing on a first use write equal entries).  ``analysis.landscape``
+    reads it before its pool starts, so its threads never write it.
     """
 
-    __slots__ = ("family", "pulses", "theta", "phi", "winding", "_unit")
+    __slots__ = ("family", "pulses", "theta", "phi", "winding", "_unit", "_memo")
 
     def __init__(self, family: str, pulses, target, theta: float | None = None,
                  phi: float | None = None, winding: tuple[int, int, int] | None = None):
@@ -180,6 +185,7 @@ class PulseSequence(_Record):
         set_field(self, "phi", phi)
         set_field(self, "winding", winding)
         set_field(self, "_unit", unit)
+        set_field(self, "_memo", {})
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -189,11 +195,21 @@ class PulseSequence(_Record):
         """The target gate as a 2x2 special-unitary matrix."""
         return _matrix(*self._unit)
 
-    def _vectors(self) -> list[tuple[float, float, float]]:
-        return [_xy(p.theta, p.phi) for p in self.pulses]
+    def _memoized(self, name: str, compute):
+        """The memo entry ``name``, set to ``compute()`` on first use."""
+        if name not in self._memo:
+            self._memo[name] = compute()
+        return self._memo[name]
+
+    def _terms(self) -> tuple:
+        """(theta, cos phi, sin phi) of each pulse: :meth:`_vectors` multiplies them out as :func:`_xy` does."""
+        return self._memoized("terms", lambda: tuple((p.theta, math.cos(p.phi), math.sin(p.phi)) for p in self.pulses))
+
+    def _vectors(self) -> tuple:
+        return self._memoized("vectors", lambda: tuple((t * c, t * s, 0.0) for t, c, s in self._terms()))
 
     def _product(self) -> tuple[float, float, float, float]:
-        return _product(_quaternion(*m) for m in self._vectors())
+        return self._memoized("product", lambda: _product(_quaternion(*m) for m in self._vectors()))
 
     def propagator(self) -> np.ndarray:
         """Ideal (error-free) product of all pulses."""

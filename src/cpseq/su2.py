@@ -25,8 +25,10 @@ they use :mod:`math`, so a single sequence is handled without numpy.
 imported only by the functions that take or return arrays, the three public
 ones among them: ``rotation_generator``, ``is_unitary`` and ``eig_unitary``.
 
-All functions are pure; there is no shared mutable state, so concurrent use
-is safe.
+All functions here are pure.  The one mutable state is a ``PulseSequence``'s
+memo of its azimuth terms, rotation vectors, ideal product and first-order
+shares: each entry is written once, from the immutable pulses, and
+``analysis.landscape`` fills what it reads before its threads start.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ def is_unitary(U: np.ndarray) -> bool:
 
 
 def _components(q) -> list:
-    """The planes of a quaternion or vector array, unpacked from its last axis."""
+    """The planes of a quaternion or vector array, unpacked from its last axis; floats for one."""
     import numpy as np
     q = np.asarray(q, dtype=float)
-    return [q[..., k] for k in range(q.shape[-1])]
+    return q.tolist() if q.ndim == 1 else [q[..., k] for k in range(q.shape[-1])]
 
 
 def _hamilton(p, q):
@@ -115,9 +117,10 @@ def _quaternion(x, y, z):
 def _matrix(w, x, y, z) -> np.ndarray:
     """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast quaternion planes."""
     import numpy as np
-    # np.array and a transposed view, not np.stack, which cost 4-5 us more per 2x2 matrix
-    a = np.array(np.broadcast_arrays(w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z))
-    return a.transpose(*range(1, a.ndim), 0).reshape(a.shape[1:] + (2, 2))
+    # one empty array and four slice writes: no numpy scalar, no broadcast copies
+    a = np.empty(np.broadcast(w, x, y, z).shape + (2, 2), complex)
+    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z
+    return a
 
 
 def _bloch(w, x, y, z):

@@ -43,7 +43,7 @@ def pulse_generator(m, channel) -> np.ndarray:
 
 def averaged_generator(m, channel) -> np.ndarray:
     """A(m)^T dm . sigma / 2: the package's closed-form toggling-frame average
-    of :func:`pulse_generator`, on the array path."""
+    of :func:`pulse_generator`, on Python floats for one vector."""
     m = _components(m)
     return rotation_generator(_transposed(_frame_average(*m), _deformation(*m, channel)))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cpseq.sequences import Pulse, PulseSequence
+from cpseq.error_model import ErrorChannel, perturbed_propagator
+from cpseq.sequences import Pulse, PulseSequence, synthesize
 from cpseq.su2 import (
     _bloch,
     _fold,
@@ -245,3 +246,55 @@ def test_rotation_matrix_is_the_adjoint_action():
             assert frob(back, sum(O[mu, rho] * PAULIS[rho] for rho in range(3))) < 1e-14
         assert frob(O @ O.T, np.eye(3)) < 1e-14 and abs(np.linalg.det(O) - 1) < 1e-14
 
+
+# one vector as a float triple and as a 1-D array, and batches of vectors
+_VECTOR = np.random.default_rng(62).normal(size=3)
+FORMS = {
+    "float-triple": tuple(_VECTOR.tolist()),
+    "1-d": _VECTOR,
+    "k-batch": np.random.default_rng(63).normal(size=(4, 3)),
+    "k-m-batch": np.random.default_rng(64).normal(size=(2, 5, 3)),
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_rotation_generator_of_each_input_form(form):
+    m = FORMS[form]
+    G = rotation_generator(m)
+    assert G.dtype == np.complex128 and G.shape == np.shape(m)[:-1] + (2, 2)
+    assert np.array_equal(G, np.einsum("...k,kij->...ij", np.asarray(m), np.array(ref.TAUS)))
+    for index in np.ndindex(np.shape(m)[:-1]):  # each entry is its own vector's generator, on floats
+        assert np.array_equal(G[index], rotation_generator(tuple(np.asarray(m)[index].tolist())))
+
+
+@pytest.mark.parametrize("form", ["float-triple", "k-batch", "k-m-batch"])
+def test_matrix_of_quaternion_planes_is_each_float_quaternion_matrix(form):
+    q = _quaternion(*planes(FORMS[form]))
+    M = _matrix(*q)
+    assert M.dtype == np.complex128 and M.shape == np.shape(FORMS[form])[:-1] + (2, 2)
+    for index in np.ndindex(M.shape[:-2]):
+        assert np.array_equal(M[index], _matrix(*(float(np.asarray(c)[index]) for c in q)))
+
+
+@pytest.mark.parametrize("form", ["float-quaternion", "1-d", "matrix"])
+def test_sequence_target_and_propagator_are_complex_2x2(form):
+    q = _quaternion(*FORMS["float-triple"])
+    target = {"float-quaternion": q, "1-d": np.array(q), "matrix": ref.rotation(_VECTOR)}[form]
+    seq = PulseSequence("custom", (Pulse(1.1, 0.3), Pulse(0.4, 2.0)), target)
+    for M, want in ((seq.target, ref.rotation(_VECTOR)), (seq.propagator(), ref.product(ref.vectors_of(seq)))):
+        assert M.dtype == np.complex128 and M.shape == (2, 2) and frob(M, want) < 1e-14
+    if form != "matrix":  # a quaternion target is kept as given
+        assert np.array_equal(seq.target, _matrix(*q))
+
+
+@pytest.mark.parametrize("form", ["sequence", "float-triples", "1-d", "k-batch"])
+def test_perturbed_propagator_of_each_input_form(form):
+    seq = synthesize("bb1", 1.1, 0.3)
+    vectors = seq._vectors()
+    given = {"sequence": seq, "float-triples": list(vectors), "1-d": [np.array(m) for m in vectors],
+             "k-batch": np.array(vectors)}[form]
+    channel = ErrorChannel.combined(0.02, -0.03)
+    U = perturbed_propagator(given, channel)
+    assert U.dtype == np.complex128 and U.shape == (2, 2)
+    assert np.array_equal(U, perturbed_propagator(seq, channel))
+    assert frob(U, ref.product(ref.deform(ref.vectors_of(seq), 0.02, -0.03))) < 1e-14
