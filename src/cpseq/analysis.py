@@ -82,7 +82,7 @@ class PhaseReport(_Record):
 
 def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> float:
     """Exact gate fidelity of the deformed sequence against its target."""
-    return min(abs(seq._overlap(_products(seq._terms(), float(eps), float(eps_prime)))[0]), 1.0)
+    return min(abs(seq._overlap(_products(seq._terms, float(eps), float(eps_prime)))[0]), 1.0)
 
 
 def _products(terms, eps, eps_prime) -> tuple:
@@ -120,7 +120,7 @@ def _products(terms, eps, eps_prime) -> tuple:
 def _infidelities(seq: PulseSequence, eps, eps_prime):
     """1 - F under combined errors without cancellation, floats or arrays alike:
     with T^dag U = (w, v), 1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
-    w, x, y, z = seq._overlap(_products(seq._terms(), eps, eps_prime))
+    w, x, y, z = seq._overlap(_products(seq._terms, eps, eps_prime))
     return (x * x + y * y + z * z) / (1 + abs(w))
 
 
@@ -161,14 +161,13 @@ def landscape(seq: PulseSequence,
     bounds = np.linspace(0, resolution, blocks + 1).astype(int)
     F = np.empty((resolution, resolution))
     tw, tx, ty, tz = seq._unit
-    terms = seq._terms()  # the memo is filled here, so that no worker thread writes it
 
     def fill(k):
         lo, hi = bounds[k], bounds[k + 1]
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            uw, ux, uy, uz = _products(terms, eps[lo:hi, None], eps_prime[None, :])
+            uw, ux, uy, uz = _products(seq._terms, eps[lo:hi, None], eps_prime[None, :])
             # the first component of PulseSequence._overlap, with the same bits
             np.minimum(np.abs(tw * uw + tx * ux + ty * uy + tz * uz), 1.0, out=F[lo:hi])
 
@@ -272,7 +271,7 @@ def _phases(seq: PulseSequence) -> tuple:
     """:func:`phase_decomposition` on Python floats: a (total, dynamical,
     geometric) row and an eigenvector per cyclic state, and whether the
     product is degenerate."""
-    pairs = _eig(0.0, *seq._product())
+    pairs = _eig(0.0, *seq._product)
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
     gx, gy, gz = _generators(seq, (_UNITS["pulse_length"],))[0] if seq.pulses else (0.0, 0.0, 0.0)

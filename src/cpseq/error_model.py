@@ -31,8 +31,9 @@ a pulse m = theta n, O is
 
     A(m) = n n^T + (sin theta / theta) (I - n n^T) + ((1 - cos theta) / theta) [n]x,
 
-A(0) = I, so Gi = A(m_i)^T dm_i . sigma / 2 exactly for any channel and any
-pulse, and pulse i adds A(m_i) O(V_{i-1}) to the moment integrals.  The
+A(0) = I (``su2._frame_average``), so Gi = A(m_i)^T dm_i . sigma / 2 exactly
+for any channel and any pulse, and pulse i adds its share A(m_i) O(V_{i-1})
+(``su2._shares``) to the moment integrals.  The
 defining integral, evaluated by Gauss-Legendre quadrature in
 ``tests/loop_reference.py``, is the oracle for this closed form.
 
@@ -46,7 +47,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .sequences import ROBUST_TOL, PulseSequence, _Record, _Value
-from .su2 import _bloch, _fold, _hamilton, _lib, _matrix, _product, _quaternion, rotation_generator
+from .su2 import _hamilton, _lib, _matrix, _product, _quaternion, _shares, rotation_generator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,20 +142,19 @@ class MomentIntegrals(_Record):
     __slots__ = ("first_moment", "second_moment")
 
 
-def _as_vectors(seq) -> list:
-    """Rotation vectors of a sequence or of a list of vectors, as float triples."""
-    vs = seq._vectors() if isinstance(seq, PulseSequence) else [tuple(map(float, m)) for m in seq]
-    if not vs:
+def _float_work(seq) -> tuple:
+    """(vectors, shares, product) of a sequence, as it keeps them, or of a list
+    of rotation vectors, computed as a sequence computes them: the vectors as
+    float triples, their :func:`su2._shares` and the quaternion of their product."""
+    if isinstance(seq, PulseSequence):
+        vectors, shares, product = seq._vectors, seq._shares, seq._product
+    else:
+        vectors = [tuple(map(float, m)) for m in seq]
+        quaternions = [_quaternion(*m) for m in vectors]
+        shares, product = _shares(vectors, quaternions), _product(quaternions)
+    if not vectors:
         raise ValueError("pulse sequence must be nonempty")
-    return vs
-
-
-def _vectors_and_shares(seq) -> tuple:
-    """:func:`_as_vectors` and their :func:`_shares`, which a sequence keeps in its memo."""
-    vectors = _as_vectors(seq)
-    if not isinstance(seq, PulseSequence):
-        return vectors, _shares(vectors)
-    return vectors, seq._memoized("shares", lambda: _shares(vectors))
+    return vectors, shares, product
 
 
 def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
@@ -166,46 +166,16 @@ def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
             angle * f2 + c0 * x + c1 * y + c2 * z)
 
 
-def _frame_average(x, y, z) -> tuple:
-    """A(m) = integral_0^1 O(R(x m)) dx for m = (x, y, z) in closed form (module
-    docstring), A(0) = I: nine row-major entries, floats or arrays alike."""
-    lib = _lib(x)
-    angle = lib.sqrt(x * x + y * y + z * z)
-    zero = angle == 0.0
-    safe = angle + zero  # 1 where the angle is 0
-    nx, ny, nz = x / safe, y / safe, z / safe
-    sinc = lib.sin(angle) / safe + zero
-    k = 2 * lib.sin(angle / 2) ** 2 / safe  # (1 - cos(angle)) / angle
-    c = 1 - sinc
-    return (c * nx * nx + sinc, c * nx * ny - k * nz, c * nx * nz + k * ny,
-            c * nx * ny + k * nz, c * ny * ny + sinc, c * ny * nz - k * nx,
-            c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
-
-
 def _transposed(s, d) -> tuple:
     """M^T d for a 3x3 M given as its nine row-major entries ``s``, floats or arrays alike."""
     a, b, c = d
     return a * s[0] + b * s[3] + c * s[6], a * s[1] + b * s[4] + c * s[7], a * s[2] + b * s[5] + c * s[8]
 
 
-def _shares(vectors) -> list:
-    """A(m_i) O(V_{i-1}) for every pulse, V_{i-1} the frame before pulse i, as
-    nine row-major floats each; the 3x3 product is written out."""
-    shares = []
-    for m, frame in zip(vectors, _fold(_quaternion(*m) for m in vectors)):
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _frame_average(*m)
-        o0, o1, o2, o3, o4, o5, o6, o7, o8 = _bloch(*frame)
-        shares.append((
-            a0 * o0 + a1 * o3 + a2 * o6, a0 * o1 + a1 * o4 + a2 * o7, a0 * o2 + a1 * o5 + a2 * o8,
-            a3 * o0 + a4 * o3 + a5 * o6, a3 * o1 + a4 * o4 + a5 * o7, a3 * o2 + a4 * o5 + a5 * o8,
-            a6 * o0 + a7 * o3 + a8 * o6, a6 * o1 + a7 * o4 + a8 * o7, a6 * o2 + a7 * o5 + a8 * o8))
-    return shares
-
-
 def _generators(seq, channels) -> list:
     """Accumulated generator vectors sum_i O(V_{i-1})^T A(m_i)^T dm_i of a
     sequence, one float triple per channel."""
-    vectors, shares = _vectors_and_shares(seq)
+    vectors, shares, _ = _float_work(seq)
     gs = []
     for channel in channels:
         terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(vectors, shares)]
@@ -255,7 +225,7 @@ def error_moment_integrals(seq) -> MomentIntegrals:
     the identity and the second moment vanishes.
     """
     import numpy as np
-    vectors, shares = _vectors_and_shares(seq)
+    vectors, shares, _ = _float_work(seq)
     angles = np.array([math.sqrt(x * x + y * y + z * z) for x, y, z in vectors])
     total_angle = angles.sum()
     if total_angle == 0.0:
@@ -279,15 +249,14 @@ def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
     """Exact (non-perturbative) propagator of the deformed sequence under any
     channel: the ordered product of R(m_i + dm_i), as the finite-difference
     oracle computes it."""
-    return _matrix(*_perturbed_products(_as_vectors(seq), channel)[0])
+    return _matrix(*_perturbed_products(_float_work(seq)[0], channel)[0])
 
 
 def _fd_vector(seq, channel: ErrorChannel) -> tuple:
     """:func:`finite_difference_generator` as its vector, on floats.  With
     U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
     i times it is b . sigma, so the generator vector is 2 b."""
-    vectors = _as_vectors(seq)
-    w, x, y, z = seq._product() if isinstance(seq, PulseSequence) else _product(_quaternion(*m) for m in vectors)
+    vectors, _, (w, x, y, z) = _float_work(seq)
     up, um = _perturbed_products(vectors, channel, (FD_STEP, -FD_STEP))
     _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / FD_STEP for p, m in zip(up, um)])
     return gx, gy, gz

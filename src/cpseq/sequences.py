@@ -16,7 +16,7 @@ import collections
 import math
 from typing import TYPE_CHECKING
 
-from .su2 import _hamilton, _matrix, _product, _quaternion, _unit_quaternion, is_unitary
+from .su2 import _hamilton, _matrix, _product, _quaternion, _shares, _unit_quaternion, is_unitary
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,14 +140,15 @@ def _target_quaternion(target) -> tuple[float, float, float, float]:
     """The unit quaternion of a target gate, global phase stripped.  Raises
     ValueError unless ``target`` is a unitary 2x2 matrix or four numbers of
     norm 1 within 1e-12."""
-    if len(target) != 4:
-        if not is_unitary(target):
-            raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix")
-        return _unit_quaternion(target)
     try:
-        unit = tuple(map(float, target))
-    except TypeError:  # four rows, not four numbers
-        raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix") from None
+        if len(target) != 4:
+            unit = _unit_quaternion(target) if is_unitary(target) else None
+        else:
+            unit = tuple(map(float, target))
+    except (TypeError, ValueError):  # no length, four rows, entries that are not numbers, a NaN matrix
+        unit = None
+    if unit is None:
+        raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix")
     norm = math.hypot(*unit)
     if not abs(norm - 1) <= 1e-12:
         raise ValueError(f"target quaternion must have norm 1, got {norm!r}")
@@ -164,28 +165,41 @@ class PulseSequence(_Record):
     target's unit quaternion is kept, global phase stripped, and ``target``
     reads back as its SU(2) matrix.
     ``theta``/``phi``/``winding`` record the synthesis parameters when the
-    sequence came from a synthesizer.  The underscored methods work on Python
-    floats, the public ones return arrays.  The slot ``_memo`` keeps, on Python
-    floats, each pulse's (theta, cos phi, sin phi), the rotation vectors, the
-    ideal product and ``error_model._shares``: each entry is written once, on
-    first use, from the immutable pulses, with the bits a recomputation gives
-    (threads racing on a first use write equal entries).  ``analysis.landscape``
-    reads it before its pool starts, so its threads never write it.
+    sequence came from a synthesizer.  The underscored members work on Python
+    floats, the public ones return arrays.
+
+    A sequence is immutable and carries its float work from construction:
+    ``_terms``, each pulse's (theta, cos phi, sin phi); ``_vectors``, the
+    rotation vectors they multiply out to as :func:`_xy` does; ``_product``,
+    the quaternion of the ideal product; and ``_shares``, the first-order
+    shares of :func:`su2._shares`.  So a pulse whose |m|^2 overflows, theta
+    above about 1e154, raises ValueError here.
     """
 
-    __slots__ = ("family", "pulses", "theta", "phi", "winding", "_unit", "_memo")
+    __slots__ = ("family", "pulses", "theta", "phi", "winding", "_unit", "_terms", "_vectors", "_product",
+                 "_shares")
 
     def __init__(self, family: str, pulses, target, theta: float | None = None,
                  phi: float | None = None, winding: tuple[int, int, int] | None = None):
         unit = _target_quaternion(target)
+        pulses = tuple(pulses)
+        terms = tuple((p.theta, math.cos(p.phi), math.sin(p.phi)) for p in pulses)
+        vectors = tuple((t * c, t * s, 0.0) for t, c, s in terms)
+        try:  # math.sin refuses an angle whose |m|^2 overflows
+            quaternions = [_quaternion(*m) for m in vectors]
+        except ValueError:
+            raise ValueError("pulse angles too large to evaluate the product") from None
         set_field = object.__setattr__  # written out: synthesis builds one sequence per call
         set_field(self, "family", family)
-        set_field(self, "pulses", tuple(pulses))
+        set_field(self, "pulses", pulses)
         set_field(self, "theta", theta)
         set_field(self, "phi", phi)
         set_field(self, "winding", winding)
         set_field(self, "_unit", unit)
-        set_field(self, "_memo", {})
+        set_field(self, "_terms", terms)
+        set_field(self, "_vectors", vectors)
+        set_field(self, "_product", _product(quaternions))
+        set_field(self, "_shares", _shares(vectors, quaternions))
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -195,25 +209,9 @@ class PulseSequence(_Record):
         """The target gate as a 2x2 special-unitary matrix."""
         return _matrix(*self._unit)
 
-    def _memoized(self, name: str, compute):
-        """The memo entry ``name``, set to ``compute()`` on first use."""
-        if name not in self._memo:
-            self._memo[name] = compute()
-        return self._memo[name]
-
-    def _terms(self) -> tuple:
-        """(theta, cos phi, sin phi) of each pulse: :meth:`_vectors` multiplies them out as :func:`_xy` does."""
-        return self._memoized("terms", lambda: tuple((p.theta, math.cos(p.phi), math.sin(p.phi)) for p in self.pulses))
-
-    def _vectors(self) -> tuple:
-        return self._memoized("vectors", lambda: tuple((t * c, t * s, 0.0) for t, c, s in self._terms()))
-
-    def _product(self) -> tuple[float, float, float, float]:
-        return self._memoized("product", lambda: _product(_quaternion(*m) for m in self._vectors()))
-
     def propagator(self) -> np.ndarray:
         """Ideal (error-free) product of all pulses."""
-        return _matrix(*self._product())
+        return _matrix(*self._product)
 
     def _overlap(self, q) -> tuple:
         """T^dag U = (w, x, y, z) of a product quaternion U against the target T,
@@ -223,7 +221,7 @@ class PulseSequence(_Record):
 
     def _fidelity(self) -> float:
         """Fidelity of the ideal product to the target."""
-        return min(abs(self._overlap(self._product())[0]), 1.0)
+        return min(abs(self._overlap(self._product)[0]), 1.0)
 
 
 # Each family's segments: (theta, phi, winding) -> raw [(theta_i, phi_i), ...].
@@ -574,7 +572,6 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
     try:  # math.sin refuses an angle whose |m|^2 overflows, above about 1e154
         seq = PulseSequence(family, pulses, _quaternion(*_xy(theta, _azimuth(phi))),
                             theta=theta, phi=phi, winding=winding)
-        seq._product()
     except ValueError:
         raise ValueError("malformed sequence document: angles too large to evaluate the product") from None
     return seq

@@ -25,10 +25,9 @@ they use :mod:`math`, so a single sequence is handled without numpy.
 imported only by the functions that take or return arrays, the three public
 ones among them: ``rotation_generator``, ``is_unitary`` and ``eig_unitary``.
 
-All functions here are pure.  The one mutable state is a ``PulseSequence``'s
-memo of its azimuth terms, rotation vectors, ideal product and first-order
-shares: each entry is written once, from the immutable pulses, and
-``analysis.landscape`` fills what it reads before its threads start.
+:func:`_frame_average` and :func:`_shares` give the error model's
+toggling-frame averages, which a ``PulseSequence`` computes with its product
+when it is built.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -129,6 +128,37 @@ def _bloch(w, x, y, z):
     return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+
+
+def _frame_average(x, y, z) -> tuple:
+    """A(m) = integral_0^1 O(R(x m)) dx for m = (x, y, z) in closed form (see
+    ``error_model``), A(0) = I: nine row-major entries, floats or arrays alike."""
+    lib = _lib(x)
+    angle = lib.sqrt(x * x + y * y + z * z)
+    zero = angle == 0.0
+    safe = angle + zero  # 1 where the angle is 0
+    nx, ny, nz = x / safe, y / safe, z / safe
+    sinc = lib.sin(angle) / safe + zero
+    k = 2 * lib.sin(angle / 2) ** 2 / safe  # (1 - cos(angle)) / angle
+    c = 1 - sinc
+    return (c * nx * nx + sinc, c * nx * ny - k * nz, c * nx * nz + k * ny,
+            c * nx * ny + k * nz, c * ny * ny + sinc, c * ny * nz - k * nx,
+            c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
+
+
+def _shares(vectors, quaternions) -> tuple:
+    """A(m_i) O(V_{i-1}) for every pulse m_i, given with its quaternion, V_{i-1}
+    the frame before pulse i, as nine row-major floats each; the 3x3 product
+    is written out."""
+    shares = []
+    for m, frame in zip(vectors, _fold(quaternions)):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _frame_average(*m)
+        o0, o1, o2, o3, o4, o5, o6, o7, o8 = _bloch(*frame)
+        shares.append((
+            a0 * o0 + a1 * o3 + a2 * o6, a0 * o1 + a1 * o4 + a2 * o7, a0 * o2 + a1 * o5 + a2 * o8,
+            a3 * o0 + a4 * o3 + a5 * o6, a3 * o1 + a4 * o4 + a5 * o7, a3 * o2 + a4 * o5 + a5 * o8,
+            a6 * o0 + a7 * o3 + a8 * o6, a6 * o1 + a7 * o4 + a8 * o7, a6 * o2 + a7 * o5 + a8 * o8))
+    return tuple(shares)
 
 
 def _unit_quaternion(T):

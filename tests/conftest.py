@@ -9,9 +9,9 @@ from unittest import mock
 
 import numpy as np
 
-from cpseq.error_model import _deformation, _frame_average, _transposed
+from cpseq.error_model import _deformation, _transposed
 from cpseq.sequences import _REGISTRY
-from cpseq.su2 import _components, rotation_generator
+from cpseq.su2 import _components, _frame_average, rotation_generator
 
 
 def frob(A, B=None) -> float:

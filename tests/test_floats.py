@@ -18,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpseq.analysis import AXES, _DIRECTIONS, _infidelities, infidelity_scaling
-from cpseq.error_model import _frame_average
 from cpseq.sequences import _REGISTRY, synthesize
-from cpseq.su2 import _bloch, _half_angle, _product, _quaternion
+from cpseq.su2 import _bloch, _frame_average, _half_angle, _product, _quaternion
 
 from conftest import theta_for
 

@@ -1,10 +1,11 @@
-"""A sequence's memo is invisible.
+"""A sequence's float work is invisible.
 
-A ``PulseSequence`` keeps the float work that depends only on its pulses.
-Every analysis must give the same bits whether that memo is empty or was
-filled by the other analyses, on a copy, a deep copy or a pickle of the
-sequence; ``repr`` must not show it, and the arrays the public functions
-return must be fresh on each call.
+A ``PulseSequence`` is immutable and carries the float work that depends
+only on its pulses from construction.  Every analysis must give the same
+bits whether it runs first or after the other analyses, on a copy, a deep
+copy or a pickle of the sequence; ``repr`` must not show that work, and the
+arrays the public functions return must be fresh on each call, so that no
+caller can change what a sequence carries.
 """
 
 import copy
@@ -109,7 +110,7 @@ def _all(seq):
 @pytest.mark.parametrize("family,theta", TARGETS)
 def test_a_sequence_gives_the_same_bits_after_every_other_analysis(family, theta):
     seq = synthesize(family, theta, 0.4)
-    for run in reversed(ANALYSES.values()):  # fills the memo in the other order
+    for run in reversed(ANALYSES.values()):  # the analyses in the other order
         run(seq)
     assert _all(seq) == _fresh(family, theta)
 
@@ -144,8 +145,8 @@ def test_public_arrays_are_fresh_on_each_call(family, theta):
 
 
 def test_threads_that_share_a_fresh_sequence_give_the_same_bits():
-    # more threads than cores race on the first use of every memo entry;
-    # a race may compute an entry twice, but each write has the same bits
+    # more threads than cores run every analysis on one sequence at once;
+    # each reads what the sequence carries and writes nothing to it
     family, theta = "cis-cccp", 1.3
     want = _fresh(family, theta)
     interval = sys.getswitchinterval()

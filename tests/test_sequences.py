@@ -184,6 +184,19 @@ def test_sequence_target_quaternion_must_have_unit_norm():
         PulseSequence("custom", pulses, np.eye(4))
 
 
+@pytest.mark.parametrize("target", [5, 1.0, None, {"w": 1}, np.full((2, 2), np.nan), [[None, None], [None, None]]],
+                         ids=["int", "float", "none", "dict", "nan-matrix", "none-matrix"])
+def test_sequence_refuses_a_target_that_is_no_gate(target):
+    with pytest.raises(ValueError, match="^target must be a unit quaternion or a unitary 2x2 matrix$"):
+        PulseSequence("custom", (Pulse(1.0, 0.0),), target)
+
+
+def test_sequence_refuses_an_overflowing_pulse_when_built():
+    # |m|^2 of a 1e200 rad pulse overflows: the product cannot be evaluated
+    with pytest.raises(ValueError, match="too large to evaluate the product"):
+        PulseSequence("custom", (Pulse(1.0, 0.0), Pulse(1e200, 0.3)), (1.0, 0.0, 0.0, 0.0))
+
+
 def test_plain_pi_about_y():
     seq = synthesize("plain", np.pi, np.pi / 2)
     assert frob(seq.target, rotation([0, np.pi, 0])) < 1e-15

@@ -290,7 +290,7 @@ def test_sequence_target_and_propagator_are_complex_2x2(form):
 @pytest.mark.parametrize("form", ["sequence", "float-triples", "1-d", "k-batch"])
 def test_perturbed_propagator_of_each_input_form(form):
     seq = synthesize("bb1", 1.1, 0.3)
-    vectors = seq._vectors()
+    vectors = seq._vectors
     given = {"sequence": seq, "float-triples": list(vectors), "1-d": [np.array(m) for m in vectors],
              "k-batch": np.array(vectors)}[form]
     channel = ErrorChannel.combined(0.02, -0.03)
