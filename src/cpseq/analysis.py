@@ -274,7 +274,7 @@ def _phases(seq: PulseSequence) -> tuple:
     pairs = _eig(0.0, *seq._product)
     # equal eigenphases of a unitary mean U is proportional to the identity
     degenerate = abs(pairs[0][0] - pairs[1][0]) < 1e-12
-    gx, gy, gz = _generators(seq, (_UNITS["pulse_length"],))[0] if seq.pulses else (0.0, 0.0, 0.0)
+    gx, gy, gz = _generators(seq, (_UNITS["pulse_length"],))[0]
     rows = []
     for gamma, (a, b) in pairs:
         ab = a.conjugate() * b

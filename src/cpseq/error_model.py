@@ -37,8 +37,9 @@ for any channel and any pulse, and pulse i adds its share A(m_i) O(V_{i-1})
 defining integral, evaluated by Gauss-Legendre quadrature in
 ``tests/loop_reference.py``, is the oracle for this closed form.
 
-A sequence's generators are accumulated on Python floats; the public
-functions build their matrices when they return.
+Every analysis here takes a :class:`~cpseq.sequences.PulseSequence` and
+reads the vectors, shares and product it computed, on Python floats, when
+it was built; the public functions build their matrices when they return.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .sequences import ROBUST_TOL, PulseSequence, _Record, _Value
-from .su2 import _hamilton, _lib, _matrix, _product, _quaternion, _shares, rotation_generator
+from .sequences import ROBUST_TOL, _Record, _Value
+from .su2 import _hamilton, _lib, _matrix, _product, _quaternion, rotation_generator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,21 +143,6 @@ class MomentIntegrals(_Record):
     __slots__ = ("first_moment", "second_moment")
 
 
-def _float_work(seq) -> tuple:
-    """(vectors, shares, product) of a sequence, as it keeps them, or of a list
-    of rotation vectors, computed as a sequence computes them: the vectors as
-    float triples, their :func:`su2._shares` and the quaternion of their product."""
-    if isinstance(seq, PulseSequence):
-        vectors, shares, product = seq._vectors, seq._shares, seq._product
-    else:
-        vectors = [tuple(map(float, m)) for m in seq]
-        quaternions = [_quaternion(*m) for m in vectors]
-        shares, product = _shares(vectors, quaternions), _product(quaternions)
-    if not vectors:
-        raise ValueError("pulse sequence must be nonempty")
-    return vectors, shares, product
-
-
 def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
     """The channel's deformation dm = |m| f + F m of m = (x, y, z), floats or
     arrays alike; the products are written out."""
@@ -174,12 +160,12 @@ def _transposed(s, d) -> tuple:
 
 def _generators(seq, channels) -> list:
     """Accumulated generator vectors sum_i O(V_{i-1})^T A(m_i)^T dm_i of a
-    sequence, one float triple per channel."""
-    vectors, shares, _ = _float_work(seq)
+    :class:`PulseSequence`, one triple per channel, each component summed
+    over the pulses in order; an empty sequence gives zeros, the identity's."""
     gs = []
     for channel in channels:
-        terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(vectors, shares)]
-        gs.append(tuple(map(sum, zip(*terms))))
+        terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(seq._vectors, seq._shares)]
+        gs.append((sum(t[0] for t in terms), sum(t[1] for t in terms), sum(t[2] for t in terms)))
     return gs
 
 
@@ -193,7 +179,8 @@ def _norm(g) -> float:
 
 
 def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL) -> FirstOrderReport:
-    """Accumulated first-order error generator and per-channel robustness.
+    """Accumulated first-order error generator and per-channel robustness of
+    a :class:`PulseSequence`; zero generators and norms for an empty one.
 
     The report's coefficient matrices are the generators of the unit-strength
     pulse-length and off-resonance channels, accumulated together with the
@@ -214,26 +201,26 @@ def first_order_error(seq, channel: ErrorChannel, tolerance: float = ROBUST_TOL)
 
 
 def error_moment_integrals(seq) -> MomentIntegrals:
-    """Interaction-picture moment integrals over the whole sequence.
+    """Interaction-picture moment integrals over the whole :class:`PulseSequence`.
 
     Each pulse occupies a time fraction proportional to its rotation angle
     (constant drive amplitude), with the drive vector lambda = m / dt held
     constant on its interval.  Within pulse i the Bloch rotation of
     U(t) = R(x m_i) V_{i-1} averages to A(m_i) O(V_{i-1}) exactly.
 
-    A sequence of zero-angle pulses evolves trivially: the first moment is
-    the identity and the second moment vanishes.
+    A sequence of zero-angle pulses, the empty one included, evolves
+    trivially: the first moment is the identity and the second moment
+    vanishes.
     """
     import numpy as np
-    vectors, shares, _ = _float_work(seq)
-    angles = np.array([math.sqrt(x * x + y * y + z * z) for x, y, z in vectors])
+    angles = np.array([math.sqrt(x * x + y * y + z * z) for x, y, z in seq._vectors])
     total_angle = angles.sum()
     if total_angle == 0.0:
         return MomentIntegrals(first_moment=np.eye(3), second_moment=np.zeros((3, 3, 3)))
-    shares = np.array(shares).reshape(-1, 3, 3)
+    shares = np.array(seq._shares).reshape(-1, 3, 3)
     first = np.einsum("n,nmr->mr", angles / total_angle, shares)
     # dt * lambda_nu = m_nu, so the linear moment needs no dt.
-    second = np.einsum("nv,nmr->mvr", np.array(vectors), shares)
+    second = np.einsum("nv,nmr->mvr", np.array(seq._vectors), shares)
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 
@@ -246,24 +233,25 @@ def _perturbed_products(vectors, channel: ErrorChannel, strengths=(1.0,)) -> lis
 
 
 def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:
-    """Exact (non-perturbative) propagator of the deformed sequence under any
-    channel: the ordered product of R(m_i + dm_i), as the finite-difference
-    oracle computes it."""
-    return _matrix(*_perturbed_products(_float_work(seq)[0], channel)[0])
+    """Exact (non-perturbative) propagator of a :class:`PulseSequence`
+    deformed by any channel: the ordered product of R(m_i + dm_i), as the
+    finite-difference oracle computes it; the identity for an empty sequence."""
+    return _matrix(*_perturbed_products(seq._vectors, channel)[0])
 
 
 def _fd_vector(seq, channel: ErrorChannel) -> tuple:
     """:func:`finite_difference_generator` as its vector, on floats.  With
     U_0^dag (U_+ - U_-) / (2 step) = a I - i b . sigma, the Hermitian part of
     i times it is b . sigma, so the generator vector is 2 b."""
-    vectors, _, (w, x, y, z) = _float_work(seq)
-    up, um = _perturbed_products(vectors, channel, (FD_STEP, -FD_STEP))
+    w, x, y, z = seq._product
+    up, um = _perturbed_products(seq._vectors, channel, (FD_STEP, -FD_STEP))
     _, gx, gy, gz = _hamilton((w, -x, -y, -z), [(p - m) / FD_STEP for p, m in zip(up, um)])
     return gx, gy, gz
 
 
 def finite_difference_generator(seq, channel: ErrorChannel) -> np.ndarray:
-    """Oracle for the accumulated generator by direct differentiation.
+    """Oracle for the accumulated generator of a :class:`PulseSequence` by
+    direct differentiation; zero for an empty sequence.
 
     Scales the whole channel by +/- ``FD_STEP``, central-differences the
     exact perturbed propagator, and symmetrises i U^dag dU into a Hermitian

@@ -145,7 +145,7 @@ def _target_quaternion(target) -> tuple[float, float, float, float]:
             unit = _unit_quaternion(target) if is_unitary(target) else None
         else:
             unit = tuple(map(float, target))
-    except (TypeError, ValueError):  # no length, four rows, entries that are not numbers, a NaN matrix
+    except (TypeError, ValueError):  # no length, four rows, entries that are not numbers
         unit = None
     if unit is None:
         raise ValueError("target must be a unit quaternion or a unitary 2x2 matrix")

@@ -53,10 +53,11 @@ def _lib(x):
 
 
 def is_unitary(U: np.ndarray) -> bool:
-    """Check U^dag U = I within 1e-12 (operator norm)."""
+    """Check U^dag U = I within 1e-12 (operator norm); False for a non-finite U."""
     import numpy as np
     U = np.asarray(U, dtype=complex)
-    return U.shape == (2, 2) and np.linalg.norm(U.conj().T @ U - np.eye(2), ord=2) <= 1e-12
+    return (U.shape == (2, 2) and np.isfinite(U).all()
+            and np.linalg.norm(U.conj().T @ U - np.eye(2), ord=2) <= 1e-12)
 
 
 def _components(q) -> list:

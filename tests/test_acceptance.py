@@ -15,7 +15,7 @@ from cpseq.error_model import (
     first_order_error,
     perturbed_propagator,
 )
-from cpseq.sequences import _reduce, synthesize
+from cpseq.sequences import PulseSequence, _reduce, synthesize
 
 from conftest import averaged_generator, frob, pulse_generator, random_xy_vector
 from loop_reference import SX, SY, fidelity, interaction_quadrature, rotation
@@ -171,8 +171,8 @@ def test_criterion_08_geometric_phase_claim():
 
 def test_criterion_09_pi_pulse_appendix():
     seq = synthesize("alway-jones", np.pi, 0.0)
-    length_block = [p.vector for p in seq.pulses[1:4]]
-    detuning_block = [p.vector for p in seq.pulses[4:8]]
+    length_block = PulseSequence("custom", seq.pulses[1:4], (1, 0, 0, 0))
+    detuning_block = PulseSequence("custom", seq.pulses[4:8], (1, 0, 0, 0))
 
     def block_product(block, channel):
         return perturbed_propagator(block, channel)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpseq.analysis import landscape, phase_decomposition
 from cpseq.cli import main
 from cpseq.error_model import (
     ErrorChannel,
@@ -219,14 +220,12 @@ def test_no_library_path_runs_a_quadrature(monkeypatch):
     rng = np.random.default_rng(57)
     channels = (ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1),
                 ErrorChannel(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))))
-    tilted = rng.normal(scale=2.0, size=(3, 3))
     runner = CliRunner()
     for family in _REGISTRY:
         seq = synthesize(family, theta_for(family, 1.3), 0.4)
-        for vectors in (seq, tilted):
-            for ch in channels:
-                first_order_error(vectors, ch)
-            error_moment_integrals(vectors)
+        for ch in channels:
+            first_order_error(seq, ch)
+        error_moment_integrals(seq)
         theta = [] if family == "alway-jones" else ["--theta", "1.3"]
         result = runner.invoke(main, ["verify", "--family", family, *theta], catch_exceptions=False)
         assert result.exit_code == 0
@@ -325,9 +324,10 @@ def test_perturbed_propagator_plain_pulse_closed_forms():
 
 
 def test_perturbed_vector_general_linear():
-    # m + |m| f + F m = (1.05 + 0.1 sqrt(5), 2.1, 0) for m = (1, 2, 0)
+    # m + |m| f + F m = (1.05 + 0.1 sqrt(5), 2.1, 0) for m = (1, 2, 0), the pulse (sqrt(5), atan2(2, 1))
+    seq = PulseSequence("custom", (Pulse(math.sqrt(5), math.atan2(2, 1)),), (1, 0, 0, 0))
     ch = ErrorChannel([0.1, 0, 0], 0.05 * np.eye(3))
-    assert frob(perturbed_propagator([[1, 2, 0]], ch), rotation([1.05 + 0.1 * np.sqrt(5), 2.1, 0.0])) < 1e-14
+    assert frob(perturbed_propagator(seq, ch), rotation([1.05 + 0.1 * np.sqrt(5), 2.1, 0.0])) < 1e-14
 
 
 # ------------------------------------------------------ finite differences
@@ -366,3 +366,39 @@ def test_fd_oracle_general_linear_channel():
         fd = finite_difference_generator(seq, ch)
         assert frob(analytic, fd) < 1e-4
         assert frob(analytic, analytic.conj().T) <= 1e-12 and abs(np.trace(analytic)) <= 1e-12
+
+
+# ------------------------------------------------------- empty sequence
+# an empty sequence is the identity in every analysis, as a zero-angle pulse is
+
+@pytest.mark.parametrize("analysis", ["first_order_error", "finite_difference_generator", "perturbed_propagator",
+                                      "error_moment_integrals", "phase_decomposition", "landscape"])
+def test_empty_sequence_is_the_identity(analysis):
+    seq = PulseSequence("custom", (), (1, 0, 0, 0))
+    channels = (ErrorChannel.pulse_length(0.1), ErrorChannel.off_resonance(0.1),
+                ErrorChannel((0.1, -0.2, 0.05), ((0.03, 0.1, 0.0), (-0.1, 0.02, 0.2), (0.0, 0.1, -0.04))))
+    zero = np.zeros((2, 2))
+    if analysis == "first_order_error":
+        for ch in channels:
+            rep = first_order_error(seq, ch)
+            for g in (rep.generator, rep.pulse_length_coefficient, rep.off_resonance_coefficient):
+                assert np.array_equal(g, zero)
+            assert rep.pulse_length_norm == rep.off_resonance_norm == 0.0
+            assert rep.robust_to_pulse_length and rep.robust_to_off_resonance
+    elif analysis == "finite_difference_generator":
+        for ch in channels:
+            assert np.array_equal(finite_difference_generator(seq, ch), zero)
+    elif analysis == "perturbed_propagator":
+        for ch in channels:
+            assert np.array_equal(perturbed_propagator(seq, ch), np.eye(2))
+    elif analysis == "error_moment_integrals":
+        mom = error_moment_integrals(seq)
+        assert np.array_equal(mom.first_moment, np.eye(3)) and np.array_equal(mom.second_moment, np.zeros((3, 3, 3)))
+    elif analysis == "phase_decomposition":
+        rep = phase_decomposition(seq)
+        assert rep.degenerate and np.array_equal(rep.states, np.eye(2))
+        for phases in (rep.total, rep.dynamical, rep.geometric):
+            assert np.array_equal(phases, [0.0, 0.0])
+    else:
+        grid = landscape(seq, resolution=5, threads=1)
+        assert np.array_equal(grid.fidelity, np.ones((5, 5)))

@@ -169,14 +169,14 @@ def test_moments_match_node_loop(family, subdivisions):
 
 
 def test_moments_match_node_loop_with_zero_angle_pulse():
-    # the second set has z components, which the closed form covers like any pulse
-    rng = np.random.default_rng(44)
-    for vectors in ([np.array([1.1, 0.3, 0.0]), np.zeros(3), np.array([-0.4, 2.0, 0.0])],
-                    [*rng.normal(scale=2.0, size=(4, 3)), np.zeros(3), np.array([0.0, 0.0, 2 * np.pi])]):
-        got = error_moment_integrals(vectors)
-        first, second = ref.moments(vectors, 32)
-        assert max_abs(got.first_moment, first) <= 1e-12
-        assert max_abs(got.second_moment, second) <= 1e-12
+    # the xy vectors (1.1, 0.3, 0), 0 and (-0.4, 2.0, 0)
+    pulses = (Pulse(np.hypot(1.1, 0.3), np.arctan2(0.3, 1.1)), Pulse(0.0, 0.0),
+              Pulse(np.hypot(-0.4, 2.0), np.arctan2(2.0, -0.4)))
+    seq = PulseSequence("custom", pulses, (1, 0, 0, 0))
+    got = error_moment_integrals(seq)
+    first, second = ref.moments(ref.vectors_of(seq), 32)
+    assert max_abs(got.first_moment, first) <= 1e-12
+    assert max_abs(got.second_moment, second) <= 1e-12
 
 
 batch_shapes = st.one_of(

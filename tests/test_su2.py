@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cpseq.su2 import (
     _product,
     _quaternion,
     eig_unitary,
+    is_unitary,
     rotation_generator,
 )
 
@@ -165,6 +168,14 @@ def test_eig_unitary_phases_match_eigvals():
             assert np.min(np.abs(lam - np.exp(1j * g))) < 1e-12
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_is_unitary_of_a_non_finite_matrix_is_false(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for U in (np.full((2, 2), value), [[value, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1j * value]]):
+            assert not is_unitary(U)
+
+
 def test_eig_unitary_degenerate_keeps_global_phase():
     pairs = eig_unitary(np.exp(0.7j) * I2)
     assert abs(pairs[0][0] - 0.7) < 1e-15 and abs(pairs[1][0] - 0.7) < 1e-15
@@ -287,14 +298,8 @@ def test_sequence_target_and_propagator_are_complex_2x2(form):
         assert np.array_equal(seq.target, _matrix(*q))
 
 
-@pytest.mark.parametrize("form", ["sequence", "float-triples", "1-d", "k-batch"])
-def test_perturbed_propagator_of_each_input_form(form):
+def test_perturbed_propagator_of_a_sequence_is_complex_2x2():
     seq = synthesize("bb1", 1.1, 0.3)
-    vectors = seq._vectors
-    given = {"sequence": seq, "float-triples": list(vectors), "1-d": [np.array(m) for m in vectors],
-             "k-batch": np.array(vectors)}[form]
-    channel = ErrorChannel.combined(0.02, -0.03)
-    U = perturbed_propagator(given, channel)
+    U = perturbed_propagator(seq, ErrorChannel.combined(0.02, -0.03))
     assert U.dtype == np.complex128 and U.shape == (2, 2)
-    assert np.array_equal(U, perturbed_propagator(seq, channel))
     assert frob(U, ref.product(ref.deform(ref.vectors_of(seq), 0.02, -0.03))) < 1e-14
