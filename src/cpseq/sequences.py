@@ -16,7 +16,7 @@ import collections
 import math
 from typing import TYPE_CHECKING
 
-from .su2 import _hamilton, _matrix, _product, _quaternion, _shares, _unit_quaternion, is_unitary
+from .su2 import _hamilton, _matrix, _quaternion, _shares, _unit_quaternion, is_unitary
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,8 +53,10 @@ class WindingError(ValueError):
 
 
 def _azimuth(phi: float) -> float:
-    """``phi`` reduced mod 2*pi into [0, 2*pi)."""
-    phi = float(phi) % TWO_PI  # a tiny negative azimuth rounds to 2*pi
+    """``phi`` reduced mod 2*pi into [0, 2*pi); ValueError unless it is finite."""
+    if not math.isfinite(phi := float(phi)):
+        raise ValueError(f"azimuth phi must be finite, got {phi}")
+    phi %= TWO_PI  # a tiny negative azimuth rounds to 2*pi
     return phi if phi < TWO_PI else 0.0
 
 
@@ -122,8 +124,8 @@ class Pulse(_Value):
     __slots__ = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float):
-        if not math.isfinite(theta) or not math.isfinite(phi):
-            raise ValueError("pulse angles must be finite")
+        if not math.isfinite(theta):  # _azimuth refuses a non-finite phi
+            raise ValueError(f"pulse angle must be finite, got {theta}")
         if theta < 0:
             raise ValueError(f"pulse angle must be nonnegative, got {theta}")
         object.__setattr__(self, "theta", float(theta))
@@ -170,10 +172,10 @@ class PulseSequence(_Record):
 
     A sequence is immutable and carries its float work from construction:
     ``_terms``, each pulse's (theta, cos phi, sin phi); ``_vectors``, the
-    rotation vectors they multiply out to as :func:`_xy` does; ``_product``,
-    the quaternion of the ideal product; and ``_shares``, the first-order
-    shares of :func:`su2._shares`.  So a pulse whose |m|^2 overflows, theta
-    above about 1e154, raises ValueError here.
+    rotation vectors they multiply out to as :func:`_xy` does; and, from one
+    walk over the pulses (:func:`su2._shares`), ``_shares``, the first-order
+    shares, and ``_product``, the quaternion of the ideal product.  So a
+    pulse whose |m|^2 overflows, theta above about 1e154, raises ValueError here.
     """
 
     __slots__ = ("family", "pulses", "theta", "phi", "winding", "_unit", "_terms", "_vectors", "_product",
@@ -186,7 +188,7 @@ class PulseSequence(_Record):
         terms = tuple((p.theta, math.cos(p.phi), math.sin(p.phi)) for p in pulses)
         vectors = tuple((t * c, t * s, 0.0) for t, c, s in terms)
         try:  # math.sin refuses an angle whose |m|^2 overflows
-            quaternions = [_quaternion(*m) for m in vectors]
+            shares, product = _shares(vectors)
         except ValueError:
             raise ValueError("pulse angles too large to evaluate the product") from None
         set_field = object.__setattr__  # written out: synthesis builds one sequence per call
@@ -198,8 +200,8 @@ class PulseSequence(_Record):
         set_field(self, "_unit", unit)
         set_field(self, "_terms", terms)
         set_field(self, "_vectors", vectors)
-        set_field(self, "_product", _product(quaternions))
-        set_field(self, "_shares", _shares(vectors, quaternions))
+        set_field(self, "_product", product)
+        set_field(self, "_shares", shares)
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -373,12 +375,11 @@ def _bb1_segments(theta, phi, winding):
 
 
 def _alway_jones_segments(theta, phi, winding):
-    """Alway-Jones: the bare pi pulse, the BB1 block against the pulse-length
-    error, then a 4-pulse block against the off-resonance error; both blocks
-    multiply to exactly +I."""
+    """Alway-Jones: BB1 at theta = pi, then a 4-pulse block against the
+    off-resonance error at azimuths phi + (pi - c, -c, pi + c, c), BB1's
+    c = arccos(-1/4) at pi; BB1's block and this one multiply to exactly +I."""
     c, pi = math.acos(-0.25), math.pi
-    relative = ((pi, 0.0), (pi, c), (2 * pi, 3 * c), (pi, c), (pi, pi - c), (pi, -c), (pi, pi + c), (pi, c))
-    return [(t, p + phi) for t, p in relative]
+    return _bb1_segments(pi, phi, None) + [(pi, p + phi) for p in (pi - c, -c, pi + c, c)]
 
 
 # ---- the registry ------------------------------------------------------------
@@ -462,9 +463,9 @@ def synthesize(family: str, theta: float, phi: float = 0.0,
     """Build a family's sequence from its registry row (names as in FAMILIES).
 
     Raises ValueError for an unknown family, a theta outside the family's
-    domain, or a winding given to a family that takes none; without a
-    winding the family's default is used.  Raises SynthesisError unless the
-    pulses multiply to the target with fidelity at least 1 - 1e-12.
+    domain, a non-finite phi, or a winding given to a family that takes
+    none (without one, the family's default is used), and SynthesisError
+    unless the pulses multiply to the target with fidelity at least 1 - 1e-12.
     """
     try:
         row = _REGISTRY[family]

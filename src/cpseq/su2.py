@@ -13,21 +13,22 @@ Conventions used throughout the package:
 Rotations are real unit quaternions q = (w, x, y, z), U = w I - i (x, y, z) . sigma.
 :func:`_half_angle`, the one home of the half-angle formula, evaluates every
 rotation (``analysis._products`` shares one per distinct pulse angle),
-:func:`_hamilton` multiplies two, :func:`_fold` runs the partial products of
-a sequence and :func:`_product` its whole product, and a sequence meets its
-target through ``PulseSequence._overlap``, the quaternion T^dag U.  Only the
-w component of that overlap is written out, in ``analysis.landscape``, with
-the same operations in the same order: routing the grid through ``_overlap``
-cost 3-50% of grid time.  These kernels take their components as Python
-floats or as numpy arrays of any broadcast batch shape, alike: on floats
-they use :mod:`math`, so a single sequence is handled without numpy.
+:func:`_hamilton` multiplies two and :func:`_product` runs a whole product,
+and a sequence meets its target through ``PulseSequence._overlap``, the
+quaternion T^dag U.  Only the w component of that overlap is written out,
+in ``analysis.landscape``, with the same operations in the same order:
+routing the grid through ``_overlap`` cost 3-50% of grid time.  These
+kernels take their components as Python floats or as numpy arrays of any
+broadcast batch shape, alike: on floats they use :mod:`math`, so a single
+sequence is handled without numpy.
 :func:`_matrix` turns quaternion planes into 2x2 matrices.  numpy is
 imported only by the functions that take or return arrays, the three public
 ones among them: ``rotation_generator``, ``is_unitary`` and ``eig_unitary``.
 
-:func:`_frame_average` and :func:`_shares` give the error model's
-toggling-frame averages, which a ``PulseSequence`` computes with its product
-when it is built.  All functions here are pure.
+:func:`_frame_average` gives the error model's toggling-frame averages;
+:func:`_shares`, one walk over a sequence's pulses, gives their first-order
+shares and the ideal product, which a ``PulseSequence`` computes when it is
+built.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ def _hamilton(p, q):
         pw * qy + py * qw + pz * qx - px * qz,
         pw * qz + pz * qw + px * qy - py * qx,
     )
-
-
-def _fold(factors):
-    """Running products 1, q_0, q_1 q_0, ... of (w, x, y, z) factors, floats or broadcast planes."""
-    acc = (1.0, 0.0, 0.0, 0.0)
-    yield acc
-    for q in factors:
-        acc = _hamilton(q, acc)
-        yield acc
 
 
 def _product(factors):
@@ -147,19 +139,23 @@ def _frame_average(x, y, z) -> tuple:
             c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
 
 
-def _shares(vectors, quaternions) -> tuple:
-    """A(m_i) O(V_{i-1}) for every pulse m_i, given with its quaternion, V_{i-1}
-    the frame before pulse i, as nine row-major floats each; the 3x3 product
-    is written out."""
+def _shares(vectors) -> tuple:
+    """One walk over a sequence's pulses m_i: (shares, product), the share
+    A(m_i) O(V_{i-1}) of each pulse, V_{i-1} the frame before it, as nine
+    row-major floats (the 3x3 product written out), and the last frame, the
+    quaternion of the whole product as :func:`_product` gives it."""
     shares = []
-    for m, frame in zip(vectors, _fold(quaternions)):
+    frame = (1.0, 0.0, 0.0, 0.0)
+    for i, m in enumerate(vectors):
+        q = _quaternion(*m)
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = _frame_average(*m)
         o0, o1, o2, o3, o4, o5, o6, o7, o8 = _bloch(*frame)
         shares.append((
             a0 * o0 + a1 * o3 + a2 * o6, a0 * o1 + a1 * o4 + a2 * o7, a0 * o2 + a1 * o5 + a2 * o8,
             a3 * o0 + a4 * o3 + a5 * o6, a3 * o1 + a4 * o4 + a5 * o7, a3 * o2 + a4 * o5 + a5 * o8,
             a6 * o0 + a7 * o3 + a8 * o6, a6 * o1 + a7 * o4 + a8 * o7, a6 * o2 + a7 * o5 + a8 * o8))
-    return tuple(shares)
+        frame = _hamilton(q, frame) if i else q  # V_1 is q_0 itself, as in _product
+    return tuple(shares), frame
 
 
 def _unit_quaternion(T):

@@ -19,8 +19,9 @@ from cpseq.sequences import (
     sequence_to_dict,
     synthesize,
 )
+from cpseq.su2 import _product, _quaternion
 
-from conftest import frob
+from conftest import frob, theta_for
 from loop_reference import fidelity, rotation
 
 
@@ -33,6 +34,14 @@ def xy(theta, phi):
 def test_pulse_rejects_negative_angle():
     with pytest.raises(ValueError):
         Pulse(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_pulse_rejects_a_non_finite_angle(x):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        Pulse(x, 0.0)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        Pulse(1.0, x)
 
 
 def test_pulse_azimuth_stays_below_two_pi():
@@ -413,6 +422,11 @@ def test_alway_jones_axis_covariance():
     assert fidelity(seq.propagator(), shifted) > 1 - 1e-12
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.4, 3.0, 6.2, -1.0])
+def test_alway_jones_opens_with_bb1_at_pi(phi):
+    assert synthesize("alway-jones", np.pi, phi).pulses[:4] == synthesize("bb1", np.pi, phi).pulses
+
+
 # --------------------------------------------------------- reverse fixture
 
 def test_scrofulous_in_corpse_negative_control():
@@ -436,6 +450,23 @@ def test_product_exactness_random_sample():
                               ("scrofulous", theta_s), ("cis-cccp", theta_s), ("alway-jones", np.pi)):
             seq = synthesize(family, angle, phi)
             assert fidelity(seq.propagator(), seq.target) > 1 - 1e-11
+
+
+@pytest.mark.parametrize("family", _REGISTRY)
+def test_sequence_product_is_the_product_of_its_pulse_rotations_bit_for_bit(family):
+    # the one walk over the pulses gives the product _product gives, the sign of each zero included
+    for theta in (0.05, np.pi / 4, 1.3, np.pi / 2, 2.1, np.pi, 3.7):
+        for phi in (0.0, 0.4, 2.5, 5.1):
+            seq = synthesize(family, theta_for(family, theta), phi)
+            want = _product(_quaternion(*m) for m in seq._vectors)
+            assert [x.hex() for x in seq._product] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("family", _REGISTRY)
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_synthesize_refuses_a_non_finite_phi(family, phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        synthesize(family, theta_for(family, 1.3), phi)
 
 
 def test_channel_cancellation_random_sample():

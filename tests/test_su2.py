@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,12 +8,13 @@ from cpseq.error_model import ErrorChannel, perturbed_propagator
 from cpseq.sequences import Pulse, PulseSequence, synthesize
 from cpseq.su2 import (
     _bloch,
-    _fold,
+    _frame_average,
     _half_angle,
     _hamilton,
     _matrix,
     _product,
     _quaternion,
+    _shares,
     eig_unitary,
     is_unitary,
     rotation_generator,
@@ -229,13 +231,47 @@ def test_product_accepts_a_generator_of_batched_factors():
         assert full[index].tolist() == list(_product(column))
 
 
+def adjoint(U) -> np.ndarray:
+    """O[mu, rho] of U^dag sigma_mu U = sum_rho O[mu, rho] sigma_rho, from the matrix U."""
+    return np.array([[np.trace(U.conj().T @ PAULIS[mu] @ U @ PAULIS[rho]).real / 2 for rho in range(3)]
+                     for mu in range(3)])
+
+
 def test_frames_are_the_products_before_each_factor():
+    # one walk: the share A(m_i) O(V_{i-1}) of each pulse, V_{i-1} the product
+    # of the pulses before it, and the last frame, the whole product
     rng = np.random.default_rng(15)
     ms = rng.normal(size=(6, 3))
-    V = list(_fold(zip(*_quaternion(*planes(ms)))))
-    assert len(V) == 7 and V[0] == (1.0, 0.0, 0.0, 0.0)
-    for i in range(1, 7):
-        assert frob(_matrix(*V[i]), ref.product(ms[:i])) < 1e-14
+    shares, product = _shares([tuple(m) for m in ms.tolist()])
+    assert len(shares) == 6 and frob(_matrix(*product), ref.product(ms)) < 1e-14
+    nodes, weights = np.polynomial.legendre.leggauss(40)  # A(m) = integral_0^1 O(R(x m)) dx
+    for i, (m, share) in enumerate(zip(ms, shares)):
+        A = sum(w / 2 * adjoint(ref.rotation((x + 1) / 2 * m)) for x, w in zip(nodes, weights))
+        assert np.abs(np.reshape(share, (3, 3)) - A @ adjoint(ref.product(ms[:i]))).max() < 1e-14
+
+
+def hexes(floats) -> list:
+    """Each float's bits, the sign of a zero included."""
+    return [float(x).hex() for x in floats]
+
+
+def test_walk_of_no_pulses_is_the_identity():
+    assert _shares([]) == ((), (1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [(0.7, -1.2, 0.4), (-0.0, 0.0, 0.0)], ids=["one-pulse", "zero-angle"])
+def test_walk_of_one_pulse_is_its_rotation_and_its_frame_average(m):
+    shares, product = _shares([m])
+    assert hexes(product) == hexes(_quaternion(*m))
+    assert shares == (_frame_average(*m),)  # A(m) O(V_0), O(V_0) = I
+
+
+def test_zero_angle_pulse_with_cos_phi_below_zero_keeps_its_signed_zeros():
+    # theta = 0 at cos phi < 0 makes the x component -0.0; the walk starts its
+    # frame from q_0 itself, as _product does, so that zero keeps its sign
+    seq = PulseSequence("custom", (Pulse(0.0, 2.5), Pulse(1.0, 0.4), Pulse(0.0, 3.5)), (1.0, 0.0, 0.0, 0.0))
+    assert math.copysign(1.0, _quaternion(*seq._vectors[0])[1]) == -1.0
+    assert hexes(seq._product) == hexes(_product(_quaternion(*m) for m in seq._vectors))
 
 
 def test_compose_broadcasts_batch_axes():
