@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .error_model import _UNITS, _generators
 from .sequences import PulseSequence, _Record
-from .su2 import _eig, _half_angle, _lib, _product, _wrap
+from .su2 import _eig, _half_angle, _hamilton, _lib, _wrap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,17 +104,16 @@ def _products(terms, eps, eps_prime) -> tuple:
     r = lib.sqrt(stretch * stretch + eps_prime * eps_prime)
     length = r + (r == 0.0)  # length 1 stands in for a zero axis, as in su2._quaternion
     rotations = {}
-
-    def factor(term):
-        theta, cos_phi, sin_phi = term
+    product = None  # folded as su2._product does: from the first factor, the identity for none
+    for theta, cos_phi, sin_phi in terms:
         rotation = rotations.get(theta)
         if rotation is None:
-            cos_half, scale = _half_angle(theta * r, length)
+            cos_half, scale = _half_angle(theta * r, length, lib)
             rotation = rotations[theta] = (cos_half, scale, eps_prime * scale)
         cos_half, scale, z = rotation
-        return cos_half, (stretch * cos_phi) * scale, (stretch * sin_phi) * scale, z
-
-    return _product(map(factor, terms))
+        q = cos_half, (stretch * cos_phi) * scale, (stretch * sin_phi) * scale, z
+        product = q if product is None else _hamilton(q, product)
+    return product or (1.0, 0.0, 0.0, 0.0)
 
 
 def _infidelities(seq: PulseSequence, eps, eps_prime):

@@ -99,7 +99,12 @@ class ErrorChannel(_Value):
 
     @classmethod
     def combined(cls, epsilon: float, epsilon_prime: float) -> "ErrorChannel":
-        return cls((0.0, 0.0, epsilon_prime), ((epsilon, 0.0, 0.0), (0.0, epsilon, 0.0), (0.0, 0.0, epsilon)))
+        # the float tuples set directly: an analysis call builds its channel here
+        e, p = float(epsilon), float(epsilon_prime)
+        channel = cls.__new__(cls)
+        object.__setattr__(channel, "f_const", (0.0, 0.0, p))
+        object.__setattr__(channel, "f_linear", ((e, 0.0, 0.0), (0.0, e, 0.0), (0.0, 0.0, e)))
+        return channel
 
 
 # The unit channels whose generators every report carries, built once.
@@ -165,7 +170,7 @@ def _generators(seq, channels) -> list:
     gs = []
     for channel in channels:
         terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(seq._vectors, seq._shares)]
-        gs.append((sum(t[0] for t in terms), sum(t[1] for t in terms), sum(t[2] for t in terms)))
+        gs.append(tuple(map(sum, zip(*terms))) or (0, 0, 0))
     return gs
 
 
@@ -228,8 +233,9 @@ def _perturbed_products(vectors, channel: ErrorChannel, strengths=(1.0,)) -> lis
     """Quaternions of the ordered products of R(m_i + s dm_i), one per strength s,
     on floats: dm is linear in the channel, so scaling it scales the channel, and
     each pulse's dm is computed once for all strengths."""
-    pulses = [(m, _deformation(*m, channel)) for m in vectors]
-    return [_product(_quaternion(*(a + s * b for a, b in zip(m, dm))) for m, dm in pulses) for s in strengths]
+    pulses = [(*m, *_deformation(*m, channel)) for m in vectors]
+    return [_product([_quaternion(x + s * a, y + s * b, z + s * c) for x, y, z, a, b, c in pulses])
+            for s in strengths]
 
 
 def perturbed_propagator(seq, channel: ErrorChannel) -> np.ndarray:

@@ -303,7 +303,8 @@ def _scrofulous_excess(theta: float) -> float:
     the same and so is the sign change on the bracket (0, argmin sinc - pi/2),
     but u keeps full relative precision when theta is small (u ~ pi theta^2
     / 16), where t itself would round it away.  Solved by Newton steps,
-    safeguarded by bisection on the bracket.
+    safeguarded by bisection on the bracket; the first step that moves u by
+    at most 2e-16 relative is the root.
     """
     q = math.sin(theta / 4) ** 2
 
@@ -328,10 +329,13 @@ def _scrofulous_excess(theta: float) -> float:
         else:
             hi = u
         slope = (1 - 2 * q) + (math.pi / 2) * math.sin(u)
-        nxt = u - gu / slope if slope else lo
+        nxt = u - gu / slope if slope else (lo + hi) / 2
+        # first: u is now a bracket end, so a converged step would fail the bracket test
+        if abs(nxt - u) <= 2e-16 * abs(nxt):
+            return nxt
         if not lo < nxt < hi:
             nxt = (lo + hi) / 2
-        if abs(nxt - u) <= 2e-16 * abs(nxt) or nxt in (lo, hi):
+        if nxt in (lo, hi):
             return nxt
         u = nxt
     return u

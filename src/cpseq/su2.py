@@ -21,9 +21,12 @@ routing the grid through ``_overlap`` cost 3-50% of grid time.  These
 kernels take their components as Python floats or as numpy arrays of any
 broadcast batch shape, alike: on floats they use :mod:`math`, so a single
 sequence is handled without numpy.
-:func:`_matrix` turns quaternion planes into 2x2 matrices.  numpy is
-imported only by the functions that take or return arrays, the three public
-ones among them: ``rotation_generator``, ``is_unitary`` and ``eig_unitary``.
+:func:`_matrix` turns quaternion planes into 2x2 matrices: Python float
+components into one matrix, from four Python complex entries in one
+``np.array`` call, and array planes into a batch, with the same bits either
+way.  numpy is imported only by the functions that take or return arrays,
+the three public ones among them: ``rotation_generator``, ``is_unitary``
+and ``eig_unitary``.
 
 :func:`_frame_average` gives the error model's toggling-frame averages;
 :func:`_shares`, one walk over a sequence's pulses, gives their first-order
@@ -63,6 +66,8 @@ def is_unitary(U: np.ndarray) -> bool:
 
 def _components(q) -> list:
     """The planes of a quaternion or vector array, unpacked from its last axis; floats for one."""
+    if type(q) is tuple and all(type(c) is float for c in q):  # already one, as the error model gives it
+        return q
     import numpy as np
     q = np.asarray(q, dtype=float)
     return q.tolist() if q.ndim == 1 else [q[..., k] for k in range(q.shape[-1])]
@@ -90,29 +95,37 @@ def _product(factors):
     return acc
 
 
-def _half_angle(angle, length):
+def _half_angle(angle, length, lib=None):
     """(cos(angle/2), sin(angle/2)/length), floats or arrays alike: the rotation by
     ``angle`` about an axis v of norm ``length`` is the unit quaternion
-    (cos(angle/2), v sin(angle/2)/length).  ``length`` must be nonzero."""
-    lib = _lib(angle)
+    (cos(angle/2), v sin(angle/2)/length).  ``length`` must be nonzero; ``lib``
+    is ``_lib(angle)``, passed by a caller that has it."""
+    lib = lib or _lib(angle)
     half = angle / 2
     return lib.cos(half), lib.sin(half) / length
 
 
 def _quaternion(x, y, z):
     """(w, x, y, z) of R(m) for m = (x, y, z), floats or arrays alike."""
-    angle = _lib(x).sqrt(x * x + y * y + z * z)
-    w, scale = _half_angle(angle, angle + (angle == 0.0))  # length 1 stands in for a zero axis
+    lib = _lib(x)
+    angle = lib.sqrt(x * x + y * y + z * z)
+    w, scale = _half_angle(angle, angle + (angle == 0.0), lib)  # length 1 stands in for a zero axis
     return w, x * scale, y * scale, z * scale
 
 
-def _matrix(w, x, y, z) -> np.ndarray:
-    """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast quaternion planes."""
+def _matrix(w, x, y, z, *, scale=None) -> np.ndarray:
+    """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast planes, times ``scale`` if given.  On
+    Python floats (as :func:`_lib` tells them) the four entries are Python complex numbers put in place
+    by one ``np.array`` call: Python's complex arithmetic is numpy's, so both paths give the same bits."""
     import numpy as np
+    entries = w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z
+    if _lib(x) is math:
+        a, b, c, d = entries if scale is None else [scale * e for e in entries]
+        return np.array(((a, b), (c, d)))
     # one empty array and four slice writes: no numpy scalar, no broadcast copies
-    a = np.empty(np.broadcast(w, x, y, z).shape + (2, 2), complex)
-    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z
-    return a
+    m = np.empty(np.broadcast(w, x, y, z).shape + (2, 2), complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = entries
+    return m if scale is None else scale * m
 
 
 def _bloch(w, x, y, z):
@@ -171,13 +184,13 @@ def rotation_generator(m) -> np.ndarray:
 
     A batch of vectors (..., 3) gives a batch of generators (..., 2, 2).
     """
-    return 0.5j * _matrix(0.0, *_components(m))
+    return _matrix(0.0, *_components(m), scale=0.5j)
 
 
 def _wrap(phase: float) -> float:
-    """Reduce an angle mod 2*pi into (-pi, pi], exactly."""
+    """Reduce an angle mod 2*pi into (-pi, pi], exactly; a zero phase is +0.0."""
     r = math.remainder(phase, 2 * math.pi)
-    return math.pi if r == -math.pi else r
+    return math.pi if r == -math.pi else r + 0.0  # -0.0 + 0.0 is +0.0; any other r is kept
 
 
 def _eig(gamma, w, x1, x2, x3) -> list:

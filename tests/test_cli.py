@@ -625,6 +625,15 @@ def test_phase_plain_pulse(runner):
     assert np.allclose(dyn, [-np.pi / 2, np.pi / 2], atol=1e-10)
 
 
+@pytest.mark.parametrize("family", ["plain", "corpse"])
+def test_phase_of_an_identity_product_prints_no_negative_zero(runner, family):
+    # theta = 0: both products are +I, the zero generator's dynamical phase is +0
+    result = invoke(runner, ["phase", "--family", family, "--theta", "0"])
+    state = '    {\n      "total": 0,\n      "dynamical": 0,\n      "geometric": 0\n    }'
+    assert result.exit_code == 0 and result.stdout == (
+        f'{{\n  "family": "{family}",\n  "degenerate": true,\n  "states": [\n{state},\n{state}\n  ]\n}}\n')
+
+
 # ---------------------------------------------------------------- scaling
 
 def test_scaling_plain_slope_two(runner):

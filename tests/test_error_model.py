@@ -8,14 +8,18 @@ from cpseq.analysis import landscape, phase_decomposition
 from cpseq.cli import main
 from cpseq.error_model import (
     ErrorChannel,
+    _deformation,
+    _generators,
     _norm,
+    _perturbed_products,
+    _transposed,
     error_moment_integrals,
     finite_difference_generator,
     first_order_error,
     perturbed_propagator,
 )
 from cpseq.sequences import _REGISTRY, Pulse, PulseSequence, synthesize
-from cpseq.su2 import rotation_generator
+from cpseq.su2 import _product, _quaternion, rotation_generator
 
 from conftest import CliRunner, averaged_generator, frob, pulse_generator, random_xy_vector, theta_for
 from loop_reference import (SX, SY, SZ, fidelity, interaction_quadrature, product_error_split, rotation,
@@ -39,6 +43,29 @@ def test_channel_shape_check():
     assert ch.f_const == (0.0, 0.0, 0.0) and ch.f_linear == ((0.1, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.1))
     assert {type(v) for v in (*ch.f_const, *sum(ch.f_linear, ()))} == {float}
     assert ch == ErrorChannel.pulse_length(0.1)
+
+
+@pytest.mark.parametrize("eps,eps_prime", [(0.1, -0.2), (-0.0, 0.0), (1, 2), (np.float64(3e-300), np.int64(-7)),
+                                           ("0.5", True)])
+def test_channel_constructors_are_the_general_channel(eps, eps_prime):
+    def general(e, p):  # (p e_z, e I) with exact zeros elsewhere, signed zeros kept
+        return ErrorChannel((0.0, 0.0, p), ((e, 0.0, 0.0), (0.0, e, 0.0), (0.0, 0.0, e)))
+
+    for ch, want in ((ErrorChannel.pulse_length(eps), general(eps, 0.0)),
+                     (ErrorChannel.off_resonance(eps_prime), general(0.0, eps_prime)),
+                     (ErrorChannel.combined(eps, eps_prime), general(eps, eps_prime))):
+        assert ch == want and hash(ch) == hash(want)
+        assert repr((ch.f_const, ch.f_linear)) == repr((want.f_const, want.f_linear))
+
+
+@pytest.mark.parametrize("value", ["x", None, [0.1], 1j, object()])
+def test_channel_constructors_refuse_what_float_refuses(value):
+    with pytest.raises((TypeError, ValueError)) as refusal:
+        float(value)
+    for make in (ErrorChannel.pulse_length, ErrorChannel.off_resonance, lambda v: ErrorChannel.combined(v, 0.0),
+                 lambda v: ErrorChannel.combined(0.0, v), lambda v: ErrorChannel(f_const=(0.0, 0.0, v))):
+        with pytest.raises(refusal.type):
+            make(value)
 
 
 # ------------------------------------------------- per-pulse generator dm
@@ -328,6 +355,34 @@ def test_perturbed_vector_general_linear():
     seq = PulseSequence("custom", (Pulse(math.sqrt(5), math.atan2(2, 1)),), (1, 0, 0, 0))
     ch = ErrorChannel([0.1, 0, 0], 0.05 * np.eye(3))
     assert frob(perturbed_propagator(seq, ch), rotation([1.05 + 0.1 * np.sqrt(5), 2.1, 0.0])) < 1e-14
+
+
+def general_channels(rng):
+    return [ErrorChannel(rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, 3))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("family", list(_REGISTRY))
+def test_perturbed_products_are_the_product_of_each_deformed_pulse(family):
+    # bit for bit: the same floats as the plain per-component form
+    rng = np.random.default_rng(71)
+    seq = synthesize(family, theta_for(family, 1.3), 0.4)
+    strengths = (1.0, 1e-5, -1e-5, -0.0)
+    for ch in general_channels(rng):
+        want = [_product([_quaternion(*(a + s * b for a, b in zip(m, _deformation(*m, ch)))) for m in seq._vectors])
+                for s in strengths]
+        assert repr(_perturbed_products(seq._vectors, ch, strengths)) == repr(want)
+
+
+@pytest.mark.parametrize("family", [*_REGISTRY, "empty"])
+def test_generators_are_the_per_component_sums(family):
+    rng = np.random.default_rng(72)
+    seq = (PulseSequence("custom", (), (1, 0, 0, 0)) if family == "empty"
+           else synthesize(family, theta_for(family, 1.3), 0.4))
+    channels = [ErrorChannel.pulse_length(1.0), ErrorChannel.off_resonance(1.0), *general_channels(rng)]
+    for ch, got in zip(channels, _generators(seq, channels)):
+        terms = [_transposed(s, _deformation(*m, ch)) for m, s in zip(seq._vectors, seq._shares)]
+        want = tuple(sum(t[k] for t in terms) for k in range(3))
+        assert repr(got) == repr(want)
 
 
 # ------------------------------------------------------ finite differences

@@ -14,12 +14,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpseq.analysis import AXES, _DIRECTIONS, _infidelities, infidelity_scaling
 from cpseq.sequences import _REGISTRY, synthesize
-from cpseq.su2 import _bloch, _frame_average, _half_angle, _product, _quaternion
+from cpseq.su2 import _bloch, _frame_average, _half_angle, _matrix, _product, _quaternion, rotation_generator
 
 from conftest import theta_for
 
@@ -79,3 +79,19 @@ def test_scaling_ladder_cells_are_the_array_infidelities(ulps, family, theta, ph
     de, dp = _DIRECTIONS[axis]
     grid = _infidelities(seq, de * fit.strengths[:, None], dp * fit.strengths[:, None])
     assert ulp_gap(fit.infidelities, grid) <= ulps
+
+
+# complex entries up to about 1e154, where the squares of a rotation vector overflow
+entries = st.floats(-2e154, 2e154)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(*[entries] * 4))
+@example((0.0, -0.0, 0.0, -0.0))
+@example((-0.0, 0.0, -0.0, 0.0))
+@example((1e154, -1e154, 3e153, -0.0))
+def test_matrix_and_rotation_generator_of_floats_have_the_array_bits(q):
+    # no elementary function here: Python's complex arithmetic and numpy's give the same bits everywhere
+    one = [np.array([c]) for c in q]
+    assert _matrix(*q).tobytes() == _matrix(*one)[0].tobytes()
+    assert rotation_generator(q[1:]).tobytes() == rotation_generator(np.array([q[1:]]))[0].tobytes()

@@ -1,4 +1,5 @@
 import inspect
+import math
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from cpseq.sequences import (
     _Record,
     _Value,
     _reduce,
+    _scrofulous_excess,
     sequence_from_dict,
     sequence_to_dict,
     synthesize,
@@ -343,6 +345,23 @@ def test_scrofulous_refuses_just_above_domain_edge():
     for theta in (SCROFULOUS_EDGE + 1e-9, SCROFULOUS_EDGE + 1e-6, 3.85):
         with pytest.raises(SynthesisError, match="has no root"):
             synthesize("scrofulous", theta, 0.3)
+
+
+def test_scrofulous_excess_is_the_50_digit_root():
+    # the bound is measured: at most 4.25 ulp over this grid, from the rounding of q = sin(theta/4)^2
+    mpmath = pytest.importorskip("mpmath")
+    for theta in [1e-8, 1e-4, 1e-3, *np.linspace(0.01, 3.83, 500).tolist()]:
+        u = _scrofulous_excess(theta)
+        with mpmath.workdps(50):
+            q = mpmath.sin(mpmath.mpf(theta) / 4) ** 2
+            root = mpmath.findroot(lambda v: v * (1 - 2 * q) - mpmath.pi * (q - mpmath.sin(v / 2) ** 2), u)
+            assert abs(mpmath.mpf(u) - root) <= 5 * math.ulp(u), theta
+
+
+def test_scrofulous_excess_returns_its_converged_newton_iterate():
+    # Newton reaches this root at step 3, 0.59 ulp from the 50-digit root; bisecting on
+    # from the bracket end 0 instead returned 1.4350195221696027, 3.59 ulp off
+    assert _scrofulous_excess(3.0) == 1.4350195221696034
 
 
 # --------------------------------------------------------------- cis-cccp

@@ -314,6 +314,13 @@ def test_rotation_generator_of_each_input_form(form):
         assert np.array_equal(G[index], rotation_generator(tuple(np.asarray(m)[index].tolist())))
 
 
+@pytest.mark.parametrize("m", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros(2), np.zeros((4, 4))],
+                         ids=["pair", "four", "1-d-pair", "k-batch-of-four"])
+def test_rotation_generator_refuses_vectors_of_other_than_three_components(m):
+    with pytest.raises(TypeError):
+        rotation_generator(m)
+
+
 @pytest.mark.parametrize("form", ["float-triple", "k-batch", "k-m-batch"])
 def test_matrix_of_quaternion_planes_is_each_float_quaternion_matrix(form):
     q = _quaternion(*planes(FORMS[form]))
