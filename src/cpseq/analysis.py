@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .error_model import _UNITS, _generators
 from .sequences import PulseSequence, _Record
-from .su2 import _eig, _half_angle, _hamilton, _lib, _wrap
+from .su2 import _eig, _half_angle, _hamilton, _wrap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,10 +85,11 @@ def fidelity_under_error(seq: PulseSequence, eps: float, eps_prime: float) -> fl
     return min(abs(seq._overlap(_products(seq._terms, float(eps), float(eps_prime)))[0]), 1.0)
 
 
-def _products(terms, eps, eps_prime) -> tuple:
+def _products(terms, eps, eps_prime, lib=math) -> tuple:
     """Quaternion (w, x, y, z) of the product of pulses given by their
     ``PulseSequence._terms``, deformed by combined errors, elementwise over the
-    broadcast strengths: Python floats for one cell, arrays for a grid.
+    broadcast strengths: Python floats for one cell, arrays for a grid, whose
+    caller passes numpy as ``lib``.
 
     The deformed pulse k is theta_k ((1 + eps) cos phi_k, (1 + eps) sin phi_k, eps'),
     a rotation by theta_k r about an axis of norm r = sqrt((1 + eps)^2 + eps'^2),
@@ -100,7 +101,6 @@ def _products(terms, eps, eps_prime) -> tuple:
     at a time, so memory is a few arrays the size of the strengths per
     distinct angle, and any block of cells is bitwise what a larger grid gives."""
     stretch = 1.0 + eps
-    lib = _lib(stretch)
     r = lib.sqrt(stretch * stretch + eps_prime * eps_prime)
     length = r + (r == 0.0)  # length 1 stands in for a zero axis, as in su2._quaternion
     rotations = {}
@@ -116,10 +116,10 @@ def _products(terms, eps, eps_prime) -> tuple:
     return product or (1.0, 0.0, 0.0, 0.0)
 
 
-def _infidelities(seq: PulseSequence, eps, eps_prime):
+def _infidelities(seq: PulseSequence, eps, eps_prime, lib=math):
     """1 - F under combined errors without cancellation, floats or arrays alike:
     with T^dag U = (w, v), 1 - F = 1 - |w| = |v|^2 / (1 + |w|)."""
-    w, x, y, z = seq._overlap(_products(seq._terms, eps, eps_prime))
+    w, x, y, z = seq._overlap(_products(seq._terms, eps, eps_prime, lib))
     return (x * x + y * y + z * z) / (1 + abs(w))
 
 
@@ -166,7 +166,7 @@ def landscape(seq: PulseSequence,
         # errstate is per thread, so it is set where the cells are computed;
         # overflowing cells come out non-finite and are refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            uw, ux, uy, uz = _products(seq._terms, eps[lo:hi, None], eps_prime[None, :])
+            uw, ux, uy, uz = _products(seq._terms, eps[lo:hi, None], eps_prime[None, :], np)
             # the first component of PulseSequence._overlap, with the same bits
             np.minimum(np.abs(tw * uw + tx * ux + ty * uy + tz * uz), 1.0, out=F[lo:hi])
 

@@ -48,7 +48,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .sequences import ROBUST_TOL, _Record, _Value
-from .su2 import _hamilton, _lib, _matrix, _product, _quaternion, rotation_generator
+from .su2 import _hamilton, _matrix, _product, _quaternion, rotation_generator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -148,11 +148,11 @@ class MomentIntegrals(_Record):
     __slots__ = ("first_moment", "second_moment")
 
 
-def _deformation(x, y, z, channel: ErrorChannel) -> tuple:
+def _deformation(x, y, z, channel: ErrorChannel, lib=math) -> tuple:
     """The channel's deformation dm = |m| f + F m of m = (x, y, z), floats or
     arrays alike; the products are written out."""
     (f0, f1, f2), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = channel.f_const, channel.f_linear
-    angle = _lib(x).sqrt(x * x + y * y + z * z)
+    angle = lib.sqrt(x * x + y * y + z * z)
     return (angle * f0 + a0 * x + a1 * y + a2 * z, angle * f1 + b0 * x + b1 * y + b2 * z,
             angle * f2 + c0 * x + c1 * y + c2 * z)
 
@@ -163,13 +163,13 @@ def _transposed(s, d) -> tuple:
     return a * s[0] + b * s[3] + c * s[6], a * s[1] + b * s[4] + c * s[7], a * s[2] + b * s[5] + c * s[8]
 
 
-def _generators(seq, channels) -> list:
+def _generators(seq, channels, lib=math) -> list:
     """Accumulated generator vectors sum_i O(V_{i-1})^T A(m_i)^T dm_i of a
     :class:`PulseSequence`, one triple per channel, each component summed
     over the pulses in order; an empty sequence gives zeros, the identity's."""
     gs = []
     for channel in channels:
-        terms = [_transposed(s, _deformation(*m, channel)) for m, s in zip(seq._vectors, seq._shares)]
+        terms = [_transposed(s, _deformation(*m, channel, lib)) for m, s in zip(seq._vectors, seq._shares)]
         gs.append(tuple(map(sum, zip(*terms))) or (0, 0, 0))
     return gs
 
@@ -229,12 +229,12 @@ def error_moment_integrals(seq) -> MomentIntegrals:
     return MomentIntegrals(first_moment=first, second_moment=second)
 
 
-def _perturbed_products(vectors, channel: ErrorChannel, strengths=(1.0,)) -> list:
-    """Quaternions of the ordered products of R(m_i + s dm_i), one per strength s,
-    on floats: dm is linear in the channel, so scaling it scales the channel, and
-    each pulse's dm is computed once for all strengths."""
-    pulses = [(*m, *_deformation(*m, channel)) for m in vectors]
-    return [_product([_quaternion(x + s * a, y + s * b, z + s * c) for x, y, z, a, b, c in pulses])
+def _perturbed_products(vectors, channel: ErrorChannel, strengths=(1.0,), lib=math) -> list:
+    """Quaternions of the ordered products of R(m_i + s dm_i), one per strength s:
+    dm is linear in the channel, so scaling it scales the channel, and each
+    pulse's dm is computed once for all strengths."""
+    pulses = [(*m, *_deformation(*m, channel, lib)) for m in vectors]
+    return [_product([_quaternion(x + s * a, y + s * b, z + s * c, lib) for x, y, z, a, b, c in pulses])
             for s in strengths]
 
 

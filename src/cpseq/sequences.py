@@ -128,7 +128,7 @@ class Pulse(_Value):
             raise ValueError(f"pulse angle must be finite, got {theta}")
         if theta < 0:
             raise ValueError(f"pulse angle must be nonnegative, got {theta}")
-        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "theta", float(theta) + 0.0)  # -0.0 passes the check; +0.0 is kept
         object.__setattr__(self, "phi", _azimuth(phi))
 
     @property
@@ -513,14 +513,14 @@ def _reduce(phases) -> tuple[float, float, float]:
         raise ValueError("pulse azimuths too large: the reduced rotation is not finite")
     if len(phases) % 2 == 0:
         return 0.0, 0.0, 2 * big_theta
-    return math.pi * math.cos(azimuth), math.pi * math.sin(azimuth), 0.0
+    return math.pi * math.cos(azimuth), math.pi * math.sin(azimuth) + 0.0, 0.0  # sin(-0.0) is -0.0
 
 
 def sequence_to_dict(seq: PulseSequence) -> dict:
     """Serializable form of a sequence (the JSON wire schema)."""
     doc: dict = {"family": seq.family}
     if seq.theta is not None:
-        doc["target"] = {"theta": float(seq.theta), "phi": float(seq.phi or 0.0)}
+        doc["target"] = {"theta": float(seq.theta) + 0.0, "phi": float(seq.phi or 0.0)}
     if seq.winding is not None:
         doc["winding"] = [int(n) for n in seq.winding]
     doc["pulses"] = [{"theta": p.theta, "phi": p.phi} for p in seq.pulses]

@@ -19,8 +19,10 @@ quaternion T^dag U.  Only the w component of that overlap is written out,
 in ``analysis.landscape``, with the same operations in the same order:
 routing the grid through ``_overlap`` cost 3-50% of grid time.  These
 kernels take their components as Python floats or as numpy arrays of any
-broadcast batch shape, alike: on floats they use :mod:`math`, so a single
-sequence is handled without numpy.
+broadcast batch shape, alike.  The ones that need elementary functions take
+them from the caller as a module, ``lib``: :mod:`math` by default, so a
+single sequence is handled without numpy, numpy for a grid, and any module
+of the same names (mpmath, in the tests) for its own number type.
 :func:`_matrix` turns quaternion planes into 2x2 matrices: Python float
 components into one matrix, from four Python complex entries in one
 ``np.array`` call, and array planes into a batch, with the same bits either
@@ -37,7 +39,6 @@ built.  All functions here are pure.
 from __future__ import annotations
 
 import cmath
-import importlib
 import math
 from typing import TYPE_CHECKING
 
@@ -49,11 +50,6 @@ __all__ = [
     "eig_unitary",
     "is_unitary",
 ]
-
-
-def _lib(x):
-    """The elementary functions for a kernel input: math for a Python float, numpy for an array."""
-    return math if isinstance(x, (float, int)) else importlib.import_module("numpy")
 
 
 def is_unitary(U: np.ndarray) -> bool:
@@ -95,19 +91,17 @@ def _product(factors):
     return acc
 
 
-def _half_angle(angle, length, lib=None):
+def _half_angle(angle, length, lib):
     """(cos(angle/2), sin(angle/2)/length), floats or arrays alike: the rotation by
     ``angle`` about an axis v of norm ``length`` is the unit quaternion
     (cos(angle/2), v sin(angle/2)/length).  ``length`` must be nonzero; ``lib``
-    is ``_lib(angle)``, passed by a caller that has it."""
-    lib = lib or _lib(angle)
+    is the caller's module of elementary functions for the angle's number type."""
     half = angle / 2
     return lib.cos(half), lib.sin(half) / length
 
 
-def _quaternion(x, y, z):
+def _quaternion(x, y, z, lib=math):
     """(w, x, y, z) of R(m) for m = (x, y, z), floats or arrays alike."""
-    lib = _lib(x)
     angle = lib.sqrt(x * x + y * y + z * z)
     w, scale = _half_angle(angle, angle + (angle == 0.0), lib)  # length 1 stands in for a zero axis
     return w, x * scale, y * scale, z * scale
@@ -115,11 +109,12 @@ def _quaternion(x, y, z):
 
 def _matrix(w, x, y, z, *, scale=None) -> np.ndarray:
     """The 2x2 matrices w I - i (x, y, z) . sigma of broadcast planes, times ``scale`` if given.  On
-    Python floats (as :func:`_lib` tells them) the four entries are Python complex numbers put in place
-    by one ``np.array`` call: Python's complex arithmetic is numpy's, so both paths give the same bits."""
+    Python floats the four entries are Python complex numbers put in place by one ``np.array`` call:
+    Python's complex arithmetic is numpy's, so both paths give the same bits.  This is the output
+    boundary, so it tells the two apart itself and takes no ``lib``."""
     import numpy as np
     entries = w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z
-    if _lib(x) is math:
+    if isinstance(x, float):
         a, b, c, d = entries if scale is None else [scale * e for e in entries]
         return np.array(((a, b), (c, d)))
     # one empty array and four slice writes: no numpy scalar, no broadcast copies
@@ -136,10 +131,9 @@ def _bloch(w, x, y, z):
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
 
 
-def _frame_average(x, y, z) -> tuple:
+def _frame_average(x, y, z, lib=math) -> tuple:
     """A(m) = integral_0^1 O(R(x m)) dx for m = (x, y, z) in closed form (see
     ``error_model``), A(0) = I: nine row-major entries, floats or arrays alike."""
-    lib = _lib(x)
     angle = lib.sqrt(x * x + y * y + z * z)
     zero = angle == 0.0
     safe = angle + zero  # 1 where the angle is 0
@@ -152,7 +146,7 @@ def _frame_average(x, y, z) -> tuple:
             c * nx * nz - k * ny, c * ny * nz + k * nx, c * nz * nz + sinc)
 
 
-def _shares(vectors) -> tuple:
+def _shares(vectors, lib=math) -> tuple:
     """One walk over a sequence's pulses m_i: (shares, product), the share
     A(m_i) O(V_{i-1}) of each pulse, V_{i-1} the frame before it, as nine
     row-major floats (the 3x3 product written out), and the last frame, the
@@ -160,8 +154,8 @@ def _shares(vectors) -> tuple:
     shares = []
     frame = (1.0, 0.0, 0.0, 0.0)
     for i, m in enumerate(vectors):
-        q = _quaternion(*m)
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _frame_average(*m)
+        q = _quaternion(*m, lib)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _frame_average(*m, lib)
         o0, o1, o2, o3, o4, o5, o6, o7, o8 = _bloch(*frame)
         shares.append((
             a0 * o0 + a1 * o3 + a2 * o6, a0 * o1 + a1 * o4 + a2 * o7, a0 * o2 + a1 * o5 + a2 * o8,

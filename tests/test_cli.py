@@ -215,6 +215,16 @@ def test_synth_plain_identity(runner):
     assert doc["pulses"] == [{"theta": 0, "phi": 0}]
 
 
+@pytest.mark.parametrize("family", ["plain", "corpse"])
+def test_synth_of_a_negative_zero_theta_prints_the_bytes_of_zero(runner, family):
+    # theta = -0.0 passes the nonnegative check; the pulse and the target keep it as +0.0
+    result = invoke(runner, ["synth", "--family", family, "--theta", "-0"])
+    assert result.exit_code == 0
+    assert result.stdout == invoke(runner, ["synth", "--family", family, "--theta", "0"]).stdout
+    assert result.stdout.startswith(
+        f'{{\n  "family": "{family}",\n  "target": {{\n    "theta": 0,\n    "phi": 0\n  }},\n')
+
+
 def test_synth_corpse_angles(runner):
     result = invoke(runner, ["synth", "--family", "corpse", "--theta", "pi",
                              "--winding", "1,2,1"])
@@ -680,6 +690,14 @@ def test_reduce_azimuth_rounding_to_two_pi_prints_zero(runner, text):
     assert doc["kind"] == "pi-pulse" and doc["phi"] == 0.0
 
 
+def test_reduce_of_a_negative_zero_azimuth_prints_no_negative_zero(runner):
+    # sin(-0.0) is -0.0; the vector's y component is written as +0
+    result = invoke(runner, ["reduce", "--phases", "-0"])
+    assert result.exit_code == 0 and result.stdout == (
+        '{\n  "kind": "pi-pulse",\n  "theta": 3.1415926535897931,\n  "phi": 0,\n'
+        '  "vector": [3.1415926535897931, 0, 0]\n}\n')
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 3).flatmap(lambda pairs: st.lists(st.floats(-1e6, 1e6), min_size=2 * pairs + 1,
                                                         max_size=2 * pairs + 1)))
@@ -758,8 +776,8 @@ def test_commands_load_only_what_they_run(args, allowed):
     # that a "from . import" loads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    heavy = {"click", "numpy", "dataclasses", "argparse", "gettext", "locale", "json", "cpseq.error_model",
-             "cpseq.analysis"} - set(allowed)
+    heavy = {"click", "numpy", "mpmath", "dataclasses", "argparse", "gettext", "locale", "json",
+             "cpseq.error_model", "cpseq.analysis"} - set(allowed)
     code = ("import atexit, runpy, sys; "
             f"atexit.register(lambda: print(sorted({sorted(heavy)!r} & sys.modules.keys()), file=sys.stderr)); "
             "runpy.run_module('cpseq.cli', run_name='__main__')")

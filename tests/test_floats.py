@@ -48,8 +48,9 @@ def test_half_angle_and_product_are_one_kernel(ulps, rotations):
     for angle, (x, y, z) in rotations:
         length = math.sqrt(x * x + y * y + z * z)
         angle, length = (angle, length) if length else (0.0, 1.0)  # a zero axis turns by nothing
-        for quaternions, pair in ((floats, (angle, length)), (planes, (np.array([angle]), np.array([length])))):
-            w, scale = _half_angle(*pair)
+        for quaternions, pair, lib in ((floats, (angle, length), math),
+                                       (planes, (np.array([angle]), np.array([length])), np)):
+            w, scale = _half_angle(*pair, lib)
             quaternions.append((w, x * scale, y * scale, z * scale))
         assert ulp_gap(floats[-1], planes[-1]) <= ulps
     assert ulp_gap(_product(floats), _product(planes)) <= ulps
@@ -60,8 +61,8 @@ def test_half_angle_and_product_are_one_kernel(ulps, rotations):
 @given(axes)
 def test_frame_average_and_bloch_rotation_are_one_kernel(ulps, m):
     vector = [np.array([v]) for v in m]
-    assert ulp_gap(_frame_average(*m), _frame_average(*vector)) <= ulps
-    assert ulp_gap(_bloch(*_quaternion(*m)), _bloch(*_quaternion(*vector))) <= ulps
+    assert ulp_gap(_frame_average(*m), _frame_average(*vector, np)) <= ulps
+    assert ulp_gap(_bloch(*_quaternion(*m)), _bloch(*_quaternion(*vector, np))) <= ulps
 
 
 @BOUND
@@ -77,7 +78,7 @@ def test_scaling_ladder_cells_are_the_array_infidelities(ulps, family, theta, ph
         except ValueError:
             return  # no ladder resolves above the precision floor
     de, dp = _DIRECTIONS[axis]
-    grid = _infidelities(seq, de * fit.strengths[:, None], dp * fit.strengths[:, None])
+    grid = _infidelities(seq, de * fit.strengths[:, None], dp * fit.strengths[:, None], np)
     assert ulp_gap(fit.infidelities, grid) <= ulps
 
 

@@ -71,7 +71,7 @@ def test_landscape_cells_are_the_trace_fidelity_bit_for_bit(family):
     # for an SU(2) target |Tr(T^dag U)| / 2 is an exact doubling of the overlap's w
     seq = synthesize(family, theta_for(family, 1.3), 0.4)
     grid = landscape(seq, (-0.3, 0.2), (-0.25, 0.3), resolution=257, threads=2)
-    q = _products(seq._terms, grid.eps_values[:, None], grid.eps_prime_values[None, :])
+    q = _products(seq._terms, grid.eps_values[:, None], grid.eps_prime_values[None, :], np)
     assert np.array_equal(grid.fidelity, ref.trace_fidelity(seq.target, q))
 
 
@@ -196,7 +196,7 @@ def vector_batches(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(vector_batches())
 def test_hamilton_product_is_the_matrix_product(vs):
-    planes = _quaternion(*np.moveaxis(vs, -1, 0))
+    planes = _quaternion(*np.moveaxis(vs, -1, 0), np)
     qs = np.stack(planes, axis=-1)
     assert qs.shape == vs.shape[:-1] + (4,)
     assert np.all(np.abs(np.linalg.norm(qs, axis=-1) - 1) <= 4e-15)

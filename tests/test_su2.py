@@ -34,7 +34,7 @@ def planes(a):
 
 def rotation(m) -> np.ndarray:
     """R(m) for vectors m (..., 3) through the kernel: ``_quaternion``, then ``_matrix``."""
-    return _matrix(*_quaternion(*planes(m)))
+    return _matrix(*_quaternion(*planes(m), np))
 
 
 def test_pauli_generator_definition():
@@ -199,12 +199,12 @@ def test_axis_angle_broadcasts_and_matches_the_loop():
     n = rng.normal(size=(4, 3))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     length = rng.uniform(0.5, 2.0, size=4)
-    w, scale = _half_angle(angle, length)
+    w, scale = _half_angle(angle, length, np)
     q = np.stack(np.broadcast_arrays(w, *(c * scale for c in length * n.T)), axis=-1)
     assert q.shape == (3, 4, 4)
     for i, j in np.ndindex(3, 4):
         assert frob(_matrix(*q[i, j]), ref.rotation(angle[i, 0] * n[j])) < 1e-15
-    assert _half_angle(0.0, 1.0) == (1.0, 0.0)
+    assert _half_angle(0.0, 1.0, math) == (1.0, 0.0)
 
 
 def test_rotation_of_a_batch_matches_the_loop():
@@ -224,7 +224,7 @@ def test_product_accepts_a_generator_of_batched_factors():
     # batched factors fold plane by plane, and bit for bit as each column alone
     rng = np.random.default_rng(14)
     ms = rng.normal(size=(5, 3, 2, 3))
-    factors = np.stack(_quaternion(*planes(ms)), axis=1)
+    factors = np.stack(_quaternion(*planes(ms), np), axis=1)
     full = np.stack(_product(q for q in factors), axis=-1)
     for index in np.ndindex(3, 2):
         column = [q[(slice(None), *index)].tolist() for q in factors]
@@ -276,8 +276,8 @@ def test_zero_angle_pulse_with_cos_phi_below_zero_keeps_its_signed_zeros():
 
 def test_compose_broadcasts_batch_axes():
     rng = np.random.default_rng(16)
-    p = _quaternion(*planes(rng.normal(size=(3, 1, 3))))
-    q = _quaternion(*planes(rng.normal(size=(4, 3))))
+    p = _quaternion(*planes(rng.normal(size=(3, 1, 3))), np)
+    q = _quaternion(*planes(rng.normal(size=(4, 3))), np)
     pq = np.stack(np.broadcast_arrays(*_hamilton(p, q)), axis=-1)
     assert pq.shape == (3, 4, 4)
     assert frob(_matrix(*pq[2, 1]), _matrix(*(c[2, 0] for c in p)) @ _matrix(*(c[1] for c in q))) < 1e-14
@@ -323,7 +323,7 @@ def test_rotation_generator_refuses_vectors_of_other_than_three_components(m):
 
 @pytest.mark.parametrize("form", ["float-triple", "k-batch", "k-m-batch"])
 def test_matrix_of_quaternion_planes_is_each_float_quaternion_matrix(form):
-    q = _quaternion(*planes(FORMS[form]))
+    q = _quaternion(*planes(FORMS[form]), np)
     M = _matrix(*q)
     assert M.dtype == np.complex128 and M.shape == np.shape(FORMS[form])[:-1] + (2, 2)
     for index in np.ndindex(M.shape[:-2]):
