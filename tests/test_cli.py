@@ -770,14 +770,16 @@ def test_landscape_unallocatable_grid_exits_2_with_json(runner, monkeypatch):
     (["reduce", "--phases", "0.1,0.2,0.3"], ()),
     (["synth", "--family", "nope"], ()),
     (["verify", "--family", "cis-cccp", "--theta", "pi"], ("cpseq.error_model",)),
-], ids=["synth", "reduce", "refusal", "verify"])
+    (["phase", "--family", "corpse", "--theta", "1"], ("cpseq.error_model", "cpseq.analysis")),
+    (["scaling", "--family", "bb1", "--theta", "1"], ("cpseq.error_model", "cpseq.analysis")),
+], ids=["synth", "reduce", "refusal", "verify", "phase", "scaling"])
 def test_commands_load_only_what_they_run(args, allowed):
     # sys.modules, not -X importtime: importtime does not list submodules
     # that a "from . import" loads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     heavy = {"click", "numpy", "mpmath", "dataclasses", "argparse", "gettext", "locale", "json",
-             "cpseq.error_model", "cpseq.analysis"} - set(allowed)
+             "cpseq.error_model", "cpseq.analysis", "cpseq._digits"} - set(allowed)
     code = ("import atexit, runpy, sys; "
             f"atexit.register(lambda: print(sorted({sorted(heavy)!r} & sys.modules.keys()), file=sys.stderr)); "
             "runpy.run_module('cpseq.cli', run_name='__main__')")

@@ -1,4 +1,9 @@
-"""The one-pass renderers against the per-cell reference, byte for byte."""
+"""The one-pass renderers against the per-cell reference, byte for byte,
+and the vectorised digit kernel against ``format(x, ".17g")``, value by value."""
+
+import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import render_reference as ref
+from cpseq import _digits, ioutil
 from cpseq.analysis import LandscapeGrid, landscape, landscape_csv
 from cpseq.ioutil import dumps
 from cpseq.sequences import _REGISTRY, synthesize
@@ -60,6 +66,27 @@ def test_float_arrays_render_as_reference(a):
     scalars = [list(row) for row in a] if a.ndim == 2 else list(a)
     for doc in (a, a.tolist(), scalars, {"a": a}):
         assert_same_text(dumps(doc), ref.dumps(doc))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(float_arrays)
+def test_float_arrays_render_as_reference_through_the_kernel(a):
+    # the same documents with every float row, however short, sent through the kernel
+    scalars = [list(row) for row in a] if a.ndim == 2 else list(a)
+    with mock.patch.object(ioutil, "_VECTOR_MIN", 1):
+        for doc in (a, a.tolist(), scalars, {"a": a}):
+            assert_same_text(dumps(doc), ref.dumps(doc))
+
+
+@pytest.mark.parametrize("size", [ioutil._VECTOR_MIN - 1, ioutil._VECTOR_MIN, ioutil._VECTOR_MIN + 1])
+def test_rows_reach_the_kernel_from_the_minimum_length(size):
+    values = list(np.linspace(0.1, 0.9, size))
+    half = size // 2
+    for doc in (values, np.array(values), [values[:half], values[half:2 * half]]):
+        with mock.patch.object(_digits, "fields", wraps=_digits.fields) as spy:
+            text = dumps(doc)
+        assert spy.called == (np.size(doc) >= ioutil._VECTOR_MIN), np.size(doc)
+        assert_same_text(text, ref.dumps(doc))
 
 
 @st.composite
@@ -116,3 +143,76 @@ def test_landscape_csv_refuses_non_finite_cells():
 def test_dumps_refuses_non_finite_floats_in_rows(doc):
     with pytest.raises(ValueError, match="non-finite"):
         dumps(doc)
+    # the kernel's refusal names the same value as the per-value path's
+    with pytest.raises(ValueError) as per_value:
+        dumps({"x": doc["x"].tolist()} if isinstance(doc["x"], np.ndarray) else doc)
+    with mock.patch.object(ioutil, "_VECTOR_MIN", 1), pytest.raises(ValueError) as kernel:
+        dumps(doc)
+    assert str(kernel.value) == str(per_value.value)
+
+
+def kernel_text(values) -> list:
+    """Each value as :func:`_digits.fields` writes it, in blocks of 2^16."""
+    text = []
+    for lo in range(0, values.size, 1 << 16):
+        cols = _digits.fields(values[lo:lo + (1 << 16)])
+        layout = np.empty((cols.shape[1], cols.shape[0] + 1), np.uint8)
+        layout[:, :-1] = cols.T
+        layout[:, -1] = ord("\n")
+        text += _digits.text(layout).split("\n")[:-1]
+    return text
+
+
+def ties(rng, decade: int, count: int) -> np.ndarray:
+    """Doubles in [10^X, 10^(X+1)), X = ``decade``, that lie exactly halfway between two
+    17-digit decimals: x 10^(16 - X) = o 5^(16 - X) / 2 has a fraction of 1/2 for
+    x = o 2^(X - 17), o odd.  Every one when there are at most ``count``, else a sample."""
+    scale = 2.0 ** (17 - decade)
+    lo, hi = math.ceil(10.0 ** decade * scale) | 1, min(10.0 ** (decade + 1) * scale, 2.0 ** 53)
+    odd = np.arange(lo, hi, 2) if (hi - lo) / 2 <= count else rng.integers(lo // 2, hi // 2, count) * 2 + 1
+    return odd.astype(np.float64) / scale
+
+
+def kernel_case(name: str) -> np.ndarray:
+    """About 10^6 values over the cases below, each from its own seed."""
+    rng = np.random.default_rng(KERNEL_CASES.index(name))
+    if name == "random bits":  # every finite double alike, subnormals included, both signs
+        values = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+        return values[np.isfinite(values)]
+    if name == "fidelity-like":
+        return 1 - rng.random(200_000) ** 4 * 1e-2
+    if name == "decades":  # +-10^U(-5, 17), across both ends of the positional range
+        return rng.choice([-1.0, 1.0], 300_000) * 10.0 ** rng.uniform(-5, 17, 300_000)
+    if name == "powers of ten":  # where log10 rounds across a decade: 1e-5..1e17, +-1..3 ulps
+        up = down = [np.array([float(f"1e{m}") for m in range(-5, 18)])]
+        for _ in range(3):
+            up, down = up + [np.nextafter(up[-1], np.inf)], down + [np.nextafter(down[-1], 0)]
+        values = np.concatenate(up + down[1:])
+        return np.concatenate([values, -values])
+    if name == "ties":
+        values = np.concatenate([ties(rng, decade, 5000) for decade in range(-4, 16)])
+        return np.concatenate([values, -values])
+    return np.array([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+                     sys.float_info.min, 1e-4, 1e16, 0.1, 1.0])
+
+
+KERNEL_CASES = ("random bits", "fidelity-like", "decades", "powers of ten", "ties", "extremes")
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_digit_kernel_writes_each_value_as_format_17g(name):
+    values = kernel_case(name)
+    want = [format(x, ".17g") for x in values.tolist()]
+    got = kernel_text(values)
+    wrong = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, f"{len(wrong)} of {len(want)} differ, e.g. {wrong[:3]}"
+
+
+def test_ties_are_halfway_and_in_their_decade():
+    # the construction of the tie case, checked in exact decimal arithmetic
+    from decimal import Decimal
+    rng = np.random.default_rng(0)
+    for decade in range(-4, 16):
+        for x in ties(rng, decade, 5).tolist():
+            scaled = Decimal(x) * Decimal(10) ** (16 - decade)
+            assert 10 ** 16 <= scaled < 10 ** 17 and scaled % 1 == Decimal("0.5"), (decade, x)

@@ -14,7 +14,9 @@ every registry family at theta in ``THETAS`` (alway-jones at pi) and phi in
 - every ladder point of the three scaling axes (``_products``), relative;
 - the perturbed product under a general (f, F) channel
   (``_perturbed_products``), absolute, scaled by Theta;
-- a sample of landscape cells (``_products``), likewise.
+- a sample of landscape cells (``_products``), likewise;
+- the phases of ``_phases``, against their closed form in the 50-digit
+  product and pulse-length generator, likewise.
 
 The shadow is checked before it is trusted.  Every component must be an
 mpf, and two identities must hold far below a double's rounding: the
@@ -24,8 +26,9 @@ step.  A kernel that calls math instead of its ``lib`` either hands back a
 float or leaves an error near 1e-17 in one of them.  Each bound is the
 worst case measured over these cases, on x86-64 with glibc, times the
 headroom stated beside it.
-``_eig`` and the phases are left out: ``_eig`` calls math and cmath itself
-and takes no ``lib``.
+``_eig`` still calls math and cmath itself and takes no ``lib``, so the
+phases it gives are shadowed through that closed form, not by running it on
+mpmath.
 """
 
 import functools
@@ -36,7 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpseq.analysis import _DIRECTIONS, AXES, DEFAULT_SCALING_LADDER, _infidelities, _products, landscape
+from cpseq.analysis import _DIRECTIONS, AXES, DEFAULT_SCALING_LADDER, _infidelities, _phases, _products, landscape
 from cpseq.error_model import _UNITS, ErrorChannel, _generators, _perturbed_products, error_moment_integrals
 from cpseq.sequences import _REGISTRY, synthesize
 from cpseq.su2 import _hamilton, _shares
@@ -63,6 +66,9 @@ LADDER = 1e-6  # relative; 2.47e-7, bb1 at theta = 1, phi = 0, eps = 1e-3, where
 LADDER_SQRT = 24 * EPS  # x sqrt(1 - F); 5.73, corpse at theta = pi, phi = 0.3 on eps-prime; 4.2x
 PERTURBED = 3 * EPS  # x Theta; 0.68, plain at theta = 0.5; 4.4x
 CELL = 4 * EPS  # x Theta; 1.0, plain at theta = 0.5 at the centre, half an ulp of 1; 4x
+TOTAL_PHASE = 1.5 * EPS  # x Theta; 0.32, plain at theta = pi, phi = 0.3; 4.7x
+DYNAMICAL_PHASE = 3 * EPS  # x Theta; 0.66, corpse at theta = 1, phi = 0.3; 4.6x
+GEOMETRIC_PHASE = 4 * EPS  # x Theta; 0.82, corpse at theta = 1, phi = 0.3; 4.9x
 # The shadow's own identities, far below any double's rounding
 CONTRACTION = 1e-45  # x Theta; 2.3e-51, rounding at 50 digits
 STEP = 1e-20
@@ -200,3 +206,29 @@ def test_landscape_cells_are_their_50_digit_fidelities(family):
             for j in CELLS:
                 exact = abs(overlap_w(shadow, grid.eps_values[i], grid.eps_prime_values[j]))
                 assert gap(grid.fidelity[i, j], [exact]) <= CELL * total, (theta, phi, i, j)
+
+
+def wrapped_gap(double, exact) -> float:
+    """|double - exact| with the difference reduced mod 2 pi into [-pi, pi]."""
+    diff = mpmath.mpf(double) - exact
+    return float(abs(diff - 2 * mpmath.pi * mpmath.nint(diff / (2 * mpmath.pi))))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_phases_are_their_50_digit_closed_form(family):
+    # For the product (w, v), the eigenphases are -+a, a = atan2(|v|, w), and the
+    # state of total -a has Bloch vector +v/|v|; its dynamical phase is -1/2 g . v/|v|
+    # for the pulse-length generator g, and the geometric phase is what remains.
+    for theta, phi in cases(family):
+        seq, shadow, total = case(family, theta, phi)
+        rows, _, degenerate = _phases(seq)
+        assert not degenerate, (theta, phi)
+        w, x, y, z = shadow._product
+        norm = mpmath.sqrt(x * x + y * y + z * z)
+        a = mpmath.atan2(norm, w)
+        g = shadowed(_generators(shadow, (_UNITS["pulse_length"],), mpmath)[0])
+        along = (g[0] * x + g[1] * y + g[2] * z) / norm
+        for (t, d, geometric), sign in zip(rows, (-1, 1)):
+            assert wrapped_gap(t, sign * a) <= TOTAL_PHASE * total, (theta, phi)
+            assert wrapped_gap(d, sign * along / 2) <= DYNAMICAL_PHASE * total, (theta, phi)
+            assert wrapped_gap(geometric, sign * (a - along / 2)) <= GEOMETRIC_PHASE * total, (theta, phi)

@@ -9,7 +9,8 @@ checkout).  The digest covers a fixed list of items:
   exit code, stdout and stderr: ``synth``, ``verify`` (also reading ``synth``'s
   document on stdin), ``phase`` and ``scaling`` on all three axes for every
   registry family over a theta grid at two azimuths, CORPSE windings,
-  landscapes in CSV and JSON, ``reduce``, help, version and refusals;
+  landscapes in CSV and JSON (small ones per family, one at 201^2 and a
+  wide-range one at 101^2), ``reduce``, help, version and refusals;
 - library arrays, each item its dtype, shape and bytes: the first-order
   report, the finite-difference oracle and the perturbed propagator under
   the unit, combined and a general (f, F) channel, the moment integrals,
@@ -71,6 +72,12 @@ def cli_items(main, registry):
             yield item(["landscape", "--family", name, "--theta", theta, "--res", "21", "--format", fmt])
         yield item(["landscape", "--family", name, "--theta", theta, "--res", "17",
                     "--eps-range", "-0.3,0.05", "--eps-prime-range", "0.01,0.2"])
+    # the paper's figure at the CLI's default resolution, and a wide grid whose cells fall
+    # below 1e-4 into exponent form and whose axes hold values near zero
+    for fmt in ("csv", "json"):
+        yield item(["landscape", "--family", "cis-cccp", "--theta", "pi", "--res", "201", "--format", fmt])
+        yield item(["landscape", "--family", "cis-cccp", "--theta", "pi", "--res", "101", "--format", fmt,
+                    "--eps-range", "-1.5,1.5", "--eps-prime-range", "-1.5,1.5"])
     for winding in ("1,2,1", "0,1,1", "2,3,1", "0,0,0"):
         for family in ("corpse", "cis-cccp"):
             yield item(["verify", "--family", family, "--theta", "1.3", "--winding", winding])
