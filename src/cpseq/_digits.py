@@ -1,11 +1,11 @@
-"""Float arrays as the text ``"%.17g"`` writes, in one vectorised pass.
+"""Float tables as the text ``"%.17g"`` writes, in one vectorised pass.
 
 :func:`fields` turns a float array into the bytes ``"%.17g"`` gives for
 each value, as a fixed-width uint8 layout with NUL bytes where a character
-is absent; :func:`text` drops the NULs.  ``analysis.landscape_csv`` and
-``ioutil.dumps`` lay the fields out in row blocks of about ``BLOCK_CELLS``
-values, so their scratch memory is one block's, whatever the grid.  This
-module is imported only where a float array is rendered, after numpy.
+is absent; :func:`text` drops the NULs.  Both text layouts of a float table
+live here, :func:`csv_rows` and :func:`json_rows`, and both go through
+:func:`_table` in row blocks of about ``BLOCK_CELLS`` values, so their scratch
+memory is one block's.  Imported only to render a float array, after numpy.
 """
 
 from __future__ import annotations
@@ -120,37 +120,50 @@ def text(layout) -> str:
     return layout.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def row_blocks(rows: int, cols: int) -> list:
-    """Bounds of consecutive row blocks of about ``BLOCK_CELLS`` values,
-    as even as whole rows allow."""
+def _table(values, cell, prefix=b"", suffix=b"", drop=0) -> list:
+    """Text blocks of the 2-D float array ``values``, about ``BLOCK_CELLS`` values each, as
+    even as whole rows allow.  Row i is ``prefix``, the cells (i, j), less the last ``drop``
+    bytes of the last, and ``suffix``.  A cell is the pieces of ``cell``: literal bytes, ``None``
+    for the digits of values[i, j], or a uint8 field of shape (rows or 1, cols or 1, width)."""
+    rows, cols = values.shape
+    cell = [np.frombuffer(p, np.uint8)[None, None] if isinstance(p, bytes) else p for p in cell]
     count = max(1, min(rows, -(-rows * cols // BLOCK_CELLS)))
-    return [rows * i // count for i in range(count + 1)]
+    bounds = [rows * i // count for i in range(count + 1)]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        digits = fields(values[lo:hi].ravel())
+        pieces = [digits.T.reshape(hi - lo, cols, len(digits)) if p is None else p[lo:hi] if len(p) > 1 else p
+                  for p in cell]
+        widths = [piece.shape[-1] for piece in pieces]
+        stop = len(prefix) + cols * sum(widths)
+        layout = np.empty((hi - lo, stop + max(0, len(suffix) - drop)), np.uint8)
+        cells = layout[:, len(prefix):stop].reshape(hi - lo, cols, sum(widths))
+        parts = np.split(cells, np.cumsum(widths[:-1]), axis=2)
+        for part, piece in zip(parts, pieces):
+            part[:1] = piece[:1]
+        layout[1:] = layout[:1]  # a piece of one row is the same in every row: written once, then copied
+        for part, piece in zip(parts, pieces):
+            if len(piece) > 1:
+                part[1:] = piece[1:]
+        layout[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
+        layout[:, stop - drop:] = np.frombuffer(suffix.ljust(drop, b"\0"), np.uint8)  # NUL-padded to drop
+        blocks.append(text(layout))
+    return blocks
+
+
+def csv_rows(eps, eps_prime, fidelity) -> str:
+    """CSV text of a landscape, as ``analysis.landscape_csv`` writes it: the
+    header, then one line eps,eps_prime,fidelity a cell, row-major."""
+    e, p = (fields(values).T for values in (eps, eps_prime))
+    cell = (e[:, None], b",", p[None], b",", None, b"\n")
+    return "".join(["eps,eps_prime,fidelity\n", *_table(fidelity, cell)])
 
 
 def json_rows(rows, level: int) -> str:
-    """JSON text of a non-empty 1-D or 2-D float array, as ``ioutil.dumps``
-    writes the lists ``rows.tolist()`` gives at nesting ``level``.  Each row
-    is one line of a fixed-width layout, the cells of which are a value and
-    ", ".  A row is never split, so a 1-D array is one block.  The blocks'
-    text is joined once, and no other copy of it is made."""
-    flat = rows.ndim == 1
-    rows = rows.reshape(1, -1) if flat else rows
-    prefix, suffix = (b"[", b"]") if flat else (b"  " * (level + 1) + b"[", b"],\n")
-    count = rows.shape[1]
-    bounds = row_blocks(*rows.shape)
-    blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        cols = fields(rows[lo:hi].ravel())
-        width = len(cols)
-        end = len(prefix) + count * (width + 2)
-        layout = np.empty((hi - lo, end + len(suffix)), np.uint8)
-        layout[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
-        cells = layout[:, len(prefix):end].reshape(hi - lo, count, width + 2)
-        cells[:, :, :width] = cols.T.reshape(hi - lo, count, width)
-        cells[:, :, width:] = np.frombuffer(b", ", np.uint8)
-        layout[:, end - 2:end] = 0  # no ", " after a row's last value
-        layout[:, end:] = np.frombuffer(suffix, np.uint8)
-        if hi == len(rows):
-            layout[-1, end + 1:] = 0  # nor ",\n" after the last row's "]"
-        blocks.append(text(layout))
-    return "".join(blocks) if flat else "".join(["[\n", *blocks, "\n", "  " * level, "]"])
+    """JSON text of a non-empty 1-D or 2-D float array at nesting ``level``, as ``ioutil.dumps``
+    writes ``rows.tolist()``: a 1-D array is one row, never split; a 2-D one is a line a row."""
+    if rows.ndim == 1:
+        return _table(rows.reshape(1, -1), (None, b", "), b"[", b"]", drop=2)[0]
+    blocks = _table(rows, (None, b", "), b"  " * (level + 1) + b"[", b"],\n", drop=2)
+    blocks[-1] = blocks[-1][:-2]  # no ",\n" after the last row
+    return "".join(["[\n", *blocks, "\n", "  " * level, "]"])

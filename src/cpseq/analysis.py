@@ -186,33 +186,16 @@ def landscape(seq: PulseSequence,
 def landscape_csv(grid: LandscapeGrid) -> str:
     """CSV rendering: header eps,eps_prime,fidelity, one row per cell,
     row-major over eps then eps_prime, each value as ``"%.17g"`` writes it,
-    LF endings.  Row blocks of about ``_digits.BLOCK_CELLS`` cells go through
-    the vectorised digit kernel of :mod:`cpseq._digits` one at a time, so the
-    scratch memory is one block's, whatever the grid.  Raises ValueError on a
-    non-finite value, as :func:`ioutil.dumps` does."""
+    LF endings.  The text is laid out by :func:`cpseq._digits.csv_rows` in row
+    blocks, so the scratch memory is one block's, whatever the grid.  Raises
+    ValueError on a non-finite value, as :func:`ioutil.dumps` does."""
     import numpy as np
 
-    from ._digits import fields, row_blocks, text
+    from ._digits import csv_rows
     for values in (grid.eps_values, grid.eps_prime_values, grid.fidelity):
         if not np.isfinite(values).all():
             raise ValueError("cannot render a landscape with non-finite values")
-    eps, eps_prime = (fields(values).T for values in (grid.eps_values, grid.eps_prime_values))
-    we, wp = eps.shape[1], eps_prime.shape[1]
-    rows, cols = grid.fidelity.shape
-    bounds = row_blocks(rows, cols)
-    blocks = ["eps,eps_prime,fidelity\n"]
-    for lo, hi in zip(bounds, bounds[1:]):
-        fidelity = fields(grid.fidelity[lo:hi].ravel())
-        # a row's eps' and separators, then each row's eps and fidelity over them
-        row = np.empty((cols, we + wp + len(fidelity) + 3), np.uint8)
-        row[:, [we, we + wp + 1, -1]] = np.frombuffer(b",,\n", np.uint8)
-        row[:, we + 1:we + wp + 1] = eps_prime
-        layout = np.empty((hi - lo, *row.shape), np.uint8)
-        layout[:] = row
-        layout[:, :, :we] = eps[lo:hi, None]
-        layout[:, :, we + wp + 2:-1] = fidelity.T.reshape(hi - lo, cols, len(fidelity))
-        blocks.append(text(layout))
-    return "".join(blocks)
+    return csv_rows(grid.eps_values, grid.eps_prime_values, grid.fidelity)
 
 
 def robust_area(grid: LandscapeGrid, threshold: float) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import nullcontext
 from functools import partial
 from types import SimpleNamespace
 
@@ -332,11 +333,9 @@ def main(args=None, prog_name=None, standalone_mode=True):
         run, output = _parse(sys.argv[1:] if args is None else args, prog_name or "cpseq")
         result, code = run()
         text = result if isinstance(result, str) else dumps(result)
-        if output:
-            with open(output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+        # the text and its newline are written apart: text + "\n" would copy a landscape's text
+        with open(output, "w", encoding="utf-8", newline="\n") if output else nullcontext(sys.stdout) as fh:
+            fh.writelines((text, "" if output and text.endswith("\n") else "\n"))
     except _REFUSALS as exc:
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__  # numpy's is a subclass
         sys.stderr.write(dumps({"error": {"type": kind, "message": str(exc)}}) + "\n")

@@ -9,16 +9,16 @@ are escaped as the stdlib's ``encode_basestring`` escapes them (non-ASCII
 kept raw), by a ``str.translate`` table.  Every float is written as
 ``"%.17g"`` writes it.
 
-A row of floats, or a list of equal-length rows, is rendered in one pass.
-Once numpy is loaded, a 1-D or 2-D float array, a list of floats or a list
-of equal-length float lists, of at least ``_VECTOR_MIN`` values, goes
-through the vectorised digit kernel of :mod:`cpseq._digits` in row blocks:
-its bytes are those of ``"%.17g"`` for each value.  Shorter rows take
-``"%.17g"`` one value at a time, which costs less there.  numpy values are
-rendered like the Python values they convert to.  numpy and the kernel are
-never imported here before a numpy value exists, so a document rendered
-without numpy never loads them, and a command that renders no float array
-does not compile the kernel.
+A row of floats is rendered in one pass, and a dict or a list of lines by
+one ``"".join`` over its parts.  Once numpy is loaded, a 1-D or 2-D float
+array, a list of floats or a list of equal-length float lists, of at least
+``_VECTOR_MIN`` values, is laid out by :func:`cpseq._digits.json_rows` with
+the bytes of ``"%.17g"`` for each value; shorter rows take ``"%.17g"`` one
+value at a time, which costs less there.  numpy values are rendered like
+the Python values they convert to.  numpy and ``_digits`` are never
+imported here before a numpy value exists, so a document rendered without
+numpy never loads them, and a command that renders no float array does not
+compile the kernel.
 """
 
 from __future__ import annotations
@@ -58,9 +58,16 @@ def _floats(np, obj):
     return values if rows is not obj else values.reshape(len(rows), -1)
 
 
+def _lines(brackets: str, items, level: int) -> str:
+    """Each item's parts on a line of its own between ``brackets``, joined once."""
+    parts = [brackets[0]]
+    for item in items:
+        parts += (",\n", "  " * (level + 1), *item)
+    parts[1] = "\n"
+    return "".join([*parts, "\n", "  " * level, brackets[1]])
+
+
 def _render(obj, level: int) -> str:
-    pad = "  " * (level + 1)
-    closing = "  " * level
     np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
     if np is not None:
         values = _floats(np, obj)
@@ -78,12 +85,10 @@ def _render(obj, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}"{str.translate(k, _ESCAPES)}": {_render(v, level + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + closing + "}"
+        return _lines("{}", (('"', str.translate(k, _ESCAPES), '": ', _render(v, level + 1))
+                             for k, v in obj.items()), level)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(issubclass(kind, float) for kind in set(map(type, obj))):  # float and numpy.float64
+        if all(issubclass(kind, float) for kind in set(map(type, obj))):  # float, numpy.float64; or empty
             text = ", ".join(["%.17g" % x for x in obj])
             if "n" in text:  # of all %.17g renderings only inf and nan contain an "n"
                 _render(next(x for x in obj if not math.isfinite(x)), level)  # raises
@@ -92,7 +97,7 @@ def _render(obj, level: int) -> str:
         containers = (dict, list, tuple) if np is None else (dict, list, tuple, np.ndarray)
         if all(not isinstance(v, containers) for v in obj):
             return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + closing + "]"
+        return _lines("[]", ((r,) for r in rendered), level)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

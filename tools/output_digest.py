@@ -11,6 +11,10 @@ checkout).  The digest covers a fixed list of items:
   registry family over a theta grid at two azimuths, CORPSE windings,
   landscapes in CSV and JSON (small ones per family, one at 201^2 and a
   wide-range one at 101^2), ``reduce``, help, version and refusals;
+- CLI command lines that write ``--output``, each item its exit code,
+  stdout, stderr and the file's bytes: landscapes in CSV and JSON at 21^2
+  and 201^2, and one ``synth``.  The file goes to a temporary directory,
+  and the label names it ``FILE``, so labels match across checkouts;
 - library arrays, each item its dtype, shape and bytes: the first-order
   report, the finite-difference oracle and the perturbed propagator under
   the unit, combined and a general (f, F) channel, the moment integrals,
@@ -29,6 +33,7 @@ import hashlib
 import io
 import math
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -78,6 +83,14 @@ def cli_items(main, registry):
         yield item(["landscape", "--family", "cis-cccp", "--theta", "pi", "--res", "201", "--format", fmt])
         yield item(["landscape", "--family", "cis-cccp", "--theta", "pi", "--res", "101", "--format", fmt,
                     "--eps-range", "-1.5,1.5", "--eps-prime-range", "-1.5,1.5"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        for args in (*(["landscape", "--family", "cis-cccp", "--theta", "pi", "--res", res, "--format", fmt]
+                       for res in ("21", "201") for fmt in ("csv", "json")),
+                     ["synth", "--family", "bb1", "--theta", "pi/2"]):
+            code, out, err = run([*args, "--output", str(path)])
+            yield " ".join(args) + " --output FILE", f"{code}\0{out}\0{err}\0".encode() + path.read_bytes()
+            path.unlink()
     for winding in ("1,2,1", "0,1,1", "2,3,1", "0,0,0"):
         for family in ("corpse", "cis-cccp"):
             yield item(["verify", "--family", family, "--theta", "1.3", "--winding", winding])
